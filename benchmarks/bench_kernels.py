@@ -5,7 +5,10 @@ interpreted route is timed by swapping the pure-Python originals back in;
 the brute-force route goes through ``engine="bruteforce"``. Report columns
 are best-of-``--repeat`` wall times. The jitted column and the speedup are
 printed only when the kernels are jitted (numba imports and
-``SEMNET_NO_NUMBA`` is unset).
+``SEMNET_NO_NUMBA`` is unset). The last line of output is one JSON object:
+``python``, ``numpy``, ``jit_enabled`` and ``best_ms``, the best time in
+milliseconds per network, op (``count`` or ``suite``) and column (``jit``,
+``python``, ``brute``).
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--net NAME ...]
 """
@@ -13,8 +16,12 @@ Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--net NAME ...]
 from __future__ import annotations
 
 import argparse
+import json
+import platform
 import time
 from contextlib import contextmanager
+
+import numpy as np
 
 from semnet import CountMode, Direction, Engine, Instance, check_suite, count_distinct
 from semnet import kernels
@@ -81,17 +88,23 @@ def main() -> None:
     header = f"{'network':<14} {'op':<7} " + " ".join(f"{c:>10}" for c in columns)
     print(header)
     print("-" * len(header))
+    best_ms: dict[str, dict[str, dict[str, float]]] = {}
     for name in args.net:
         net = nets[name]
         for op in ("count", "suite"):
             with interpreted_kernels():
                 py_t = best_of(run_case(net, op, Engine.JOIN), args.repeat)
             brute_t = best_of(run_case(net, op, Engine.BRUTEFORCE), args.repeat)
+            times = {"python": py_t * 1e3, "brute": brute_t * 1e3}
             cells = [f"{py_t * 1e3:>10.3f}", f"{brute_t * 1e3:>10.3f}"]
             if jit:
                 jit_t = best_of(run_case(net, op, Engine.JOIN), args.repeat)
+                times = {"jit": jit_t * 1e3, **times}
                 cells = [f"{jit_t * 1e3:>10.3f}", *cells, f"{py_t / jit_t:>9.1f}x"]
+            best_ms.setdefault(name, {})[op] = times
             print(f"{name:<14} {op:<7} " + " ".join(cells))
+    print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
+                      "jit_enabled": jit, "best_ms": best_ms}, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .engine import (
 )
 from .errors import (
     InvalidNetworkError,
+    KeyOverflowError,
     LimitExceededError,
     ScopeMismatchError,
     SemnetError,
@@ -71,6 +72,7 @@ __all__ = [
     "Engine",
     "Instance",
     "InvalidNetworkError",
+    "KeyOverflowError",
     "Limits",
     "LimitExceededError",
     "Network",

@@ -2,7 +2,8 @@
 
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 all requested
 properties hold (or the file is valid), 1 some property fails, 2 usage or
-parse error, 3 validation error, 4 enumeration limit exceeded.
+parse error, 3 validation error, 4 enumeration limit exceeded or a scope
+too large for the engine's 62-bit keys.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .engine import CountMode, Engine, Limits, full_space_size
-from .errors import LimitExceededError, ScopeMismatchError
+from .errors import KeyOverflowError, LimitExceededError, ScopeMismatchError
 from .model import Network, sinks, sources, validate
 from .netdef import ParseFailure, parse
 from .properties import Direction, PropertyKind, check_suite, check_surjective_in
@@ -171,7 +172,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ScopeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LimitExceededError as exc:
+    except (LimitExceededError, KeyOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidNetworkError, ScopeMismatchError
+from .errors import InvalidNetworkError, KeyOverflowError, ScopeMismatchError
 from .model import Instance, Network, validate
 
 __all__ = ["EncodedNetwork", "encode"]
@@ -82,7 +82,9 @@ class EncodedNetwork:
             strides[i] = stride
             stride *= int(self.sizes[i])
             if stride > _KEY_LIMIT:
-                raise ScopeMismatchError("projection target space is too large to key")
+                raise KeyOverflowError(
+                    f"projection target {{{','.join(self.network.set_order(target))}}} "
+                    "space exceeds the engine's 2^62 key limit")
         return strides, stride
 
 
@@ -113,14 +115,17 @@ def encode(network: Network) -> EncodedNetwork:
             strides[j] = stride
             stride *= int(sizes[scope[j]])
         if stride > _KEY_LIMIT:
-            raise ScopeMismatchError(f"relation {rel.id!r} scope space is too large to key")
+            raise KeyOverflowError(
+                f"relation {rel.id!r} scope space of {stride} value combinations "
+                "exceeds the engine's 2^62 key limit")
         scope_flat.extend(scope)
         scope_strides.extend(strides)
         scope_start.append(len(scope_flat))
-        keys = sorted(
-            sum(value_index[s][v] * st for s, st, v in zip(scope, strides, row))
-            for row in rel.rows
-        )
+        keys = [0] * len(rel.rows)
+        for s, st, column in zip(scope, strides, zip(*rel.rows)):
+            index = value_index[s]
+            keys = [key + st * index[v] for key, v in zip(keys, column)]
+        keys.sort()
         rowkeys_flat.extend(keys)
         rowkeys_start.append(len(rowkeys_flat))
         trigger = max(scope) if scope else 0

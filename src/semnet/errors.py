@@ -11,6 +11,10 @@ class ScopeMismatchError(SemnetError):
     """An instance was used with a scope it does not cover exactly."""
 
 
+class KeyOverflowError(SemnetError):
+    """A scope's value space is too large for the engine's 62-bit keys."""
+
+
 class LimitExceededError(SemnetError):
     """An enumeration would exceed the configured instance budget."""
 

@@ -17,6 +17,7 @@ files can be diagnosed in full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "ValueSet",
@@ -92,6 +93,17 @@ class Network:
         wanted = set(set_ids)
         return tuple(vs.id for vs in self.sets if vs.id in wanted)
 
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        """This instance's :func:`validate` report, computed on first use."""
+        return _validate(self)
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the fields only, never the memo.
+        state = dict(self.__dict__)
+        state.pop("_validation", None)
+        return state
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -147,17 +159,30 @@ class StructuralFlags:
 
 
 def validate(network: Network) -> ValidationReport:
-    """Check a raw network; empty ``errors`` means the engine can use it."""
+    """Check a raw network; empty ``errors`` means the engine can use it.
+
+    The report is memoised on the ``Network`` instance, so validating the
+    same instance again (as :func:`semnet.encode` does after a caller has
+    validated) costs nothing. The memo lives and dies with the instance:
+    an equal network parsed or built anew is validated afresh, and pickles
+    and copies do not carry it.
+    """
+    return network._validation
+
+
+def _validate(network: Network) -> ValidationReport:
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
 
     seen_sets: dict[str, ValueSet] = {}
+    domains: dict[str, frozenset[str]] = {}
     for vs in network.sets:
         loc = f"set {vs.id}"
         if vs.id in seen_sets:
             errors.append(ValidationIssue("DUPLICATE_ID", f"set id {vs.id!r} declared twice", loc))
             continue
         seen_sets[vs.id] = vs
+        domains[vs.id] = frozenset(vs.values)
         if not vs.values:
             errors.append(ValidationIssue("EMPTY_SET", f"set {vs.id!r} has no values", loc))
         dup = _first_duplicate(vs.values)
@@ -191,21 +216,27 @@ def validate(network: Network) -> ValidationReport:
             warnings.append(ValidationIssue("EMPTY_RELATION", f"relation {rel.id!r} admits no rows", loc))
         if dangling:
             continue  # row checks need resolvable scope sets
-        arity = len(rel.scope)
+        scope = rel.scope
+        arity = len(scope)
+        scope_domains = [domains[sid] for sid in scope]
         seen_rows: set[tuple[str, ...]] = set()
         for i, row in enumerate(rel.rows):
-            rloc = f"rel {rel.id} row {i + 1}"
             if len(row) != arity:
                 errors.append(ValidationIssue(
-                    "MALFORMED_ROW", f"row has {len(row)} values, scope needs {arity}", rloc))
+                    "MALFORMED_ROW", f"row has {len(row)} values, scope needs {arity}",
+                    f"rel {rel.id} row {i + 1}"))
                 continue
-            bad = next((f"{v!r} not in set {s!r}" for s, v in zip(rel.scope, row)
-                        if v not in seen_sets[s].values), None)
+            bad = None
+            for sid, domain, v in zip(scope, scope_domains, row):
+                if v not in domain:
+                    bad = f"{v!r} not in set {sid!r}"
+                    break
             if bad is not None:
-                errors.append(ValidationIssue("MALFORMED_ROW", bad, rloc))
+                errors.append(ValidationIssue("MALFORMED_ROW", bad, f"rel {rel.id} row {i + 1}"))
                 continue
             if row in seen_rows:
-                errors.append(ValidationIssue("DUPLICATE_ROW", f"row {row!r} repeated", rloc))
+                errors.append(ValidationIssue(
+                    "DUPLICATE_ROW", f"row {row!r} repeated", f"rel {rel.id} row {i + 1}"))
             seen_rows.add(row)
 
     for sid in sorted(network.data_selection):

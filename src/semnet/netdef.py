@@ -20,6 +20,13 @@ flat list of :class:`ParseError` with 1-based line and column numbers,
 never a partial network. Serialization is canonical (declaration order,
 single spaces, values quoted only when not bare, LF line endings, trailing
 newline) and ``parse(serialize(network))`` reproduces the network exactly.
+
+Parsing is linear in the input. Value and row membership are hash lookups,
+and a ``row`` line whose values are all bare (nearly every line of a
+table-heavy file) is split by one whole-line match and kept as plain
+strings. ``_tokenize`` is still the only tokenizer: every other line goes
+through it, and the column of an error in a row comes from tokenizing that
+line again when the error is reported.
 """
 
 from __future__ import annotations
@@ -40,6 +47,10 @@ __all__ = [
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 _BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
+# A whole ``row`` line of bare values with an optional trailing comment;
+# group 1 holds the values. A line it matches, _tokenize splits into
+# ``row`` and the same values, without error.
+_BARE_ROW_RE = re.compile(r"[ \t]*row((?:[ \t]+[A-Za-z0-9_.+-]+)*)[ \t]*(?:#.*)?", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ class _RawRelation:
     column: int
     in_tokens: list[_Token]
     out_tokens: list[_Token]
-    row_statements: list[tuple[int, list[_Token]]]
+    row_statements: list[tuple[int, tuple[str, ...]]]
     closed: bool = False
 
 
@@ -147,8 +158,14 @@ def parse(text: str) -> SemnetDocument:
     open_rel: _RawRelation | None = None
     saw_statement = False
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line.rstrip("\r"), line_no, errors)
+    lines = text.splitlines()  # splits at "\r" too, so no line holds one
+    for line_no, line in enumerate(lines, start=1):
+        if open_rel is not None:
+            bare_row = _BARE_ROW_RE.fullmatch(line)
+            if bare_row is not None:
+                open_rel.row_statements.append((line_no, tuple(bare_row[1].split())))
+                continue
+        tokens = _tokenize(line, line_no, errors)
         if tokens is None or not tokens:
             continue
         head = tokens[0]
@@ -233,7 +250,7 @@ def parse(text: str) -> SemnetDocument:
                 continue
             if not _check_values(args, line_no, errors):
                 continue
-            open_rel.row_statements.append((line_no, args))
+            open_rel.row_statements.append((line_no, tuple(tok.text for tok in args)))
         elif keyword == "end":
             if open_rel is None:
                 errors.append(ParseError(
@@ -272,22 +289,24 @@ def parse(text: str) -> SemnetDocument:
         spans[f"net:{net_name}"] = net_span
 
     sets_by_id: dict[str, ValueSet] = {}
+    domains: dict[str, frozenset[str]] = {}
     value_sets: list[ValueSet] = []
     for sid, value_tokens, line_no, column in raw_sets:
         if sid in sets_by_id:
             errors.append(ParseError(
                 "DUPLICATE_ID", f"set {sid!r} already declared", line_no, column))
             continue
-        values: list[str] = []
+        values: dict[str, None] = {}  # an ordered set
         for tok in value_tokens:
             if tok.text in values:
                 errors.append(ParseError(
                     "DUPLICATE_VALUE", f"value {tok.text!r} repeated in set {sid!r}",
                     line_no, tok.column))
             else:
-                values.append(tok.text)
+                values[tok.text] = None
         vs = ValueSet(sid, tuple(values))
         sets_by_id[sid] = vs
+        domains[sid] = frozenset(values)
         value_sets.append(vs)
         spans[f"set:{sid}"] = (line_no, column)
 
@@ -310,30 +329,29 @@ def parse(text: str) -> SemnetDocument:
         if not ok:
             continue
         scope = [t.text for t in raw.in_tokens] + [t.text for t in raw.out_tokens]
-        rows: list[tuple[str, ...]] = []
-        for row_line, row_tokens in raw.row_statements:
-            if len(row_tokens) != len(scope):
+        scope_domains = [domains[sid] for sid in scope]
+        rows: dict[tuple[str, ...], None] = {}  # an ordered set
+        for row_line, row in raw.row_statements:
+            if len(row) != len(scope):
                 errors.append(ParseError(
                     "ROW_ARITY",
-                    f"row has {len(row_tokens)} values, relation {raw.id!r} needs {len(scope)}",
-                    row_line, row_tokens[0].column if row_tokens else 1))
+                    f"row has {len(row)} values, relation {raw.id!r} needs {len(scope)}",
+                    row_line, _first_value_column(lines, row_line)))
                 continue
-            bad = False
-            for sid, tok in zip(scope, row_tokens):
-                if tok.text not in sets_by_id[sid].values:
-                    errors.append(ParseError(
-                        "UNKNOWN_VALUE",
-                        f"value {tok.text!r} not in set {sid!r}", row_line, tok.column))
-                    bad = True
-            if bad:
+            if not all(map(frozenset.__contains__, scope_domains, row)):
+                columns = _value_columns(lines, row_line)
+                for sid, domain, value, column in zip(scope, scope_domains, row, columns):
+                    if value not in domain:
+                        errors.append(ParseError(
+                            "UNKNOWN_VALUE",
+                            f"value {value!r} not in set {sid!r}", row_line, column))
                 continue
-            row = tuple(tok.text for tok in row_tokens)
             if row in rows:
                 errors.append(ParseError(
                     "DUPLICATE_ROW", f"row repeated in relation {raw.id!r}",
-                    row_line, row_tokens[0].column if row_tokens else 1))
+                    row_line, _first_value_column(lines, row_line)))
                 continue
-            rows.append(row)
+            rows[row] = None
         relations.append(Relation(
             raw.id,
             tuple(t.text for t in raw.in_tokens),
@@ -365,6 +383,20 @@ def parse(text: str) -> SemnetDocument:
     if data_tokens is None:
         network = Network(network.name, network.sets, network.relations, sources(network))
     return SemnetDocument(network, spans)
+
+
+def _value_columns(lines: list[str], line_no: int) -> list[int]:
+    """1-based columns of the values of the ``row`` statement on a line.
+
+    Rows keep their values as plain strings; columns are recovered from the
+    tokenizer only when an error is reported.
+    """
+    return [tok.column for tok in _tokenize(lines[line_no - 1], line_no, [])[1:]]
+
+
+def _first_value_column(lines: list[str], line_no: int) -> int:
+    columns = _value_columns(lines, line_no)
+    return columns[0] if columns else 1
 
 
 def _unterminated(raw: _RawRelation, errors: list[ParseError]) -> None:

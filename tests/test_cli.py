@@ -98,6 +98,23 @@ def test_check_limit_exceeded_exit_4(capsys):
     assert "exceeds the budget" in err
 
 
+def test_key_overflow_is_exit_4_not_usage(capsys, tmp_path):
+    # Seven sets of 600 values: the scope of r spans 600**7 > 2**62 keys.
+    values = " ".join(f"v{i}" for i in range(600))
+    lines = ["net big", *(f"set S{k} = {values}" for k in range(1, 8)),
+             "rel r in S1 S2 S3 S4 S5 S6 out S7", "row" + " v0" * 7, "end", "data S7"]
+    path = tmp_path / "big.semnet"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "validate", str(path))
+    assert code == 0
+    assert "0 error(s)" in out
+    code, out, err = _run(capsys, "check", str(path), "--property", "functional")
+    assert code == 4
+    assert out == ""
+    assert "relation 'r'" in err
+    assert "2^62 key limit" in err
+
+
 def test_check_json_matches_golden(capsys):
     for name in ("t2", "t4b", "fig1-mini"):
         for direction in ("forward", "backward"):

@@ -18,6 +18,7 @@ from semnet import (
     CountMode,
     Engine,
     Instance,
+    KeyOverflowError,
     Limits,
     LimitExceededError,
     Network,
@@ -27,6 +28,7 @@ from semnet import (
     completions,
     count_distinct,
     distinct_representatives,
+    encode,
     enumerate_instances,
     first_completions,
     full_space_size,
@@ -283,3 +285,48 @@ def test_engines_agree_everywhere():
                                             engine=Engine.JOIN) == \
                 distinct_representatives(net, partial, target, k,
                                          engine=Engine.BRUTEFORCE)
+
+
+def test_key_overflow_is_its_own_error():
+    """Scopes past the 62-bit key space are refused, not as a scope mismatch."""
+    values = tuple(f"v{i}" for i in range(600))
+    sets = tuple(ValueSet(f"S{k}", values) for k in range(1, 8))
+    ids = tuple(vs.id for vs in sets)
+    wide = Relation("r", ids[:-1], ids[-1:], (("v0",) * 7,))
+    with pytest.raises(KeyOverflowError, match=r"relation 'r' .*2\^62") as info:
+        encode(Network("wide-rel", sets, (wide,), frozenset(ids[-1:])))
+    assert not isinstance(info.value, ScopeMismatchError)
+    enc = encode(Network("wide-target", sets, (), frozenset(ids)))
+    with pytest.raises(KeyOverflowError, match=r"\{S1,S2,S3,S4,S5,S6,S7\}.*2\^62"):
+        enc.target_strides(frozenset(ids))
+
+
+def _loop_row_keys(network, rel):
+    """Reference: each row's mixed-radix key over the scope, one at a time."""
+    sizes = {vs.id: len(vs.values) for vs in network.sets}
+    index = {vs.id: {v: i for i, v in enumerate(vs.values)} for vs in network.sets}
+    keys = []
+    for row in rel.rows:
+        key = 0
+        for sid, value in zip(rel.scope, row):
+            key = key * sizes[sid] + index[sid][value]
+        keys.append(key)
+    return sorted(keys)
+
+
+def test_row_keys_match_the_per_row_loop():
+    rng = random.Random(20241018)
+    values = tuple(f"v{i}" for i in range(7))
+    sets = tuple(ValueSet(s, values) for s in "ABCD")
+    wide = Relation("wide", ("A", "B", "C"), ("D",),
+                    tuple({tuple(rng.choice(values) for _ in range(4)) for _ in range(300)}))
+    edge_cases = Network("edges", sets, (
+        wide,
+        Relation("empty", ("A",), ("B",), ()),
+        Relation("nullary", (), (), ((),)),
+    ), frozenset({"A"}))
+    for network in [*all_networks().values(), edge_cases]:
+        enc = encode(network)
+        for r, rel in enumerate(network.relations):
+            keys = enc.rowkeys_flat[enc.rowkeys_start[r]:enc.rowkeys_start[r + 1]]
+            assert keys.tolist() == _loop_row_keys(network, rel), (network.name, rel.id)

@@ -4,10 +4,13 @@ unset, and otherwise the interpreted fallbacks must be selected and work."""
 
 from __future__ import annotations
 
+import json
 import os
+import platform
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -145,3 +148,26 @@ def test_zero_capacity_buffers():
     tstrides, _ = enc.target_strides(frozenset({"Y"}))
     seen = np.zeros(0, dtype=np.int64)
     assert count_distinct_capped(*_args(enc, fixed), tstrides, seen) == 0
+
+
+def test_bench_kernels_ends_with_one_json_record():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_kernels.py"),
+         "--repeat", "1", "--net", "t2", "t4"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["python"] == platform.python_version()
+    assert record["numpy"] == np.__version__
+    assert record["jit_enabled"] is JIT_ENABLED
+    columns = {"jit", "python", "brute"} if JIT_ENABLED else {"python", "brute"}
+    assert record["best_ms"].keys() == {"t2", "t4"}
+    for ops in record["best_ms"].values():
+        assert ops.keys() == {"count", "suite"}
+        for times in ops.values():
+            assert times.keys() == columns
+            assert all(t > 0 for t in times.values())

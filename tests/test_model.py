@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+import importlib
+import pickle
+from pathlib import Path
+
+import pytest
+
 from semnet import (
     Instance,
+    InvalidNetworkError,
     Network,
     Relation,
     ValueSet,
     sinks,
     sources,
+    encode,
+    parse,
     structural_flags,
     validate,
 )
+from semnet.cli import main
 from semnet.corpus import all_networks, build_broken, build_t2, build_t4
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _codes(report):
@@ -145,3 +157,62 @@ def test_set_order_follows_declaration():
     t4 = build_t4()
     assert t4.set_order({"Y", "X", "M"}) == ("X", "M", "Y")
     assert t4.set_order({"Y"}) == ("Y",)
+
+
+# --- the validation report is memoised per Network instance
+
+@pytest.fixture
+def validation_calls(monkeypatch):
+    """Networks passed to the validation body, in call order."""
+    model = importlib.import_module("semnet.model")
+    body = model._validate
+    calls = []
+
+    def counted(network):
+        calls.append(network)
+        return body(network)
+
+    monkeypatch.setattr(model, "_validate", counted)
+    encode.cache_clear()
+    yield calls
+    encode.cache_clear()
+
+
+def test_validate_then_encode_runs_validation_once(validation_calls):
+    text = (CORPUS / "t2.semnet").read_text(encoding="utf-8")
+    net = parse(text).network
+    report = validate(net)
+    encode(net)
+    assert validate(net) is report
+    assert validation_calls == [net]
+    # An equal network parsed anew is validated afresh, as in a new process.
+    again = parse(text).network
+    assert validate(again) == report
+    assert len(validation_calls) == 2 and validation_calls[1] is again
+
+
+def test_invalid_network_still_refused_after_validation(validation_calls, capsys):
+    net = build_broken()
+    assert [i.code for i in validate(net).errors] == ["CYCLE"]
+    with pytest.raises(InvalidNetworkError):
+        encode(net)
+    with pytest.raises(InvalidNetworkError):
+        encode(net)
+    assert validation_calls == [net]
+    assert main(["check", str(CORPUS / "broken.semnet")]) == 3
+    assert "error[CYCLE]" in capsys.readouterr().err
+
+
+def test_validation_memo_leaves_equality_hash_and_pickle_alone():
+    text = (CORPUS / "fig1-mini.semnet").read_text(encoding="utf-8")
+    net, twin = parse(text).network, parse(text).network
+    pickled, digest = pickle.dumps(net), hash(net)
+    report = validate(net)
+    assert net == twin and twin == net
+    assert hash(net) == hash(twin) == digest
+    assert pickle.dumps(net) == pickled
+    restored = pickle.loads(pickle.dumps(net))
+    assert restored == net and hash(restored) == digest
+    # The copy does not carry the memo: it is validated afresh.
+    restored_report = validate(restored)
+    assert restored_report == report and restored_report is not report

@@ -7,9 +7,12 @@ import string
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from semnet import Instance, ParseFailure, parse, serialize
 from semnet.corpus import all_networks
+from semnet.netdef import _BARE_ROW_RE, _BARE_VALUE_RE, _tokenize
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -191,3 +194,105 @@ def test_parse_is_deterministic():
     first = _codes("net n\nset A = a a\nwobble\n")[0]
     second = _codes("net n\nset A = a a\nwobble\n")[0]
     assert first == second
+
+
+# --- row statements: bare rows take a whole-line match, the rest the tokenizer
+
+def _table_text(row_lines, newline="\n"):
+    lines = ["net n", "set A = a1 a2", "set B = b1 b2", "set C = c1 c2",
+             "rel r in A B out C", *row_lines, "end", "data A B"]
+    return newline.join(lines) + newline
+
+
+def _unknown(value, set_id, line, column):
+    return ("UNKNOWN_VALUE", f"value {value!r} not in set {set_id!r}", line, column)
+
+
+_ARITY = "row has 2 values, relation 'r' needs 3"
+_DUPLICATE = "row repeated in relation 'r'"
+
+# (id, row lines, newline, expected (code, message, line, column) list);
+# each error comes in a bare and a quoted form. Row lines start at line 6.
+ROW_ERROR_CASES = [
+    ("unknown-first-bare", ["row zz b1 c1"], "\n", [_unknown("zz", "A", 6, 5)]),
+    ("unknown-first-quoted", ['row "zz" "b1" "c1"'], "\n", [_unknown("zz", "A", 6, 5)]),
+    ("unknown-third-bare", ["row a1 b1 zz"], "\n", [_unknown("zz", "C", 6, 11)]),
+    ("unknown-third-quoted", ['row "a1" "b1" "zz"'], "\n", [_unknown("zz", "C", 6, 15)]),
+    ("unknown-first-and-third-bare", ["row zz b1 yy"], "\n",
+     [_unknown("zz", "A", 6, 5), _unknown("yy", "C", 6, 11)]),
+    ("unknown-first-and-third-quoted", ['row "zz" b1 "y y"'], "\n",
+     [_unknown("zz", "A", 6, 5), _unknown("y y", "C", 6, 13)]),
+    ("arity-bare", ["row a1 b1"], "\n", [("ROW_ARITY", _ARITY, 6, 5)]),
+    ("arity-quoted", ['row "a1" "b1"'], "\n", [("ROW_ARITY", _ARITY, 6, 5)]),
+    ("arity-empty", ["row"], "\n",
+     [("ROW_ARITY", "row has 0 values, relation 'r' needs 3", 6, 1)]),
+    ("duplicate-bare", ["row a1 b1 c1", "row a2 b1 c1", "row  a1 b1 c1"], "\n",
+     [("DUPLICATE_ROW", _DUPLICATE, 8, 6)]),
+    ("duplicate-quoted", ["row a1 b1 c1", 'row "a1" "b1" "c1"'], "\n",
+     [("DUPLICATE_ROW", _DUPLICATE, 7, 5)]),
+    ("glued-comment-bare", ["row a1 b1 zz#c"], "\n", [_unknown("zz", "C", 6, 11)]),
+    ("glued-comment-quoted", ['row "a1" "b1" "zz"#c'], "\n", [_unknown("zz", "C", 6, 15)]),
+    ("glued-comment-arity-bare", ["row a1 b1#c1"], "\n", [("ROW_ARITY", _ARITY, 6, 5)]),
+    ("glued-comment-arity-quoted", ['row "a1" "b1"#"c1"'], "\n", [("ROW_ARITY", _ARITY, 6, 5)]),
+    ("tabs-bare", ["row\ta1\t\tzz\tc1"], "\n", [_unknown("zz", "B", 6, 9)]),
+    ("tabs-quoted", ['row\t"a1"\t\t"zz"\t"c1"'], "\n", [_unknown("zz", "B", 6, 11)]),
+    ("crlf-bare", ["row a1 b1 c1", "row a1 zz c1", "row a1 b1 c1"], "\r\n",
+     [_unknown("zz", "B", 7, 8), ("DUPLICATE_ROW", _DUPLICATE, 8, 5)]),
+    ("crlf-quoted", ['row "a1" b1 c1', 'row a1 "zz" c1', 'row a1 "b1" c1'], "\r\n",
+     [_unknown("zz", "B", 7, 8), ("DUPLICATE_ROW", _DUPLICATE, 8, 5)]),
+    ("leading-whitespace-bare", ["  \trow a1 b1 zz"], "\n", [_unknown("zz", "C", 6, 14)]),
+    ("leading-whitespace-quoted", ['  \trow "a1" "b1" "zz"'], "\n", [_unknown("zz", "C", 6, 18)]),
+    ("leading-whitespace-arity-bare", [" row a1 b1 # c1"], "\n", [("ROW_ARITY", _ARITY, 6, 6)]),
+    ("leading-whitespace-arity-quoted", [' row "a1" "b1" # "c1"'], "\n",
+     [("ROW_ARITY", _ARITY, 6, 6)]),
+]
+
+
+@pytest.mark.parametrize("row_lines, newline, expected",
+                         [case[1:] for case in ROW_ERROR_CASES],
+                         ids=[case[0] for case in ROW_ERROR_CASES])
+def test_row_errors_report_code_message_line_and_column(row_lines, newline, expected):
+    _, errors = _codes(_table_text(row_lines, newline))
+    assert [(e.code, e.message, e.line, e.column) for e in errors] == expected
+
+
+def test_bare_and_quoted_rows_parse_alike():
+    bare = ["row a1 b1 c1", "\trow a2\tb2 c2  # note", " row a1 b2 c1#glued"]
+    quoted = ['row "a1" "b1" "c1"', '\trow a2\t"b2" c2  # note', ' row "a1" b2 "c1"#glued']
+    for newline in ("\n", "\r\n"):
+        net = parse(_table_text(bare, newline)).network
+        assert net == parse(_table_text(quoted, newline)).network
+        assert net.relations[0].rows == (("a1", "b1", "c1"), ("a2", "b2", "c2"),
+                                         ("a1", "b2", "c1"))
+
+
+_BARE_VALUES = st.from_regex(r"[A-Za-z0-9_.+-]{1,3}", fullmatch=True)
+_ROW_FRAGMENTS = st.one_of(
+    st.builds(str.__add__, st.sampled_from([" ", "\t", " \t"]), _BARE_VALUES),
+    st.sampled_from(["row", " ", "\t", "\f", "#", '"', "\\"]),
+    _BARE_VALUES,
+    st.text(alphabet='ab #"\\\t', max_size=3).map(
+        lambda v: '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'),
+)
+_ROW_LINES = st.builds(lambda head, body: head + "".join(body),
+                       st.sampled_from(["", "row", "row ", " row\t", "\trow  ", "row\f", "\frow "]),
+                       st.lists(_ROW_FRAGMENTS, max_size=12))
+
+
+@seed(20241018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_ROW_LINES)
+def test_bare_row_match_agrees_with_tokenizer(line):
+    """The whole-line match accepts exactly the lines that _tokenize splits,
+    without error, into an unquoted ``row`` and unquoted bare values, and
+    it yields those same values."""
+    errors = []
+    tokens = _tokenize(line, 1, errors)
+    tokenized_bare_row = (
+        not errors and bool(tokens) and not any(t.quoted for t in tokens)
+        and tokens[0].text == "row"
+        and all(_BARE_VALUE_RE.match(t.text) for t in tokens[1:]))
+    match = _BARE_ROW_RE.fullmatch(line)
+    assert (match is not None) == tokenized_bare_row
+    if match is not None:
+        assert [t.text for t in tokens] == ["row", *match[1].split()]
