@@ -1,14 +1,13 @@
-"""Benchmark the join kernels: jitted vs interpreted, vs brute force.
+"""Benchmark the join search: jitted vs interpreted, vs brute force.
 
-The engine dispatches through ``semnet.kernels`` module attributes, so the
-interpreted route is timed by swapping the pure-Python originals back in;
+The kernel entry points call ``semnet.kernels.search``, so the interpreted
+route is timed by swapping its pure-Python original ``_search`` back in;
 the brute-force route goes through ``engine="bruteforce"``. Report columns
 are best-of-``--repeat`` wall times. The jitted column and the speedup are
-printed only when the kernels are jitted (numba imports and
-``SEMNET_NO_NUMBA`` is unset). The last line of output is one JSON object:
-``python``, ``numpy``, ``jit_enabled`` and ``best_ms``, the best time in
-milliseconds per network, op (``count`` or ``suite``) and column (``jit``,
-``python``, ``brute``).
+printed only when the search is jitted (numba imports). The last line of
+output is one JSON object: ``python``, ``numpy``, ``jit_enabled`` and
+``best_ms``, the best time in milliseconds per network, op (``count`` or
+``suite``) and column (``jit``, ``python``, ``brute``).
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--net NAME ...]
 """
@@ -32,14 +31,12 @@ DEFAULT_NETS = ("t4", "fig1-mini", "dodeca")
 
 @contextmanager
 def interpreted_kernels():
-    saved = {name: getattr(kernels, name) for name in kernels.py_kernels}
-    for name, fn in kernels.py_kernels.items():
-        setattr(kernels, name, fn)
+    saved = kernels.search
+    kernels.search = kernels._search
     try:
         yield
     finally:
-        for name, fn in saved.items():
-            setattr(kernels, name, fn)
+        kernels.search = saved
 
 
 def best_of(fn, repeat: int) -> float:
@@ -78,9 +75,8 @@ def main() -> None:
         # One warm pass so compilation is not billed to the first cell.
         check_suite(nets[args.net[0]], engine=Engine.JOIN)
     else:
-        reason = ("SEMNET_NO_NUMBA is set" if kernels._no_numba_requested()
-                  else "numba is not importable")
-        print(f"JIT off ({reason}): timing interpreted kernels and brute force only")
+        print("JIT off (numba is not importable): "
+              "timing interpreted kernels and brute force only")
 
     columns = ["python ms", "brute ms"]
     if jit:

@@ -43,7 +43,9 @@ __all__ = [
 ]
 
 # Above this, uncapped distinct counting switches from the linear-scan seen
-# buffer to collect-all-then-sort to avoid quadratic membership scans.
+# buffer to collect-all-then-sort. The scan path sizes its buffer at the
+# whole target space (up to 2^62 keys) and its membership scans are
+# quadratic, so large targets need the sort path.
 _SEEN_SCAN_MAX = 4096
 
 
@@ -144,6 +146,14 @@ def _kernel_args(enc: EncodedNetwork, fixed: np.ndarray) -> tuple:
             enc.rowkeys_flat, enc.rowkeys_start, enc.trig_rels, enc.trig_start)
 
 
+def _all_completions(enc: EncodedNetwork, fixed: np.ndarray) -> np.ndarray:
+    """Every join completion as a value-index matrix: count, then collect."""
+    args = _kernel_args(enc, fixed)
+    out = np.empty((kernels.count_completions(*args, 0), enc.n_sets), dtype=np.int64)
+    kernels.collect_completions(*args, out)
+    return out
+
+
 def _empty_network_count(network: Network) -> int:
     """Completion count for the degenerate zero-set network."""
     return 1 if is_consistent(network, Instance()) else 0
@@ -157,9 +167,7 @@ def completions(network: Network, partial: Instance,
     if enc.n_sets == 0:
         return [Instance()] if _empty_network_count(network) else []
     if engine is Engine.JOIN:
-        n = kernels.count_completions(*_kernel_args(enc, fixed), 0)
-        out = np.empty((n, enc.n_sets), dtype=np.int64)
-        kernels.collect_completions(*_kernel_args(enc, fixed), out)
+        out = _all_completions(enc, fixed)
     else:
         out = bruteforce.bf_collect(enc, fixed, enc.space_size(fixed))
     return [enc.instance_from_row(row) for row in out]
@@ -213,10 +221,7 @@ def count_distinct(network: Network, partial: Instance, target: Iterable[str],
         seen = np.empty(effective, dtype=np.int64)
         return int(kernels.count_distinct_capped(
             *_kernel_args(enc, fixed), tstrides, seen))
-    n = kernels.count_completions(*_kernel_args(enc, fixed), 0)
-    out = np.empty((n, enc.n_sets), dtype=np.int64)
-    kernels.collect_completions(*_kernel_args(enc, fixed), out)
-    distinct = int(np.unique(out @ tstrides).size)
+    distinct = int(np.unique(_all_completions(enc, fixed) @ tstrides).size)
     return min(distinct, cap) if cap else distinct
 
 

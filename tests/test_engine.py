@@ -25,6 +25,7 @@ from semnet import (
     Relation,
     ScopeMismatchError,
     ValueSet,
+    check_minimal,
     completions,
     count_distinct,
     distinct_representatives,
@@ -35,6 +36,7 @@ from semnet import (
     is_consistent,
     project,
 )
+from semnet import engine as engine_mod
 from semnet.corpus import all_networks, build_t1, build_t2, build_t3, build_t4
 
 ENGINES = (Engine.JOIN, Engine.BRUTEFORCE)
@@ -285,6 +287,34 @@ def test_engines_agree_everywhere():
                                             engine=Engine.JOIN) == \
                 distinct_representatives(net, partial, target, k,
                                          engine=Engine.BRUTEFORCE)
+
+
+def build_wide_target() -> Network:
+    """A data set A over 13 binary sets S0–S12: r lets a1 reach both values
+    of S0 and a2 only the first; S1–S12 are free."""
+    binary = ("0", "1")
+    sets = (ValueSet("A", ("a1", "a2")),
+            *(ValueSet(f"S{i}", binary) for i in range(13)))
+    r = Relation("r", ("A",), ("S0",), (("a1", "0"), ("a1", "1"), ("a2", "0")))
+    return Network("wide-target", sets, (r,), frozenset({"A"}))
+
+
+def test_count_distinct_over_a_large_target():
+    """Uncapped PROJECTED counts onto a target space past the seen-buffer
+    scan size take the collect-and-sort path; both engines agree."""
+    net = build_wide_target()
+    target = [f"S{i}" for i in range(13)]
+    _, tspace = encode(net).target_strides(frozenset(target))
+    assert tspace > engine_mod._SEEN_SCAN_MAX
+    for engine in ENGINES:
+        assert count_distinct(net, Instance({"A": "a1"}), target,
+                              engine=engine) == 8192
+        assert count_distinct(net, Instance({"A": "a2"}), target,
+                              engine=engine) == 4096
+    join, brute = (check_minimal(net, to_scope=target, engine=engine)
+                   for engine in ENGINES)
+    assert join == brute
+    assert join.holds
 
 
 def test_key_overflow_is_its_own_error():

@@ -1,6 +1,6 @@
-"""The exported join kernels and their interpreted originals must agree,
-the JIT must be selected exactly when numba imports and the no-JIT flag is
-unset, and otherwise the interpreted fallbacks must be selected and work."""
+"""The join search: its entry points must match brute force, the exported
+``search`` must agree with its interpreted original ``_search``, and the
+JIT must be selected exactly when numba imports."""
 
 from __future__ import annotations
 
@@ -14,16 +14,22 @@ from pathlib import Path
 
 import numpy as np
 
-from semnet import Instance, encode
+from semnet import encode
+from semnet.bruteforce import (
+    bf_collect,
+    bf_collect_distinct_reps,
+    bf_count,
+    bf_count_distinct,
+)
 from semnet.corpus import all_networks
 from semnet.kernels import (
     JIT_ENABLED,
-    _no_numba_requested,
+    _search,
     collect_completions,
     collect_distinct_reps,
     count_completions,
     count_distinct_capped,
-    py_kernels,
+    search,
 )
 
 
@@ -40,50 +46,74 @@ def _random_fixed(rng, enc):
     return fixed
 
 
+def _random_target(rng, net):
+    return frozenset(vs.id for vs in net.sets if rng.random() < 0.5)
+
+
+def test_kernel_entry_points_match_bruteforce():
+    rng = random.Random(7)
+    for name, net in all_networks().items():
+        enc = encode(net)
+        for _ in range(8):
+            fixed = _random_fixed(rng, enc)
+            case = (name, fixed.tolist())
+            for cap in (0, 1, 2, 5):
+                assert (count_completions(*_args(enc, fixed), cap)
+                        == bf_count(enc, fixed, cap)), (case, cap)
+            for rows in (0, 1, 2, 7):
+                out = np.full((rows, enc.n_sets), -1, dtype=np.int64)
+                n = collect_completions(*_args(enc, fixed), out)
+                want = bf_collect(enc, fixed, rows)
+                assert n == want.shape[0], (case, rows)
+                assert np.array_equal(out[:n], want), (case, rows)
+                assert (out[n:] == -1).all(), (case, rows)
+            tstrides, _ = enc.target_strides(_random_target(rng, net))
+            distinct = bf_count_distinct(enc, fixed, tstrides, 0)
+            for k in (0, 1, 2, 4, 16):
+                seen = np.zeros(k, dtype=np.int64)
+                assert (count_distinct_capped(*_args(enc, fixed), tstrides, seen)
+                        == min(distinct, k)), (case, k)
+                seen = np.zeros(k, dtype=np.int64)
+                reps = np.full((k, enc.n_sets), -1, dtype=np.int64)
+                n = collect_distinct_reps(*_args(enc, fixed), tstrides, seen, reps)
+                want = bf_collect_distinct_reps(enc, fixed, tstrides, k)
+                assert n == want.shape[0], (case, k)
+                assert np.array_equal(reps[:n], want), (case, k)
+                assert np.array_equal(seen[:n], want @ tstrides), (case, k)
+
+
+def _run(kernel, enc, fixed, tstrides, n_seen, n_rows, cap):
+    seen = np.zeros(n_seen, dtype=np.int64)
+    out = np.zeros((n_rows, enc.n_sets), dtype=np.int64)
+    n = kernel(*_args(enc, fixed), tstrides, seen, out, cap)
+    return n, seen, out
+
+
 def test_jit_and_python_kernels_agree():
     rng = random.Random(42)
     for name, net in all_networks().items():
         enc = encode(net)
         for _ in range(6):
             fixed = _random_fixed(rng, enc)
-            cap = rng.choice([0, 1, 2, 5])
-            jit_n = count_completions(*_args(enc, fixed), cap)
-            py_n = py_kernels["count_completions"](*_args(enc, fixed), cap)
-            assert jit_n == py_n, (name, fixed, cap)
-
-            rows = max(jit_n, 1)
-            out_a = np.zeros((rows, enc.n_sets), dtype=np.int64)
-            out_b = np.zeros((rows, enc.n_sets), dtype=np.int64)
-            n_a = collect_completions(*_args(enc, fixed), out_a)
-            n_b = py_kernels["collect_completions"](*_args(enc, fixed), out_b)
-            assert n_a == n_b
-            assert np.array_equal(out_a[:n_a], out_b[:n_b]), name
-
-            target = frozenset(
-                sid for sid in (vs.id for vs in net.sets) if rng.random() < 0.5)
-            tstrides, _ = enc.target_strides(target)
-            k = rng.choice([1, 2, 4])
-            seen_a = np.zeros(k, dtype=np.int64)
-            seen_b = np.zeros(k, dtype=np.int64)
-            d_a = count_distinct_capped(*_args(enc, fixed), tstrides, seen_a)
-            d_b = py_kernels["count_distinct_capped"](*_args(enc, fixed),
-                                                      tstrides, seen_b)
-            assert d_a == d_b, (name, target, k)
-
-            reps_a = np.zeros((k, enc.n_sets), dtype=np.int64)
-            reps_b = np.zeros((k, enc.n_sets), dtype=np.int64)
-            seen_a[:] = 0
-            seen_b[:] = 0
-            r_a = collect_distinct_reps(*_args(enc, fixed), tstrides, seen_a, reps_a)
-            r_b = py_kernels["collect_distinct_reps"](*_args(enc, fixed),
-                                                      tstrides, seen_b, reps_b)
-            assert r_a == r_b
-            assert np.array_equal(reps_a[:r_a], reps_b[:r_b]), name
+            tstrides, _ = enc.target_strides(_random_target(rng, net))
+            n_seen = rng.choice([0, 0, 1, 2, 4])
+            n_rows = rng.choice([0, 1, 2, 7])
+            cap = rng.choice([0, 1, 2, 5, 1 << 40])
+            if n_seen:
+                cap = min(cap, n_seen)
+            jit_n, jit_seen, jit_out = _run(search, enc, fixed, tstrides,
+                                            n_seen, n_rows, cap)
+            py_n, py_seen, py_out = _run(_search, enc, fixed, tstrides,
+                                         n_seen, n_rows, cap)
+            case = (name, fixed.tolist(), n_seen, n_rows, cap)
+            assert jit_n == py_n, case
+            assert np.array_equal(jit_seen, py_seen), case
+            assert np.array_equal(jit_out, py_out), case
 
 
 def _numba_imports() -> bool:
     # Mirrors the kernels' own probe: an installed but unusable numba raises
-    # ImportError there too and selects the interpreted kernels.
+    # ImportError there too and selects the interpreted search.
     try:
         import numba  # noqa: F401
     except ImportError:
@@ -91,52 +121,28 @@ def _numba_imports() -> bool:
     return True
 
 
-def _assert_fallback_in_subprocess(env, prelude=""):
-    code = prelude + (
-        "from semnet.kernels import JIT_ENABLED, py_kernels\n"
+def test_kernels_are_jitted_by_default():
+    assert JIT_ENABLED is _numba_imports()
+    assert (search is not _search) is JIT_ENABLED
+
+    # With numba blocked, the import must fall back to the interpreted
+    # search, so a machine with numba exercises that branch as well.
+    code = (
+        "import sys\n"
+        "sys.modules['numba'] = None\n"
         "import semnet.kernels as kernels\n"
         "from semnet.corpus import build_t3\n"
         "from semnet import CountMode, Instance, count_distinct\n"
-        "assert not JIT_ENABLED\n"
-        "for name, fn in py_kernels.items():\n"
-        "    assert getattr(kernels, name) is fn, name\n"
+        "assert not kernels.JIT_ENABLED\n"
+        "assert kernels.search is kernels._search\n"
         "n = count_distinct(build_t3(), Instance({'X': 'x1'}), {'Y'}, CountMode.FULL)\n"
         "assert n == 2, n\n"
         "print('ok')\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
-
-
-def test_kernels_are_jitted_by_default():
-    exported = {
-        "count_completions": count_completions,
-        "collect_completions": collect_completions,
-        "count_distinct_capped": count_distinct_capped,
-        "collect_distinct_reps": collect_distinct_reps,
-    }
-    assert exported.keys() == py_kernels.keys()
-    if _no_numba_requested() or not _numba_imports():
-        assert not JIT_ENABLED
-        for name, fn in exported.items():
-            assert fn is py_kernels[name], name
-    else:
-        assert JIT_ENABLED
-        for name, fn in exported.items():
-            assert fn is not py_kernels[name], name
-
-    # With numba blocked and the flag unset, the default import must still
-    # fall back, so a machine with numba exercises that branch as well.
-    env = dict(os.environ)
-    env.pop("SEMNET_NO_NUMBA", None)
-    _assert_fallback_in_subprocess(
-        env, prelude="import sys\nsys.modules['numba'] = None\n")
-
-
-def test_no_numba_flag_selects_fallback():
-    _assert_fallback_in_subprocess(dict(os.environ, SEMNET_NO_NUMBA="1"))
 
 
 def test_zero_capacity_buffers():
