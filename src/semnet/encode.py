@@ -3,18 +3,19 @@
 Sets become contiguous indices in declaration order, values become indices
 into their set. Each relation is stored as a sorted array of row keys,
 where a row key is the mixed-radix encoding of the row's value indices
-over the relation's scope. Relations are grouped by their trigger level:
-the highest set index in their scope, i.e. the point during declaration-
-order search at which the relation becomes fully assigned and checkable.
+over the relation's scope. The join search's per-relation indexes
+(``kernels.build_index``) are built from these arrays on a network's first
+search and kept on its encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import kernels
 from .errors import InvalidNetworkError, KeyOverflowError, ScopeMismatchError
 from .model import Instance, Network, validate
 
@@ -36,12 +37,17 @@ class EncodedNetwork:
     scope_start: np.ndarray     # (n_rels + 1,) slice bounds into scope_flat
     rowkeys_flat: np.ndarray    # sorted row keys, all relations concatenated
     rowkeys_start: np.ndarray   # (n_rels + 1,) slice bounds into rowkeys_flat
-    trig_rels: np.ndarray       # relation indices grouped by trigger level
-    trig_start: np.ndarray      # (n_sets + 1,) slice bounds into trig_rels
 
     @property
     def n_sets(self) -> int:
         return len(self.set_ids)
+
+    @cached_property
+    def join_index(self) -> kernels.JoinIndex:
+        """The join search's relation indexes, built on first use."""
+        return kernels.build_index(self.sizes, self.scope_flat, self.scope_strides,
+                                   self.scope_start, self.rowkeys_flat,
+                                   self.rowkeys_start)
 
     def fixed_from(self, partial: Instance) -> np.ndarray:
         """Value index per set, -1 where the partial leaves the set free."""
@@ -105,7 +111,6 @@ def encode(network: Network) -> EncodedNetwork:
     scope_start = [0]
     rowkeys_flat: list[int] = []
     rowkeys_start = [0]
-    triggers: list[list[int]] = [[] for _ in range(max(len(set_ids), 1))]
 
     for r, rel in enumerate(network.relations):
         scope = [set_index[sid] for sid in rel.scope]
@@ -128,16 +133,6 @@ def encode(network: Network) -> EncodedNetwork:
         keys.sort()
         rowkeys_flat.extend(keys)
         rowkeys_start.append(len(rowkeys_flat))
-        trigger = max(scope) if scope else 0
-        triggers[trigger].append(r)
-
-    trig_rels: list[int] = []
-    trig_start = [0]
-    for level_rels in triggers[: max(len(set_ids), 1)]:
-        trig_rels.extend(level_rels)
-        trig_start.append(len(trig_rels))
-    while len(trig_start) < len(set_ids) + 1:
-        trig_start.append(len(trig_rels))
 
     return EncodedNetwork(
         network=network,
@@ -150,6 +145,4 @@ def encode(network: Network) -> EncodedNetwork:
         scope_start=np.array(scope_start, dtype=np.int64),
         rowkeys_flat=np.array(rowkeys_flat, dtype=np.int64),
         rowkeys_start=np.array(rowkeys_start, dtype=np.int64),
-        trig_rels=np.array(trig_rels, dtype=np.int64),
-        trig_start=np.array(trig_start, dtype=np.int64),
     )

@@ -42,13 +42,6 @@ __all__ = [
     "project",
 ]
 
-# Above this, uncapped distinct counting switches from the linear-scan seen
-# buffer to collect-all-then-sort. The scan path sizes its buffer at the
-# whole target space (up to 2^62 keys) and its membership scans are
-# quadratic, so large targets need the sort path.
-_SEEN_SCAN_MAX = 4096
-
-
 class CountMode(Enum):
     """FULL counts consistent full instances; PROJECTED counts their
     distinct projections onto the target scope."""
@@ -141,17 +134,13 @@ def _prepare(network: Network, partial: Instance,
     return enc, fixed
 
 
-def _kernel_args(enc: EncodedNetwork, fixed: np.ndarray) -> tuple:
-    return (enc.sizes, fixed, enc.scope_flat, enc.scope_strides, enc.scope_start,
-            enc.rowkeys_flat, enc.rowkeys_start, enc.trig_rels, enc.trig_start)
+def _join_args(enc: EncodedNetwork, fixed: np.ndarray) -> tuple:
+    return enc.join_index, fixed.tolist()
 
 
-def _all_completions(enc: EncodedNetwork, fixed: np.ndarray) -> np.ndarray:
-    """Every join completion as a value-index matrix: count, then collect."""
-    args = _kernel_args(enc, fixed)
-    out = np.empty((kernels.count_completions(*args, 0), enc.n_sets), dtype=np.int64)
-    kernels.collect_completions(*args, out)
-    return out
+def _positions(tstrides: np.ndarray) -> list[int]:
+    """The set positions that a target's projection-key strides cover."""
+    return np.flatnonzero(tstrides).tolist()
 
 
 def _empty_network_count(network: Network) -> int:
@@ -166,10 +155,11 @@ def completions(network: Network, partial: Instance,
     enc, fixed = _prepare(network, partial, limits)
     if enc.n_sets == 0:
         return [Instance()] if _empty_network_count(network) else []
+    space = enc.space_size(fixed)
     if engine is Engine.JOIN:
-        out = _all_completions(enc, fixed)
+        out = kernels.collect_completions(*_join_args(enc, fixed), space)
     else:
-        out = bruteforce.bf_collect(enc, fixed, enc.space_size(fixed))
+        out = bruteforce.bf_collect(enc, fixed, space)
     return [enc.instance_from_row(row) for row in out]
 
 
@@ -183,9 +173,7 @@ def first_completions(network: Network, partial: Instance, k: int,
     if enc.n_sets == 0:
         return [Instance()] if _empty_network_count(network) else []
     if engine is Engine.JOIN:
-        out = np.empty((k, enc.n_sets), dtype=np.int64)
-        n = kernels.collect_completions(*_kernel_args(enc, fixed), out)
-        out = out[:n]
+        out = kernels.collect_completions(*_join_args(enc, fixed), k)
     else:
         out = bruteforce.bf_collect(enc, fixed, k)
     return [enc.instance_from_row(row) for row in out]
@@ -210,19 +198,14 @@ def count_distinct(network: Network, partial: Instance, target: Iterable[str],
 
     if mode is CountMode.FULL:
         if engine is Engine.JOIN:
-            return int(kernels.count_completions(*_kernel_args(enc, fixed), cap))
+            return kernels.count_completions(*_join_args(enc, fixed), cap)
         return bruteforce.bf_count(enc, fixed, cap)
 
-    tstrides, tspace = enc.target_strides(wanted)
-    if engine is Engine.BRUTEFORCE:
-        return bruteforce.bf_count_distinct(enc, fixed, tstrides, cap)
-    effective = cap if cap else tspace
-    if effective <= _SEEN_SCAN_MAX:
-        seen = np.empty(effective, dtype=np.int64)
-        return int(kernels.count_distinct_capped(
-            *_kernel_args(enc, fixed), tstrides, seen))
-    distinct = int(np.unique(_all_completions(enc, fixed) @ tstrides).size)
-    return min(distinct, cap) if cap else distinct
+    tstrides, _ = enc.target_strides(wanted)
+    if engine is Engine.JOIN:
+        return kernels.count_distinct_capped(
+            *_join_args(enc, fixed), _positions(tstrides), cap)
+    return bruteforce.bf_count_distinct(enc, fixed, tstrides, cap)
 
 
 def distinct_representatives(network: Network, partial: Instance,
@@ -242,11 +225,8 @@ def distinct_representatives(network: Network, partial: Instance,
         return [Instance()] if _empty_network_count(network) else []
     tstrides, _ = enc.target_strides(wanted)
     if engine is Engine.JOIN:
-        seen = np.empty(k, dtype=np.int64)
-        reps = np.empty((k, enc.n_sets), dtype=np.int64)
-        n = kernels.collect_distinct_reps(
-            *_kernel_args(enc, fixed), tstrides, seen, reps)
-        reps = reps[:n]
+        reps = kernels.collect_distinct_reps(
+            *_join_args(enc, fixed), _positions(tstrides), k)
     else:
         reps = bruteforce.bf_collect_distinct_reps(enc, fixed, tstrides, k)
     return [enc.instance_from_row(row) for row in reps]

@@ -1,171 +1,176 @@
 """Backtracking join search over encoded networks.
 
-``search`` runs one depth-first walk over the sets in declaration order,
-assigning one value per level and checking every relation as soon as its
-scope is fully assigned (its trigger level). Enumeration order is therefore
-lexicographic in (set declaration order, value declaration order), which
-the rest of the package relies on for deterministic witnesses.
+``_search`` runs one depth-first walk over the sets in declaration order,
+assigning one value per level. A relation is checked at its trigger level,
+the last set of its scope in declaration order (a nullary relation at the
+first). Enumeration order is lexicographic in (set declaration order, value
+declaration order), which the rest of the package relies on for
+deterministic witnesses.
+
+Checks are index lookups, not row scans. :func:`build_index` gives every
+relation a dict from the key of its scope positions before the trigger
+level to the ascending tuple of value indices that its rows admit at that
+level. The candidates at a level are those tuples intersected across the
+relations triggered there, then with the partial's fixed value; they stay
+ascending, so the walk meets completions in lexicographic order. The idea
+is the variable-at-a-time intersection of Leapfrog Triejoin (Veldhuizen,
+ICDT 2014), over Python ints, since each search is too small for numpy's
+fixed costs.
 
 At each consistent completion (a leaf) the walk does three things:
 
-- it counts the completion; when ``seen`` is non-empty, only a completion
-  whose target projection (``target_strides`` dotted with it) is new
-  counts, and that projection's key goes into the next slot of ``seen``;
-- it copies a counted completion into the next row of ``out`` while rows
-  remain;
-- it returns once ``cap`` completions have been counted; ``cap <= 0``
-  returns 0 without searching. A non-empty ``seen`` must have at least
-  ``cap`` slots.
+- it counts the completion; with a ``target`` (set positions), only a
+  completion whose projection onto the target has not been met counts;
+- it keeps a counted completion as a tuple of value indices while fewer
+  than ``keep`` are kept;
+- it stops once ``cap`` completions have been counted.
 
-The four exported entry points are single calls into ``search`` that pick
-the leaf behaviour through those buffers. The ``seen`` scan is linear in
-the keys met so far, so distinct counting is meant for small caps or small
-targets.
-
-``_search`` is written in nopython-compatible form. numba is optional (the
-``jit`` extra): when it imports, ``search`` is ``_search`` compiled with its
-``@njit(cache=True)`` and ``JIT_ENABLED`` is true; otherwise ``search`` is
-the interpreted ``_search`` itself. Results are identical either way.
+The four entry points are single calls into ``_search`` that pick the leaf
+behaviour through ``target`` and ``keep``. ``fixed`` is a list of value
+indices per set, -1 where the partial leaves the set free; a ``cap`` of 0
+or less means no cap.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from operator import itemgetter
+from typing import Sequence
 
 __all__ = [
     "JIT_ENABLED",
+    "JoinIndex",
+    "build_index",
     "collect_completions",
     "collect_distinct_reps",
     "count_completions",
     "count_distinct_capped",
-    "search",
 ]
 
-# Stands in for "no cap": more completions than an int64 key space holds.
-_UNCAPPED = (1 << 63) - 1
-_NO_KEYS = np.zeros(0, dtype=np.int64)
-_NO_ROWS = np.zeros((0, 0), dtype=np.int64)
-
-
-def _search(sizes, fixed, scope_flat, scope_strides, scope_start,
-            rowkeys_flat, rowkeys_start, trig_rels, trig_start,
-            target_strides, seen, out, cap):
-    """Walk the completions of ``fixed``; see the module docstring."""
-    n = sizes.shape[0]
-    distinct = seen.shape[0] > 0
-    if cap <= 0:
-        return 0
-    cur = np.zeros(n, dtype=np.int64)
-    trial = np.zeros(n, dtype=np.int64)
-    count = 0
-    level = 0
-    while level >= 0:
-        if fixed[level] >= 0:
-            base = fixed[level]
-            width = 1
-        else:
-            base = 0
-            width = sizes[level]
-        t = trial[level]
-        advanced = False
-        while t < width:
-            cur[level] = base + t
-            t += 1
-            ok = True
-            for ti in range(trig_start[level], trig_start[level + 1]):
-                r = trig_rels[ti]
-                key = 0
-                for j in range(scope_start[r], scope_start[r + 1]):
-                    key += cur[scope_flat[j]] * scope_strides[j]
-                lo = rowkeys_start[r]
-                hi = rowkeys_start[r + 1]
-                found = False
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    k = rowkeys_flat[mid]
-                    if k == key:
-                        found = True
-                        break
-                    if k < key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                if not found:
-                    ok = False
-                    break
-            if ok:
-                advanced = True
-                break
-        trial[level] = t
-        if not advanced:
-            level -= 1
-            continue
-        if level < n - 1:
-            level += 1
-            trial[level] = 0
-            continue
-        if distinct:
-            pkey = 0
-            for i in range(n):
-                pkey += cur[i] * target_strides[i]
-            new = True
-            for s in range(count):
-                if seen[s] == pkey:
-                    new = False
-                    break
-            if not new:
-                continue
-            seen[count] = pkey
-        if count < out.shape[0]:
-            for i in range(n):
-                out[count, i] = cur[i]
-        count += 1
-        if count >= cap:
-            return count
-    return count
-
-
+# The search is plain Python; no compiled variant exists.
 JIT_ENABLED = False
-search = _search
-try:
-    from numba import njit
-except ImportError:
-    pass
-else:
-    search = njit(cache=True)(_search)
-    JIT_ENABLED = True
+
+# Per level: every value index of the set, and one (index, bound) pair per
+# relation triggered there. ``bound`` lists the (set, stride) pairs whose
+# dot product with the current assignment is the index key.
+JoinIndex = tuple[tuple[tuple[int, ...], ...],
+                  tuple[tuple[tuple[dict[int, tuple[int, ...]],
+                                    tuple[tuple[int, int], ...]], ...], ...]]
 
 
-def count_completions(sizes, fixed, scope_flat, scope_strides, scope_start,
-                      rowkeys_flat, rowkeys_start, trig_rels, trig_start, cap):
-    """Count consistent completions of ``fixed``; stop early at ``cap`` > 0."""
-    return search(sizes, fixed, scope_flat, scope_strides, scope_start,
-                  rowkeys_flat, rowkeys_start, trig_rels, trig_start,
-                  _NO_KEYS, _NO_KEYS, _NO_ROWS, cap if cap > 0 else _UNCAPPED)
+def build_index(sizes, scope_flat, scope_strides, scope_start,
+                rowkeys_flat, rowkeys_start) -> JoinIndex:
+    """Index every relation at its trigger level, from the encoded arrays."""
+    sizes = sizes.tolist()
+    scope_flat, scope_strides = scope_flat.tolist(), scope_strides.tolist()
+    scope_start, rowkeys_start = scope_start.tolist(), rowkeys_start.tolist()
+    rowkeys = rowkeys_flat.tolist()
+    checks: list[list] = [[] for _ in sizes]
+    for r in range(len(scope_start) - 1):
+        scope = scope_flat[scope_start[r]:scope_start[r + 1]]
+        strides = scope_strides[scope_start[r]:scope_start[r + 1]]
+        keys = rowkeys[rowkeys_start[r]:rowkeys_start[r + 1]]
+        admits: dict[int, list[int]] = {}
+        if scope:
+            level = max(scope)
+            stride = strides[scope.index(level)]
+            # Keys ascend, so within one bound key the values ascend too.
+            for key in keys:
+                value = key // stride % sizes[level]
+                admits.setdefault(key - value * stride, []).append(value)
+        else:
+            level = 0
+            if keys:
+                admits[0] = list(range(sizes[0]))
+        bound = tuple((s, st) for s, st in zip(scope, strides) if s != level)
+        checks[level].append(
+            ({key: tuple(values) for key, values in admits.items()}, bound))
+    return (tuple(tuple(range(size)) for size in sizes),
+            tuple(tuple(level_checks) for level_checks in checks))
 
 
-def collect_completions(sizes, fixed, scope_flat, scope_strides, scope_start,
-                        rowkeys_flat, rowkeys_start, trig_rels, trig_start, out):
-    """Write the first ``out.shape[0]`` completions into ``out``; return count."""
-    return search(sizes, fixed, scope_flat, scope_strides, scope_start,
-                  rowkeys_flat, rowkeys_start, trig_rels, trig_start,
-                  _NO_KEYS, _NO_KEYS, out, out.shape[0])
+def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
+            cap: int, keep: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Walk the completions of ``fixed``; see the module docstring.
+
+    Returns the count and the kept completions.
+    """
+    domains, checks = index
+    last = len(domains) - 1
+    cur = [0] * len(domains)
+    rows: list[tuple[int, ...]] = []
+    seen: set = set()
+    if target is None:
+        project = None
+    elif target:
+        project = itemgetter(*target)
+    else:
+        project = lambda cur: ()  # every completion projects alike
+    cap = cap if cap > 0 else float("inf")
+    count = 0
+
+    def walk(level: int) -> bool:
+        nonlocal count
+        domain = domains[level]
+        cands = domain if fixed[level] < 0 else (fixed[level],)
+        for admits, bound in checks[level]:
+            key = 0
+            for s, stride in bound:
+                key += cur[s] * stride
+            allowed = admits.get(key)
+            if allowed is None:
+                return False
+            cands = allowed if cands is domain else [v for v in cands if v in allowed]
+        if level < last:
+            for v in cands:
+                cur[level] = v
+                if walk(level + 1):
+                    return True
+            return False
+        for v in cands:
+            cur[level] = v
+            if project is not None:
+                key = project(cur)
+                if key in seen:
+                    continue
+                seen.add(key)
+            if len(rows) < keep:
+                rows.append(tuple(cur))
+            count += 1
+            if count >= cap:
+                return True
+        return False
+
+    try:
+        walk(0)
+    finally:
+        # ``walk`` reaches itself through its closure. Clearing the name frees
+        # the call's state now; left to the cycle collector, it piles up and
+        # fragments memory.
+        walk = None  # noqa: F841
+    return count, rows
 
 
-def count_distinct_capped(sizes, fixed, scope_flat, scope_strides, scope_start,
-                          rowkeys_flat, rowkeys_start, trig_rels, trig_start,
-                          target_strides, seen):
-    """Count distinct target projections of completions, up to ``len(seen)``."""
-    return search(sizes, fixed, scope_flat, scope_strides, scope_start,
-                  rowkeys_flat, rowkeys_start, trig_rels, trig_start,
-                  target_strides, seen, _NO_ROWS, seen.shape[0])
+def count_completions(index: JoinIndex, fixed: list[int], cap: int) -> int:
+    """Count consistent completions of ``fixed``, up to ``cap``."""
+    return _search(index, fixed, None, cap, 0)[0]
 
 
-def collect_distinct_reps(sizes, fixed, scope_flat, scope_strides, scope_start,
-                          rowkeys_flat, rowkeys_start, trig_rels, trig_start,
-                          target_strides, seen, reps):
-    """Collect the first completion for each of the first ``len(seen)``
-    distinct target projections, in order of first appearance."""
-    return search(sizes, fixed, scope_flat, scope_strides, scope_start,
-                  rowkeys_flat, rowkeys_start, trig_rels, trig_start,
-                  target_strides, seen, reps, seen.shape[0])
+def collect_completions(index: JoinIndex, fixed: list[int],
+                        k: int) -> list[tuple[int, ...]]:
+    """The first ``k`` consistent completions of ``fixed``."""
+    return _search(index, fixed, None, k, k)[1] if k > 0 else []
+
+
+def count_distinct_capped(index: JoinIndex, fixed: list[int],
+                          target: Sequence[int], cap: int) -> int:
+    """Count distinct projections of completions onto the ``target`` sets,
+    up to ``cap``."""
+    return _search(index, fixed, target, cap, 0)[0]
+
+
+def collect_distinct_reps(index: JoinIndex, fixed: list[int],
+                          target: Sequence[int],
+                          k: int) -> list[tuple[int, ...]]:
+    """The first completion for each of the first ``k`` distinct target
+    projections, in order of first appearance."""
+    return _search(index, fixed, target, k, k)[1] if k > 0 else []

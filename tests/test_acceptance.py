@@ -47,8 +47,7 @@ def test_criterion_1_pitch_network_verdicts():
     """Six boolean verdicts on the pitch nets, PROJECTED, under 5 s."""
     fig = build_fig1_mini()
     oor = build_fig1_mini_oor()
-    # Warm the jitted kernels so the timing measures the checks themselves;
-    # compilation is cached on disk after the first ever run.
+    # Warm the imports and caches so the timing measures the checks themselves.
     check_total(build_t2())
 
     start = time.perf_counter()

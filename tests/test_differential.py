@@ -1,0 +1,153 @@
+"""Differential fuzz: join, brute force and the naive oracle on random nets.
+
+A seeded generator builds small valid networks: 1-5 sets of 1-3 values and
+0-4 relations, among them nullary, empty, out-only and multi-output ones,
+with row densities from 0 to 1. A few loose nets (7-8 sets, 1-2 relations)
+have hundreds of completions, so caps and uncapped distinct counts onto
+large targets run too. On every net the join must equal brute force for
+each engine operation and for the JSON report of every check suite, and
+the counts must equal the oracle's.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from oracle import distinct_from, oracle_completions
+from semnet import (
+    CountMode,
+    Direction,
+    Engine,
+    Instance,
+    Limits,
+    Network,
+    Relation,
+    ValueSet,
+    check_suite,
+    completions,
+    count_distinct,
+    distinct_representatives,
+    first_completions,
+    render_json,
+    validate,
+)
+
+SEED = 20241018
+SMALL_NETS = 300
+LOOSE_NETS = 6
+CAPS = (None, 1, 2, 3)
+
+
+def _relation(rng, rid, sets, rank, kind, density):
+    """One relation of the given kind over ``sets``; inputs always rank
+    below outputs, so every generated net is acyclic."""
+    if kind == "nullary":
+        return Relation(rid, (), (), ((),) if density >= 0.5 else ())
+    arity = min(len(sets), rng.randint(1 if kind == "out-only" else 2, 3))
+    scope = sorted(rng.sample(sets, arity), key=lambda vs: rank[vs.id])
+    if kind == "out-only":
+        split = 0
+    elif kind == "multi-output":
+        split = 1 if arity >= 3 else rng.randint(0, 1)
+    else:
+        split = rng.randint(1, arity - 1)
+    ins, outs = scope[:split], scope[split:]
+    rng.shuffle(ins)
+    rng.shuffle(outs)
+    ordered = ins + outs
+    rows = [row for row in itertools.product(*(vs.values for vs in ordered))
+            if rng.random() < density]
+    rng.shuffle(rows)
+    return Relation(rid, tuple(vs.id for vs in ins), tuple(vs.id for vs in outs),
+                    tuple(rows))
+
+
+def kind_of(rel):
+    if not rel.rows:
+        return "empty"
+    if not rel.scope:
+        return "nullary"
+    if not rel.in_sets:
+        return "out-only"
+    return "multi-output" if len(rel.out_sets) > 1 else "plain"
+
+
+def random_net(rng, name, n_sets, max_values, n_rels, densities):
+    """A valid network with a nonempty data selection."""
+    sets = [ValueSet(f"S{i}", tuple(f"v{j}" for j in range(rng.randint(1, max_values))))
+            for i in range(n_sets)]
+    order = [vs.id for vs in sets]
+    rng.shuffle(order)
+    rank = {sid: i for i, sid in enumerate(order)}
+    relations = []
+    for r in range(n_rels):
+        kind = rng.choice(("nullary", "out-only", "multi-output", "plain", "plain"))
+        if n_sets < 2 and kind in ("multi-output", "plain"):
+            kind = "out-only"
+        relations.append(_relation(rng, f"r{r}", sets, rank, kind, rng.choice(densities)))
+    data = rng.sample(order, rng.randint(1, min(2, n_sets)))
+    net = Network(name, tuple(sets), tuple(relations), frozenset(data))
+    assert validate(net).ok, validate(net).errors
+    return net
+
+
+def _nets():
+    rng = random.Random(SEED)
+    for i in range(SMALL_NETS):
+        yield random_net(rng, f"small{i}", rng.randint(1, 5), 3, rng.randint(0, 4),
+                         (0.0, 0.2, 0.5, 0.8, 1.0, rng.random()))
+    for i in range(LOOSE_NETS):
+        yield random_net(rng, f"loose{i}", rng.randint(7, 8), 3, rng.randint(1, 2),
+                         (0.6, 0.9, 1.0))
+
+
+def _random_instance(rng, net, k):
+    chosen = rng.sample([vs.id for vs in net.sets], k)
+    return {sid: rng.choice(net.value_set(sid).values) for sid in chosen}
+
+
+def _check_engine_calls(rng, net):
+    ids = [vs.id for vs in net.sets]
+    partial = _random_instance(rng, net, rng.randint(0, min(2, len(ids))))
+    target = rng.sample(ids, rng.randint(0, len(ids)))
+    case = (net.name, partial, target)
+    inst = Instance(partial)
+    want = oracle_completions(net, partial)
+    got = completions(net, inst)
+    assert [c.as_dict() for c in got] == want, case
+    assert completions(net, inst, engine=Engine.BRUTEFORCE) == got, case
+    for mode in CountMode:
+        exact = distinct_from(want, target, mode.value)
+        for cap in CAPS:
+            limits = Limits(cap=cap)
+            join = count_distinct(net, inst, target, mode, limits)
+            brute = count_distinct(net, inst, target, mode, limits, Engine.BRUTEFORCE)
+            assert join == brute == (min(exact, cap) if cap else exact), (case, mode, cap)
+    for k in (1, 2, 3):
+        assert (first_completions(net, inst, k)
+                == first_completions(net, inst, k, engine=Engine.BRUTEFORCE)), (case, k)
+        assert (distinct_representatives(net, inst, target, k)
+                == distinct_representatives(net, inst, target, k,
+                                            engine=Engine.BRUTEFORCE)), (case, k)
+    return len(want)
+
+
+def test_join_bruteforce_and_oracle_agree_on_random_nets():
+    rng = random.Random(SEED + 1)
+    kinds_seen = set()
+    most_completions = 0
+    for net in _nets():
+        kinds_seen.update(kind_of(rel) for rel in net.relations)
+        for _ in range(2):
+            most_completions = max(most_completions, _check_engine_calls(rng, net))
+        for direction in Direction:
+            for mode in CountMode:
+                join, brute = (
+                    render_json(net.name, direction.value, mode.value,
+                                check_suite(net, direction, mode, engine=engine))
+                    for engine in (Engine.JOIN, Engine.BRUTEFORCE))
+                assert join == brute, (net.name, direction, mode)
+    # The generator must keep producing every relation kind and loose nets.
+    assert kinds_seen >= {"nullary", "empty", "out-only", "multi-output", "plain"}
+    assert most_completions >= 200

@@ -36,7 +36,6 @@ from semnet import (
     is_consistent,
     project,
 )
-from semnet import engine as engine_mod
 from semnet.corpus import all_networks, build_t1, build_t2, build_t3, build_t4
 
 ENGINES = (Engine.JOIN, Engine.BRUTEFORCE)
@@ -300,12 +299,10 @@ def build_wide_target() -> Network:
 
 
 def test_count_distinct_over_a_large_target():
-    """Uncapped PROJECTED counts onto a target space past the seen-buffer
-    scan size take the collect-and-sort path; both engines agree."""
+    """Uncapped PROJECTED counts onto a target space of 8192 keys; both
+    engines agree."""
     net = build_wide_target()
     target = [f"S{i}" for i in range(13)]
-    _, tspace = encode(net).target_strides(frozenset(target))
-    assert tspace > engine_mod._SEEN_SCAN_MAX
     for engine in ENGINES:
         assert count_distinct(net, Instance({"A": "a1"}), target,
                               engine=engine) == 8192

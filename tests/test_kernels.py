@@ -1,9 +1,10 @@
-"""The join search: its entry points must match brute force, the exported
-``search`` must agree with its interpreted original ``_search``, and the
-JIT must be selected exactly when numba imports."""
+"""The join search: its entry points must match brute force, and the
+names the traced benchmark wraps must stay where it looks for them."""
 
 from __future__ import annotations
 
+import ast
+import gc
 import json
 import os
 import platform
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from semnet import encode
+from semnet import Direction, check_suite, encode, kernels
 from semnet.bruteforce import (
     bf_collect,
     bf_collect_distinct_reps,
@@ -23,19 +24,21 @@ from semnet.bruteforce import (
 )
 from semnet.corpus import all_networks
 from semnet.kernels import (
-    JIT_ENABLED,
-    _search,
     collect_completions,
     collect_distinct_reps,
     count_completions,
     count_distinct_capped,
-    search,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _args(enc, fixed):
-    return (enc.sizes, fixed, enc.scope_flat, enc.scope_strides, enc.scope_start,
-            enc.rowkeys_flat, enc.rowkeys_start, enc.trig_rels, enc.trig_start)
+    return enc.join_index, fixed.tolist()
+
+
+def _rows(rows, enc):
+    return np.array(rows, dtype=np.int64).reshape(-1, enc.n_sets)
 
 
 def _random_fixed(rng, enc):
@@ -60,120 +63,97 @@ def test_kernel_entry_points_match_bruteforce():
             for cap in (0, 1, 2, 5):
                 assert (count_completions(*_args(enc, fixed), cap)
                         == bf_count(enc, fixed, cap)), (case, cap)
-            for rows in (0, 1, 2, 7):
-                out = np.full((rows, enc.n_sets), -1, dtype=np.int64)
-                n = collect_completions(*_args(enc, fixed), out)
-                want = bf_collect(enc, fixed, rows)
-                assert n == want.shape[0], (case, rows)
-                assert np.array_equal(out[:n], want), (case, rows)
-                assert (out[n:] == -1).all(), (case, rows)
+            for k in (0, 1, 2, 7):
+                got = collect_completions(*_args(enc, fixed), k)
+                assert np.array_equal(_rows(got, enc), bf_collect(enc, fixed, k)), (case, k)
             tstrides, _ = enc.target_strides(_random_target(rng, net))
-            distinct = bf_count_distinct(enc, fixed, tstrides, 0)
+            target = np.flatnonzero(tstrides).tolist()
+            for cap in (0, 1, 2, 4, 16):
+                assert (count_distinct_capped(*_args(enc, fixed), target, cap)
+                        == bf_count_distinct(enc, fixed, tstrides, cap)), (case, cap)
             for k in (0, 1, 2, 4, 16):
-                seen = np.zeros(k, dtype=np.int64)
-                assert (count_distinct_capped(*_args(enc, fixed), tstrides, seen)
-                        == min(distinct, k)), (case, k)
-                seen = np.zeros(k, dtype=np.int64)
-                reps = np.full((k, enc.n_sets), -1, dtype=np.int64)
-                n = collect_distinct_reps(*_args(enc, fixed), tstrides, seen, reps)
+                got = collect_distinct_reps(*_args(enc, fixed), target, k)
                 want = bf_collect_distinct_reps(enc, fixed, tstrides, k)
-                assert n == want.shape[0], (case, k)
-                assert np.array_equal(reps[:n], want), (case, k)
-                assert np.array_equal(seen[:n], want @ tstrides), (case, k)
-
-
-def _run(kernel, enc, fixed, tstrides, n_seen, n_rows, cap):
-    seen = np.zeros(n_seen, dtype=np.int64)
-    out = np.zeros((n_rows, enc.n_sets), dtype=np.int64)
-    n = kernel(*_args(enc, fixed), tstrides, seen, out, cap)
-    return n, seen, out
-
-
-def test_jit_and_python_kernels_agree():
-    rng = random.Random(42)
-    for name, net in all_networks().items():
-        enc = encode(net)
-        for _ in range(6):
-            fixed = _random_fixed(rng, enc)
-            tstrides, _ = enc.target_strides(_random_target(rng, net))
-            n_seen = rng.choice([0, 0, 1, 2, 4])
-            n_rows = rng.choice([0, 1, 2, 7])
-            cap = rng.choice([0, 1, 2, 5, 1 << 40])
-            if n_seen:
-                cap = min(cap, n_seen)
-            jit_n, jit_seen, jit_out = _run(search, enc, fixed, tstrides,
-                                            n_seen, n_rows, cap)
-            py_n, py_seen, py_out = _run(_search, enc, fixed, tstrides,
-                                         n_seen, n_rows, cap)
-            case = (name, fixed.tolist(), n_seen, n_rows, cap)
-            assert jit_n == py_n, case
-            assert np.array_equal(jit_seen, py_seen), case
-            assert np.array_equal(jit_out, py_out), case
-
-
-def _numba_imports() -> bool:
-    # Mirrors the kernels' own probe: an installed but unusable numba raises
-    # ImportError there too and selects the interpreted search.
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def test_kernels_are_jitted_by_default():
-    assert JIT_ENABLED is _numba_imports()
-    assert (search is not _search) is JIT_ENABLED
-
-    # With numba blocked, the import must fall back to the interpreted
-    # search, so a machine with numba exercises that branch as well.
-    code = (
-        "import sys\n"
-        "sys.modules['numba'] = None\n"
-        "import semnet.kernels as kernels\n"
-        "from semnet.corpus import build_t3\n"
-        "from semnet import CountMode, Instance, count_distinct\n"
-        "assert not kernels.JIT_ENABLED\n"
-        "assert kernels.search is kernels._search\n"
-        "n = count_distinct(build_t3(), Instance({'X': 'x1'}), {'Y'}, CountMode.FULL)\n"
-        "assert n == 2, n\n"
-        "print('ok')\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+                assert np.array_equal(_rows(got, enc), want), (case, k)
 
 
 def test_zero_capacity_buffers():
-    net = all_networks()["t2"]
-    enc = encode(net)
+    """Asking for no rows keeps none; a cap of 0 counts without a cap."""
+    enc = encode(all_networks()["t2"])
     fixed = np.full(enc.n_sets, -1, dtype=np.int64)
-    out = np.zeros((0, enc.n_sets), dtype=np.int64)
-    assert collect_completions(*_args(enc, fixed), out) == 0
+    assert collect_completions(*_args(enc, fixed), 0) == []
+    assert collect_distinct_reps(*_args(enc, fixed), [enc.set_index["Y"]], 0) == []
+    assert count_completions(*_args(enc, fixed), 0) == bf_count(enc, fixed, 0) > 0
     tstrides, _ = enc.target_strides(frozenset({"Y"}))
-    seen = np.zeros(0, dtype=np.int64)
-    assert count_distinct_capped(*_args(enc, fixed), tstrides, seen) == 0
+    assert (count_distinct_capped(*_args(enc, fixed), [enc.set_index["Y"]], 0)
+            == bf_count_distinct(enc, fixed, tstrides, 0) > 0)
+
+
+def test_search_leaves_no_reference_cycles():
+    """Each search's state is freed on return, not by the cycle collector."""
+    enc = encode(all_networks()["fig1-mini"])
+    fixed = np.full(enc.n_sets, -1, dtype=np.int64)
+    enc.join_index  # built and kept on the encoding before counting
+    gc.collect()
+    gc.disable()
+    try:
+        count_completions(*_args(enc, fixed), 0)
+        collect_distinct_reps(*_args(enc, fixed), [0], 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _traced_kernel_names():
+    """``KERNELS`` of perfbench/spans.py, read without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["KERNELS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no KERNELS")
+
+
+def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
+    """The traced benchmark counts kernel calls by swapping the module
+    attributes it names in ``KERNELS``, and perfbench/harness.py reads
+    ``JIT_ENABLED``; a check must still reach the kernels through them."""
+    names = _traced_kernel_names()
+    assert set(names) == {"count_completions", "collect_completions",
+                          "count_distinct_capped", "collect_distinct_reps"}
+    assert isinstance(kernels.JIT_ENABLED, bool)
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(kernels, name)
+        assert callable(fn), name
+
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    net = all_networks()["fig1-mini"]
+    for direction in Direction:
+        check_suite(net, direction)
+    assert calls["count_distinct_capped"] > 0, calls
+    assert calls["count_completions"] > 0, calls
+    assert calls["collect_distinct_reps"] + calls["collect_completions"] > 0, calls
 
 
 def test_bench_kernels_ends_with_one_json_record():
-    root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "bench_kernels.py"),
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"),
          "--repeat", "1", "--net", "t2", "t4"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["python"] == platform.python_version()
     assert record["numpy"] == np.__version__
-    assert record["jit_enabled"] is JIT_ENABLED
-    columns = {"jit", "python", "brute"} if JIT_ENABLED else {"python", "brute"}
+    assert record.keys() == {"python", "numpy", "best_ms"}
     assert record["best_ms"].keys() == {"t2", "t4"}
     for ops in record["best_ms"].values():
         assert ops.keys() == {"count", "suite"}
         for times in ops.values():
-            assert times.keys() == columns
+            assert times.keys() == {"join", "brute"}
             assert all(t > 0 for t in times.values())
