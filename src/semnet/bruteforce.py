@@ -23,7 +23,7 @@ __all__ = [
 _CHUNK = 1 << 18
 
 
-def _divisors(enc: EncodedNetwork, fixed: np.ndarray) -> np.ndarray:
+def _divisors(enc: EncodedNetwork, fixed: list[int]) -> np.ndarray:
     """Mixed-radix divisor per free set; the first declared varies slowest."""
     divs = np.zeros(enc.n_sets, dtype=np.int64)
     div = 1
@@ -34,7 +34,7 @@ def _divisors(enc: EncodedNetwork, fixed: np.ndarray) -> np.ndarray:
     return divs
 
 
-def _chunk_values(enc: EncodedNetwork, fixed: np.ndarray, divs: np.ndarray,
+def _chunk_values(enc: EncodedNetwork, fixed: list[int], divs: np.ndarray,
                   lo: int, hi: int) -> np.ndarray:
     idx = np.arange(lo, hi, dtype=np.int64)
     vals = np.empty((hi - lo, enc.n_sets), dtype=np.int64)
@@ -66,7 +66,7 @@ def _consistent_mask(enc: EncodedNetwork, vals: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _iter_consistent(enc: EncodedNetwork, fixed: np.ndarray):
+def _iter_consistent(enc: EncodedNetwork, fixed: list[int]):
     """Yield consistent completions as value-index matrices, in rank order."""
     total = enc.space_size(fixed)
     divs = _divisors(enc, fixed)
@@ -78,7 +78,7 @@ def _iter_consistent(enc: EncodedNetwork, fixed: np.ndarray):
             yield vals[mask]
 
 
-def bf_count(enc: EncodedNetwork, fixed: np.ndarray, cap: int) -> int:
+def bf_count(enc: EncodedNetwork, fixed: list[int], cap: int) -> int:
     """Count consistent completions; with ``cap`` > 0 return min(count, cap)."""
     count = 0
     for rows in _iter_consistent(enc, fixed):
@@ -88,7 +88,7 @@ def bf_count(enc: EncodedNetwork, fixed: np.ndarray, cap: int) -> int:
     return count
 
 
-def bf_collect(enc: EncodedNetwork, fixed: np.ndarray, max_rows: int) -> np.ndarray:
+def bf_collect(enc: EncodedNetwork, fixed: list[int], max_rows: int) -> np.ndarray:
     """First ``max_rows`` consistent completions as a value-index matrix."""
     if max_rows <= 0:
         return np.empty((0, enc.n_sets), dtype=np.int64)
@@ -105,7 +105,7 @@ def bf_collect(enc: EncodedNetwork, fixed: np.ndarray, max_rows: int) -> np.ndar
     return np.concatenate(parts, axis=0)
 
 
-def bf_count_distinct(enc: EncodedNetwork, fixed: np.ndarray,
+def bf_count_distinct(enc: EncodedNetwork, fixed: list[int],
                       target_strides: np.ndarray, cap: int) -> int:
     """Count distinct target projections; with ``cap`` > 0 return min(count, cap)."""
     uniq = np.empty(0, dtype=np.int64)
@@ -117,7 +117,7 @@ def bf_count_distinct(enc: EncodedNetwork, fixed: np.ndarray,
     return int(uniq.size)
 
 
-def bf_collect_distinct_reps(enc: EncodedNetwork, fixed: np.ndarray,
+def bf_collect_distinct_reps(enc: EncodedNetwork, fixed: list[int],
                              target_strides: np.ndarray, k: int) -> np.ndarray:
     """First completion for each of the first ``k`` distinct projections.
 

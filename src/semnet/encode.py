@@ -5,7 +5,9 @@ into their set. Each relation is stored as a sorted array of row keys,
 where a row key is the mixed-radix encoding of the row's value indices
 over the relation's scope. The join search's per-relation indexes
 (``kernels.build_index``) are built from these arrays on a network's first
-search and kept on its encoding.
+search and kept on its encoding. What the engine prepares per call (set
+sizes, fixed value indices, projection strides) stays in plain Python
+ints, since one call's search is too small to repay numpy's fixed costs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class EncodedNetwork:
     network: Network
     set_ids: tuple[str, ...]
     set_index: dict[str, int]
-    sizes: np.ndarray           # (n_sets,) domain size per set
+    sizes: tuple[int, ...]      # (n_sets,) domain size per set
     value_index: tuple[dict[str, int], ...]
     scope_flat: np.ndarray      # set indices, all relation scopes concatenated
     scope_strides: np.ndarray   # mixed-radix stride per scope position
@@ -49,9 +51,9 @@ class EncodedNetwork:
                                    self.scope_start, self.rowkeys_flat,
                                    self.rowkeys_start)
 
-    def fixed_from(self, partial: Instance) -> np.ndarray:
+    def fixed_from(self, partial: Instance) -> list[int]:
         """Value index per set, -1 where the partial leaves the set free."""
-        fixed = np.full(self.n_sets, -1, dtype=np.int64)
+        fixed = [-1] * self.n_sets
         for sid, value in partial.assignment:
             if sid not in self.set_index:
                 raise ScopeMismatchError(f"instance assigns unknown set {sid!r}")
@@ -62,12 +64,13 @@ class EncodedNetwork:
             fixed[i] = vi
         return fixed
 
-    def space_size(self, fixed: np.ndarray) -> int:
-        """Number of candidate full instances extending the fixed assignment."""
+    def space_size(self, fixed: list[int]) -> int:
+        """Number of candidate full instances extending the fixed value
+        indices (a :meth:`fixed_from` list)."""
         total = 1
-        for i in range(self.n_sets):
-            if fixed[i] < 0:
-                total *= int(self.sizes[i])
+        for size, value in zip(self.sizes, fixed):
+            if value < 0:
+                total *= size
         return total
 
     def instance_from_row(self, row: np.ndarray) -> Instance:
@@ -76,17 +79,18 @@ class EncodedNetwork:
             for i, sid in enumerate(self.set_ids)
         })
 
-    def target_strides(self, target: frozenset[str]) -> tuple[np.ndarray, int]:
+    def target_strides(self, target: frozenset[str]) -> tuple[list[int], int]:
         """Projection-key strides over the target sets; 0 elsewhere.
 
-        Returns the stride vector and the size of the target value space.
+        Returns the stride per set as a list and the size of the target
+        value space.
         """
-        strides = np.zeros(self.n_sets, dtype=np.int64)
+        strides = [0] * self.n_sets
         stride = 1
         for sid in reversed(self.network.set_order(target)):
             i = self.set_index[sid]
             strides[i] = stride
-            stride *= int(self.sizes[i])
+            stride *= self.sizes[i]
             if stride > _KEY_LIMIT:
                 raise KeyOverflowError(
                     f"projection target {{{','.join(self.network.set_order(target))}}} "
@@ -103,7 +107,7 @@ def encode(network: Network) -> EncodedNetwork:
 
     set_ids = tuple(vs.id for vs in network.sets)
     set_index = {sid: i for i, sid in enumerate(set_ids)}
-    sizes = np.array([len(vs.values) for vs in network.sets], dtype=np.int64)
+    sizes = tuple(len(vs.values) for vs in network.sets)
     value_index = tuple({v: i for i, v in enumerate(vs.values)} for vs in network.sets)
 
     scope_flat: list[int] = []
@@ -118,7 +122,7 @@ def encode(network: Network) -> EncodedNetwork:
         stride = 1
         for j in range(len(scope) - 1, -1, -1):
             strides[j] = stride
-            stride *= int(sizes[scope[j]])
+            stride *= sizes[scope[j]]
         if stride > _KEY_LIMIT:
             raise KeyOverflowError(
                 f"relation {rel.id!r} scope space of {stride} value combinations "

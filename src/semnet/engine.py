@@ -125,7 +125,7 @@ def full_space_size(network: Network) -> int:
 
 
 def _prepare(network: Network, partial: Instance,
-             limits: Limits) -> tuple[EncodedNetwork, np.ndarray]:
+             limits: Limits) -> tuple[EncodedNetwork, list[int]]:
     enc = encode(network)
     fixed = enc.fixed_from(partial)
     space = enc.space_size(fixed)
@@ -134,13 +134,9 @@ def _prepare(network: Network, partial: Instance,
     return enc, fixed
 
 
-def _join_args(enc: EncodedNetwork, fixed: np.ndarray) -> tuple:
-    return enc.join_index, fixed.tolist()
-
-
-def _positions(tstrides: np.ndarray) -> list[int]:
+def _positions(tstrides: list[int]) -> list[int]:
     """The set positions that a target's projection-key strides cover."""
-    return np.flatnonzero(tstrides).tolist()
+    return [i for i, stride in enumerate(tstrides) if stride]
 
 
 def _empty_network_count(network: Network) -> int:
@@ -157,7 +153,7 @@ def completions(network: Network, partial: Instance,
         return [Instance()] if _empty_network_count(network) else []
     space = enc.space_size(fixed)
     if engine is Engine.JOIN:
-        out = kernels.collect_completions(*_join_args(enc, fixed), space)
+        out = kernels.collect_completions(enc.join_index, fixed, space)
     else:
         out = bruteforce.bf_collect(enc, fixed, space)
     return [enc.instance_from_row(row) for row in out]
@@ -173,7 +169,7 @@ def first_completions(network: Network, partial: Instance, k: int,
     if enc.n_sets == 0:
         return [Instance()] if _empty_network_count(network) else []
     if engine is Engine.JOIN:
-        out = kernels.collect_completions(*_join_args(enc, fixed), k)
+        out = kernels.collect_completions(enc.join_index, fixed, k)
     else:
         out = bruteforce.bf_collect(enc, fixed, k)
     return [enc.instance_from_row(row) for row in out]
@@ -198,14 +194,15 @@ def count_distinct(network: Network, partial: Instance, target: Iterable[str],
 
     if mode is CountMode.FULL:
         if engine is Engine.JOIN:
-            return kernels.count_completions(*_join_args(enc, fixed), cap)
+            return kernels.count_completions(enc.join_index, fixed, cap)
         return bruteforce.bf_count(enc, fixed, cap)
 
     tstrides, _ = enc.target_strides(wanted)
     if engine is Engine.JOIN:
         return kernels.count_distinct_capped(
-            *_join_args(enc, fixed), _positions(tstrides), cap)
-    return bruteforce.bf_count_distinct(enc, fixed, tstrides, cap)
+            enc.join_index, fixed, _positions(tstrides), cap)
+    return bruteforce.bf_count_distinct(
+        enc, fixed, np.array(tstrides, dtype=np.int64), cap)
 
 
 def distinct_representatives(network: Network, partial: Instance,
@@ -226,7 +223,8 @@ def distinct_representatives(network: Network, partial: Instance,
     tstrides, _ = enc.target_strides(wanted)
     if engine is Engine.JOIN:
         reps = kernels.collect_distinct_reps(
-            *_join_args(enc, fixed), _positions(tstrides), k)
+            enc.join_index, fixed, _positions(tstrides), k)
     else:
-        reps = bruteforce.bf_collect_distinct_reps(enc, fixed, tstrides, k)
+        reps = bruteforce.bf_collect_distinct_reps(
+            enc, fixed, np.array(tstrides, dtype=np.int64), k)
     return [enc.instance_from_row(row) for row in reps]

@@ -57,10 +57,9 @@ JoinIndex = tuple[tuple[tuple[int, ...], ...],
                                     tuple[tuple[int, int], ...]], ...], ...]]
 
 
-def build_index(sizes, scope_flat, scope_strides, scope_start,
+def build_index(sizes: Sequence[int], scope_flat, scope_strides, scope_start,
                 rowkeys_flat, rowkeys_start) -> JoinIndex:
-    """Index every relation at its trigger level, from the encoded arrays."""
-    sizes = sizes.tolist()
+    """Index every relation at its trigger level, from the encoded network."""
     scope_flat, scope_strides = scope_flat.tolist(), scope_strides.tolist()
     scope_start, rowkeys_start = scope_start.tolist(), rowkeys_start.tolist()
     rowkeys = rowkeys_flat.tolist()

@@ -8,10 +8,13 @@ every set; it is consistent when its projection onto every relation's scope
 is a row of that relation. The ``data_selection`` marks the sets that play
 the role of stored data when properties are checked.
 
-All types are immutable and hashable; all operations are pure. Constructors
-accept structurally broken input (dangling references, cycles, duplicate
-rows): :func:`validate` reports such defects instead of raising, so parsed
-files can be diagnosed in full.
+All types are immutable and hashable; all operations are pure. A
+``Network`` memoises its hash per instance on first use (the same value as
+the hash of its fields), and never pickles or copies the memo, since str
+hashes differ between processes. Constructors accept structurally broken
+input (dangling references, cycles, duplicate rows): :func:`validate`
+reports such defects instead of raising, so parsed files can be diagnosed
+in full.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class Relation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "in_sets", tuple(self.in_sets))
         object.__setattr__(self, "out_sets", tuple(self.out_sets))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
 
     @property
     def scope(self) -> tuple[str, ...]:
@@ -98,10 +101,19 @@ class Network:
         """This instance's :func:`validate` report, computed on first use."""
         return _validate(self)
 
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, computed on first use."""
+        return hash((self.name, self.sets, self.relations, self.data_selection))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __getstate__(self) -> dict:
-        # Pickles and copies carry the fields only, never the memo.
+        # Pickles and copies carry the fields only, never the memos.
         state = dict(self.__dict__)
         state.pop("_validation", None)
+        state.pop("_hash", None)
         return state
 
 

@@ -131,10 +131,11 @@ def check_functional(network: Network, from_scope: Iterable[str] | None = None,
     a_scope = _scope(network, from_scope, _data_scope(network))
     b_scope = _scope(network, to_scope, sinks(network))
     query = PropertyQuery(PropertyKind.FUNCTIONAL, a_scope, b_scope, mode)
+    capped = _capped(limits, 2)
     checked = 0
     for anchor in enumerate_instances(network, a_scope, limits):
         checked += 1
-        n = count_distinct(network, anchor, b_scope, mode, _capped(limits, 2), engine)
+        n = count_distinct(network, anchor, b_scope, mode, capped, engine)
         if n > 1:
             evidence = _pair_evidence(network, anchor, b_scope, mode, limits, engine)
             witness = Witness(anchor, evidence, "multiple-outcomes")
@@ -155,11 +156,11 @@ def check_total(network: Network, from_scope: Iterable[str] | None = None,
     a_scope = _scope(network, from_scope, _data_scope(network))
     b_scope = _scope(network, to_scope, sinks(network))
     query = PropertyQuery(PropertyKind.TOTAL, a_scope, b_scope, mode)
+    capped = _capped(limits, 1)
     checked = 0
     for anchor in enumerate_instances(network, a_scope, limits):
         checked += 1
-        n = count_distinct(network, anchor, b_scope, CountMode.FULL,
-                           _capped(limits, 1), engine)
+        n = count_distinct(network, anchor, b_scope, CountMode.FULL, capped, engine)
         if n == 0:
             witness = Witness(anchor, (), "no-outcome")
             return Verdict(query, False, (witness,), checked)
@@ -175,10 +176,11 @@ def check_injective(network: Network, from_scope: Iterable[str] | None = None,
     a_scope = _scope(network, from_scope, _data_scope(network))
     b_scope = _scope(network, to_scope, sinks(network))
     query = PropertyQuery(PropertyKind.INJECTIVE, a_scope, b_scope, mode)
+    capped = _capped(limits, 2)
     checked = 0
     for anchor in enumerate_instances(network, b_scope, limits):
         checked += 1
-        n = count_distinct(network, anchor, a_scope, mode, _capped(limits, 2), engine)
+        n = count_distinct(network, anchor, a_scope, mode, capped, engine)
         if n > 1:
             evidence = _pair_evidence(network, anchor, a_scope, mode, limits, engine)
             witness = Witness(anchor, evidence, "multiple-preimages")
@@ -195,11 +197,11 @@ def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
     a_scope = _scope(network, from_scope, _data_scope(network))
     b_scope = _scope(network, to_scope, sinks(network))
     query = PropertyQuery(PropertyKind.SURJECTIVE, a_scope, b_scope, mode)
+    capped = _capped(limits, 1)
     checked = 0
     for anchor in enumerate_instances(network, b_scope, limits):
         checked += 1
-        n = count_distinct(network, anchor, a_scope, CountMode.FULL,
-                           _capped(limits, 1), engine)
+        n = count_distinct(network, anchor, a_scope, CountMode.FULL, capped, engine)
         if n == 0:
             witness = Witness(anchor, (), "unreachable")
             return Verdict(query, False, (witness,), checked)
@@ -218,12 +220,12 @@ def check_surjective_in(network: Network, param: str,
     if param not in b_scope:
         raise ScopeMismatchError(f"param {param!r} must belong to the to scope")
     query = PropertyQuery(PropertyKind.SURJECTIVE_IN, a_scope, b_scope, mode, param)
+    capped = _capped(limits, 1)
     checked = 0
     for value in network.value_set(param).values:
         checked += 1
         anchor = Instance({param: value})
-        n = count_distinct(network, anchor, (param,), CountMode.FULL,
-                           _capped(limits, 1), engine)
+        n = count_distinct(network, anchor, (param,), CountMode.FULL, capped, engine)
         if n == 0:
             witness = Witness(anchor, (), "unrealizable-value")
             return Verdict(query, False, (witness,), checked)

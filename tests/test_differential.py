@@ -4,15 +4,21 @@ A seeded generator builds small valid networks: 1-5 sets of 1-3 values and
 0-4 relations, among them nullary, empty, out-only and multi-output ones,
 with row densities from 0 to 1. A few loose nets (7-8 sets, 1-2 relations)
 have hundreds of completions, so caps and uncapped distinct counts onto
-large targets run too. On every net the join must equal brute force for
-each engine operation and for the JSON report of every check suite, and
-the counts must equal the oracle's.
+large targets run too. Some nets have isolated sets, which no relation
+reads or writes, one of them in the data selection; some have no sets at
+all. On every net the join must equal brute force for each engine
+operation, with empty targets among the random ones, and the counts must
+equal the oracle's. The JSON report of every check suite must be equal
+under both engines on every net with sets; a net without sets has no data
+selection, so ``check_suite`` refuses it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import pytest
 
 from oracle import distinct_from, oracle_completions
 from semnet import (
@@ -23,6 +29,7 @@ from semnet import (
     Limits,
     Network,
     Relation,
+    ScopeMismatchError,
     ValueSet,
     check_suite,
     completions,
@@ -36,6 +43,8 @@ from semnet import (
 SEED = 20241018
 SMALL_NETS = 300
 LOOSE_NETS = 6
+ISOLATED_NETS = 60
+ZERO_SET_NETS = 20
 CAPS = (None, 1, 2, 3)
 
 
@@ -73,20 +82,25 @@ def kind_of(rel):
     return "multi-output" if len(rel.out_sets) > 1 else "plain"
 
 
-def random_net(rng, name, n_sets, max_values, n_rels, densities):
-    """A valid network with a nonempty data selection."""
+def random_net(rng, name, n_sets, max_values, n_rels, densities, n_isolated=0):
+    """A valid network with a nonempty data selection. ``n_isolated`` (fewer
+    than ``n_sets``) sets are in no relation, and one of them is data."""
     sets = [ValueSet(f"S{i}", tuple(f"v{j}" for j in range(rng.randint(1, max_values))))
             for i in range(n_sets)]
     order = [vs.id for vs in sets]
     rng.shuffle(order)
     rank = {sid: i for i, sid in enumerate(order)}
+    isolated = set(order[:n_isolated])
+    linked = [vs for vs in sets if vs.id not in isolated]
     relations = []
     for r in range(n_rels):
         kind = rng.choice(("nullary", "out-only", "multi-output", "plain", "plain"))
-        if n_sets < 2 and kind in ("multi-output", "plain"):
+        if len(linked) < 2 and kind in ("multi-output", "plain"):
             kind = "out-only"
-        relations.append(_relation(rng, f"r{r}", sets, rank, kind, rng.choice(densities)))
+        relations.append(_relation(rng, f"r{r}", linked, rank, kind, rng.choice(densities)))
     data = rng.sample(order, rng.randint(1, min(2, n_sets)))
+    if isolated and not isolated & set(data):
+        data.append(rng.choice(sorted(isolated)))
     net = Network(name, tuple(sets), tuple(relations), frozenset(data))
     assert validate(net).ok, validate(net).errors
     return net
@@ -100,6 +114,14 @@ def _nets():
     for i in range(LOOSE_NETS):
         yield random_net(rng, f"loose{i}", rng.randint(7, 8), 3, rng.randint(1, 2),
                          (0.6, 0.9, 1.0))
+    for i in range(ISOLATED_NETS):
+        n_sets = rng.randint(2, 5)
+        yield random_net(rng, f"isolated{i}", n_sets, 3, rng.randint(0, 3),
+                         (0.2, 0.5, 0.8, 1.0), rng.randint(1, n_sets - 1))
+    for i in range(ZERO_SET_NETS):
+        relations = (_relation(rng, f"r{r}", [], {}, "nullary", rng.random())
+                     for r in range(rng.randint(0, 3)))
+        yield Network(f"zero{i}", (), tuple(relations), frozenset())
 
 
 def _random_instance(rng, net, k):
@@ -130,17 +152,31 @@ def _check_engine_calls(rng, net):
         assert (distinct_representatives(net, inst, target, k)
                 == distinct_representatives(net, inst, target, k,
                                             engine=Engine.BRUTEFORCE)), (case, k)
-    return len(want)
+    return len(want), target
+
+
+def _unread_data(net):
+    """Data sets that no relation reads or writes."""
+    return net.data_selection - {sid for rel in net.relations for sid in rel.scope}
 
 
 def test_join_bruteforce_and_oracle_agree_on_random_nets():
     rng = random.Random(SEED + 1)
     kinds_seen = set()
     most_completions = 0
+    empty_targets = zero_set_nets = unread_data_nets = 0
     for net in _nets():
         kinds_seen.update(kind_of(rel) for rel in net.relations)
         for _ in range(2):
-            most_completions = max(most_completions, _check_engine_calls(rng, net))
+            n, target = _check_engine_calls(rng, net)
+            most_completions = max(most_completions, n)
+            empty_targets += bool(net.sets) and not target
+        if not net.sets:
+            zero_set_nets += 1
+            with pytest.raises(ScopeMismatchError):
+                check_suite(net)
+            continue
+        unread_data_nets += bool(_unread_data(net))
         for direction in Direction:
             for mode in CountMode:
                 join, brute = (
@@ -151,3 +187,6 @@ def test_join_bruteforce_and_oracle_agree_on_random_nets():
     # The generator must keep producing every relation kind and loose nets.
     assert kinds_seen >= {"nullary", "empty", "out-only", "multi-output", "plain"}
     assert most_completions >= 200
+    assert zero_set_nets == ZERO_SET_NETS
+    assert unread_data_nets >= 150  # 60 of them from the isolated-set nets
+    assert empty_targets >= 150

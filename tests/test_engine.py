@@ -4,6 +4,7 @@ and equivalence of both engines with the naive oracle."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -323,9 +324,31 @@ def test_key_overflow_is_its_own_error():
     with pytest.raises(KeyOverflowError, match=r"relation 'r' .*2\^62") as info:
         encode(Network("wide-rel", sets, (wide,), frozenset(ids[-1:])))
     assert not isinstance(info.value, ScopeMismatchError)
-    enc = encode(Network("wide-target", sets, (), frozenset(ids)))
-    with pytest.raises(KeyOverflowError, match=r"\{S1,S2,S3,S4,S5,S6,S7\}.*2\^62"):
-        enc.target_strides(frozenset(ids))
+    net = Network("wide-target", sets, (), frozenset(ids))
+    overflow = r"\{S1,S2,S3,S4,S5,S6,S7\}.*2\^62"
+    with pytest.raises(KeyOverflowError, match=overflow):
+        encode(net).target_strides(frozenset(ids))
+    # Fixing every set makes the search space 1, so the engine calls reach
+    # the projection target and refuse it the same way.
+    everything = Instance({sid: "v0" for sid in ids})
+    for engine in ENGINES:
+        with pytest.raises(KeyOverflowError, match=overflow):
+            count_distinct(net, everything, ids, engine=engine)
+        with pytest.raises(KeyOverflowError, match=overflow):
+            distinct_representatives(net, everything, ids, 1, engine=engine)
+        # Unknown sets and values are scope mismatches, reported before the
+        # 600^7 space exceeds the enumeration budget.
+        for partial, target, message in (
+                ({"S9": "v0"}, ids[:1], "instance assigns unknown set 'S9'"),
+                ({"S1": "x"}, ids[:1], "value 'x' not in set 'S1'"),
+                ({}, ("S1", "S9"), "unknown sets in target: ['S9']")):
+            exact = f"^{re.escape(message)}$"
+            with pytest.raises(ScopeMismatchError, match=exact):
+                count_distinct(net, Instance(partial), target, engine=engine)
+            with pytest.raises(ScopeMismatchError, match=exact):
+                distinct_representatives(net, Instance(partial), target, 1, engine=engine)
+        with pytest.raises(LimitExceededError):
+            count_distinct(net, Instance(), ids[:1], engine=engine)
 
 
 def _loop_row_keys(network, rel):

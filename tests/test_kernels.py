@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _args(enc, fixed):
-    return enc.join_index, fixed.tolist()
+    return enc.join_index, fixed
 
 
 def _rows(rows, enc):
@@ -42,11 +42,7 @@ def _rows(rows, enc):
 
 
 def _random_fixed(rng, enc):
-    fixed = np.full(enc.n_sets, -1, dtype=np.int64)
-    for i in range(enc.n_sets):
-        if rng.random() < 0.4:
-            fixed[i] = rng.randrange(int(enc.sizes[i]))
-    return fixed
+    return [rng.randrange(size) if rng.random() < 0.4 else -1 for size in enc.sizes]
 
 
 def _random_target(rng, net):
@@ -59,14 +55,14 @@ def test_kernel_entry_points_match_bruteforce():
         enc = encode(net)
         for _ in range(8):
             fixed = _random_fixed(rng, enc)
-            case = (name, fixed.tolist())
+            case = (name, fixed)
             for cap in (0, 1, 2, 5):
                 assert (count_completions(*_args(enc, fixed), cap)
                         == bf_count(enc, fixed, cap)), (case, cap)
             for k in (0, 1, 2, 7):
                 got = collect_completions(*_args(enc, fixed), k)
                 assert np.array_equal(_rows(got, enc), bf_collect(enc, fixed, k)), (case, k)
-            tstrides, _ = enc.target_strides(_random_target(rng, net))
+            tstrides = np.array(enc.target_strides(_random_target(rng, net))[0])
             target = np.flatnonzero(tstrides).tolist()
             for cap in (0, 1, 2, 4, 16):
                 assert (count_distinct_capped(*_args(enc, fixed), target, cap)
@@ -80,11 +76,11 @@ def test_kernel_entry_points_match_bruteforce():
 def test_zero_capacity_buffers():
     """Asking for no rows keeps none; a cap of 0 counts without a cap."""
     enc = encode(all_networks()["t2"])
-    fixed = np.full(enc.n_sets, -1, dtype=np.int64)
+    fixed = [-1] * enc.n_sets
     assert collect_completions(*_args(enc, fixed), 0) == []
     assert collect_distinct_reps(*_args(enc, fixed), [enc.set_index["Y"]], 0) == []
     assert count_completions(*_args(enc, fixed), 0) == bf_count(enc, fixed, 0) > 0
-    tstrides, _ = enc.target_strides(frozenset({"Y"}))
+    tstrides = np.array(enc.target_strides(frozenset({"Y"}))[0])
     assert (count_distinct_capped(*_args(enc, fixed), [enc.set_index["Y"]], 0)
             == bf_count_distinct(enc, fixed, tstrides, 0) > 0)
 
@@ -92,7 +88,7 @@ def test_zero_capacity_buffers():
 def test_search_leaves_no_reference_cycles():
     """Each search's state is freed on return, not by the cycle collector."""
     enc = encode(all_networks()["fig1-mini"])
-    fixed = np.full(enc.n_sets, -1, dtype=np.int64)
+    fixed = [-1] * enc.n_sets
     enc.join_index  # built and kept on the encoding before counting
     gc.collect()
     gc.disable()

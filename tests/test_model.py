@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,8 @@ from semnet import (
 from semnet.cli import main
 from semnet.corpus import all_networks, build_broken, build_t2, build_t4
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def _codes(report):
@@ -204,9 +208,12 @@ def test_invalid_network_still_refused_after_validation(validation_calls, capsys
 
 
 def test_validation_memo_leaves_equality_hash_and_pickle_alone():
-    text = (CORPUS / "fig1-mini.semnet").read_text(encoding="utf-8")
+    path = CORPUS / "fig1-mini.semnet"
+    text = path.read_text(encoding="utf-8")
     net, twin = parse(text).network, parse(text).network
-    pickled, digest = pickle.dumps(net), hash(net)
+    pickled = pickle.dumps(net)  # before either memo exists
+    digest = hash(net)
+    assert digest == hash((net.name, net.sets, net.relations, net.data_selection))
     report = validate(net)
     assert net == twin and twin == net
     assert hash(net) == hash(twin) == digest
@@ -216,3 +223,35 @@ def test_validation_memo_leaves_equality_hash_and_pickle_alone():
     # The copy does not carry the memo: it is validated afresh.
     restored_report = validate(restored)
     assert restored_report == report and restored_report is not report
+    # Nor the hash memo: str hashes differ between processes, so a hashed
+    # net unpickled under another hash seed must hash as a fresh parse there.
+    env = dict(os.environ, PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    script = ("import pickle, sys\n"
+              "from semnet import parse\n"
+              "restored = pickle.load(sys.stdin.buffer)\n"
+              "fresh = parse(open(sys.argv[1], encoding='utf-8').read()).network\n"
+              "assert restored == fresh and hash(restored) == hash(fresh)\n"
+              "print(hash(restored))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], input=pickle.dumps(net),
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert int(proc.stdout) != digest  # the seed differs, so the check has teeth
+
+
+def test_encode_cache_hits_do_not_rehash_the_network(monkeypatch):
+    net = parse((CORPUS / "fig1-mini.semnet").read_text(encoding="utf-8")).network
+    first = encode(net)
+    calls = []
+    original = Relation.__hash__
+
+    def counted(rel):
+        calls.append(rel)
+        return original(rel)
+
+    monkeypatch.setattr(Relation, "__hash__", counted)
+    for _ in range(3):
+        assert encode(net) is first
+    assert calls == []
+    hash(net.relations)  # the counter itself works
+    assert len(calls) == len(net.relations)
