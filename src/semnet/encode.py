@@ -12,6 +12,7 @@ ints, since one call's search is too small to repay numpy's fixed costs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -67,11 +68,7 @@ class EncodedNetwork:
     def space_size(self, fixed: list[int]) -> int:
         """Number of candidate full instances extending the fixed value
         indices (a :meth:`fixed_from` list)."""
-        total = 1
-        for size, value in zip(self.sizes, fixed):
-            if value < 0:
-                total *= size
-        return total
+        return math.prod(size for size, value in zip(self.sizes, fixed) if value < 0)
 
     def instance_from_row(self, row: np.ndarray) -> Instance:
         return Instance({

@@ -8,18 +8,23 @@ cross-validate each other; callers choose per call and must get identical
 results either way.
 
 Enumeration order everywhere is lexicographic in (set declaration order,
-value declaration order). All operations that materialise or walk a
-candidate space first check it against ``Limits.max_enumerated`` and raise
+value declaration order). Every operation checks the candidate space it
+would walk against ``Limits.max_enumerated`` and raises
 ``LimitExceededError`` rather than truncate silently. ``Limits.cap`` is an
 early-stop for counting: results are then ``min(true count, cap)``.
+
+:func:`counter` prepares the count for a sweep of anchors over one scope,
+checking the target, the encoding and the budget once, and leaves one
+kernel call per anchor; :func:`count_distinct` is a one-anchor call of it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +39,7 @@ __all__ = [
     "Limits",
     "completions",
     "count_distinct",
+    "counter",
     "distinct_representatives",
     "enumerate_instances",
     "first_completions",
@@ -93,50 +99,42 @@ def is_consistent(network: Network, full: Instance) -> bool:
     return True
 
 
+def known_sets(network: Network, ids: Iterable[str], what: str) -> frozenset[str]:
+    """The ids as a set, refused when the network lacks one of them."""
+    wanted = frozenset(ids)
+    unknown = wanted - frozenset(vs.id for vs in network.sets)
+    if unknown:
+        raise ScopeMismatchError(f"unknown sets in {what}: {sorted(unknown)}")
+    return wanted
+
+
+def within_budget(space: int, limits: Limits) -> int:
+    """The size of a space about to be walked, refused beyond the budget."""
+    if space > limits.max_enumerated:
+        raise LimitExceededError(space, limits.max_enumerated)
+    return space
+
+
 def enumerate_instances(network: Network, scope: Iterable[str],
                         limits: Limits = _DEFAULT_LIMITS) -> Iterator[Instance]:
     """All instances over the scope, in lexicographic declaration order."""
-    wanted = frozenset(scope)
-    all_ids = frozenset(vs.id for vs in network.sets)
-    unknown = wanted - all_ids
-    if unknown:
-        raise ScopeMismatchError(f"unknown sets in scope: {sorted(unknown)}")
-    ordered = network.set_order(wanted)
-    space = 1
-    for sid in ordered:
-        space *= len(network.value_set(sid).values)
-    if space > limits.max_enumerated:
-        raise LimitExceededError(space, limits.max_enumerated)
-
-    def _generate() -> Iterator[Instance]:
-        value_lists = [network.value_set(sid).values for sid in ordered]
-        for combo in itertools.product(*value_lists):
-            yield Instance(zip(ordered, combo))
-
-    return _generate()
+    ordered = network.set_order(known_sets(network, scope, "scope"))
+    values = [network.value_set(sid).values for sid in ordered]
+    within_budget(math.prod(map(len, values)), limits)
+    return (Instance(zip(ordered, combo)) for combo in itertools.product(*values))
 
 
 def full_space_size(network: Network) -> int:
     """Product of all set sizes: the candidate space of full instances."""
-    space = 1
-    for vs in network.sets:
-        space *= len(vs.values)
-    return space
+    return math.prod(len(vs.values) for vs in network.sets)
 
 
 def _prepare(network: Network, partial: Instance,
              limits: Limits) -> tuple[EncodedNetwork, list[int]]:
     enc = encode(network)
     fixed = enc.fixed_from(partial)
-    space = enc.space_size(fixed)
-    if space > limits.max_enumerated:
-        raise LimitExceededError(space, limits.max_enumerated)
+    within_budget(enc.space_size(fixed), limits)
     return enc, fixed
-
-
-def _positions(tstrides: list[int]) -> list[int]:
-    """The set positions that a target's projection-key strides cover."""
-    return [i for i, stride in enumerate(tstrides) if stride]
 
 
 def _empty_network_count(network: Network) -> int:
@@ -148,15 +146,7 @@ def completions(network: Network, partial: Instance,
                 limits: Limits = _DEFAULT_LIMITS,
                 engine: Engine = Engine.JOIN) -> list[Instance]:
     """All consistent full instances extending the partial, in order."""
-    enc, fixed = _prepare(network, partial, limits)
-    if enc.n_sets == 0:
-        return [Instance()] if _empty_network_count(network) else []
-    space = enc.space_size(fixed)
-    if engine is Engine.JOIN:
-        out = kernels.collect_completions(enc.join_index, fixed, space)
-    else:
-        out = bruteforce.bf_collect(enc, fixed, space)
-    return [enc.instance_from_row(row) for row in out]
+    return first_completions(network, partial, full_space_size(network), limits, engine)
 
 
 def first_completions(network: Network, partial: Instance, k: int,
@@ -175,34 +165,61 @@ def first_completions(network: Network, partial: Instance, k: int,
     return [enc.instance_from_row(row) for row in out]
 
 
+def counter(network: Network, scope: Sequence[str], target: Iterable[str],
+            mode: CountMode = CountMode.PROJECTED,
+            limits: Limits = _DEFAULT_LIMITS,
+            engine: Engine = Engine.JOIN) -> Callable[[Sequence[int]], int]:
+    """Prepare :func:`count_distinct` for every anchor over ``scope``.
+
+    The returned function maps an anchor's value indices, one per set of
+    ``scope`` in the order given, to its count with one kernel call. All
+    anchors over the scope share one completion space, checked here.
+    """
+    wanted = known_sets(network, target, "target")
+    enc = encode(network)
+    at = [enc.set_index[sid] for sid in scope]
+    base = [0 if i in at else -1 for i in range(enc.n_sets)]
+    within_budget(enc.space_size(base), limits)
+    cap = limits.cap or 0
+    if enc.n_sets == 0:
+        n = _empty_network_count(network)
+        return lambda values: min(n, cap) if cap else n
+    if mode is CountMode.FULL:
+        if engine is Engine.JOIN:
+            index = enc.join_index
+            run = lambda fixed: kernels.count_completions(index, fixed, cap)
+        else:
+            run = lambda fixed: bruteforce.bf_count(enc, fixed, cap)
+    else:
+        tstrides, _ = enc.target_strides(wanted)
+        if engine is Engine.JOIN:
+            index = enc.join_index
+            positions = [i for i, stride in enumerate(tstrides) if stride]
+            run = lambda fixed: kernels.count_distinct_capped(index, fixed, positions, cap)
+        else:
+            strides = np.array(tstrides, dtype=np.int64)
+            run = lambda fixed: bruteforce.bf_count_distinct(enc, fixed, strides, cap)
+
+    def count(values: Sequence[int]) -> int:
+        fixed = base.copy()
+        for i, value in zip(at, values):
+            fixed[i] = value
+        return run(fixed)
+    return count
+
+
 def count_distinct(network: Network, partial: Instance, target: Iterable[str],
                    mode: CountMode = CountMode.PROJECTED,
                    limits: Limits = _DEFAULT_LIMITS,
                    engine: Engine = Engine.JOIN) -> int:
     """Count completions (FULL) or their distinct target projections
     (PROJECTED); with ``limits.cap`` set, stop early at the cap."""
-    wanted = frozenset(target)
-    all_ids = frozenset(vs.id for vs in network.sets)
-    unknown = wanted - all_ids
-    if unknown:
-        raise ScopeMismatchError(f"unknown sets in target: {sorted(unknown)}")
-    enc, fixed = _prepare(network, partial, limits)
-    cap = limits.cap or 0
-    if enc.n_sets == 0:
-        n = _empty_network_count(network)
-        return min(n, cap) if cap else n
-
-    if mode is CountMode.FULL:
-        if engine is Engine.JOIN:
-            return kernels.count_completions(enc.join_index, fixed, cap)
-        return bruteforce.bf_count(enc, fixed, cap)
-
-    tstrides, _ = enc.target_strides(wanted)
-    if engine is Engine.JOIN:
-        return kernels.count_distinct_capped(
-            enc.join_index, fixed, _positions(tstrides), cap)
-    return bruteforce.bf_count_distinct(
-        enc, fixed, np.array(tstrides, dtype=np.int64), cap)
+    wanted = known_sets(network, target, "target")
+    enc = encode(network)
+    fixed = enc.fixed_from(partial)
+    at = [i for i, value in enumerate(fixed) if value >= 0]
+    return counter(network, [enc.set_ids[i] for i in at], wanted, mode, limits,
+                   engine)([fixed[i] for i in at])
 
 
 def distinct_representatives(network: Network, partial: Instance,
@@ -210,11 +227,7 @@ def distinct_representatives(network: Network, partial: Instance,
                              limits: Limits = _DEFAULT_LIMITS,
                              engine: Engine = Engine.JOIN) -> list[Instance]:
     """First completion for each of the first k distinct target projections."""
-    wanted = frozenset(target)
-    all_ids = frozenset(vs.id for vs in network.sets)
-    unknown = wanted - all_ids
-    if unknown:
-        raise ScopeMismatchError(f"unknown sets in target: {sorted(unknown)}")
+    wanted = known_sets(network, target, "target")
     enc, fixed = _prepare(network, partial, limits)
     if k <= 0:
         return []
@@ -222,8 +235,8 @@ def distinct_representatives(network: Network, partial: Instance,
         return [Instance()] if _empty_network_count(network) else []
     tstrides, _ = enc.target_strides(wanted)
     if engine is Engine.JOIN:
-        reps = kernels.collect_distinct_reps(
-            enc.join_index, fixed, _positions(tstrides), k)
+        positions = [i for i, stride in enumerate(tstrides) if stride]
+        reps = kernels.collect_distinct_reps(enc.join_index, fixed, positions, k)
     else:
         reps = bruteforce.bf_collect_distinct_reps(
             enc, fixed, np.array(tstrides, dtype=np.int64), k)

@@ -7,23 +7,31 @@ target scope (PROJECTED mode). Verdicts are deterministic, including
 witness content and order: the witness is always the first counterexample
 in lexicographic declaration order; minimality instead names every
 redundant set. Evidence instances are always consistent full instances.
+
+A checker walks its anchors as value-index tuples and counts them through
+one ``engine.counter`` per sweep, which checks the budget once against each
+anchor's completion space; only a witness anchor becomes an ``Instance``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
-from .engine import (
+# count_distinct stays importable for wrappers of this module's engine calls.
+from .engine import (  # noqa: F401
     CountMode,
     Engine,
     Limits,
     count_distinct,
+    counter,
     distinct_representatives,
-    enumerate_instances,
     first_completions,
-    project,
+    known_sets,
+    within_budget,
 )
 from .errors import ScopeMismatchError
 from .model import Instance, Network, sinks, sources
@@ -91,35 +99,68 @@ class Verdict:
 def _scope(network: Network, scope: Iterable[str] | None,
            default: Iterable[str]) -> tuple[str, ...]:
     """Normalise a scope to declaration order, defaulting when omitted."""
-    chosen = frozenset(default if scope is None else scope)
-    known = frozenset(vs.id for vs in network.sets)
-    unknown = chosen - known
-    if unknown:
-        raise ScopeMismatchError(f"unknown sets in scope: {sorted(unknown)}")
-    return network.set_order(chosen)
+    return network.set_order(known_sets(network, default if scope is None else scope, "scope"))
 
 
-def _data_scope(network: Network) -> frozenset[str]:
-    return network.data_selection
-
-
-def _capped(limits: Limits, cap: int) -> Limits:
-    return replace(limits, cap=cap)
-
-
-def _uncapped(limits: Limits) -> Limits:
-    return replace(limits, cap=None)
+def _query(kind: PropertyKind, network: Network, from_scope: Iterable[str] | None,
+           to_scope: Iterable[str] | None, mode: CountMode) -> PropertyQuery:
+    """A query from the data selection to the sinks unless scopes are given."""
+    return PropertyQuery(kind, _scope(network, from_scope, network.data_selection),
+                         _scope(network, to_scope, sinks(network)), mode)
 
 
 def _pair_evidence(network: Network, anchor: Instance, target: tuple[str, ...],
-                   mode: CountMode, limits: Limits,
-                   engine: Engine) -> tuple[Instance, ...]:
+                   mode: CountMode, limits: Limits, engine: Engine) -> tuple[Instance, ...]:
     """Two completions witnessing a count ≥ 2: distinct outright in FULL
     mode, distinct in their target projection in PROJECTED mode."""
+    limits = replace(limits, cap=None)
     if mode is CountMode.FULL:
-        return tuple(first_completions(network, anchor, 2, _uncapped(limits), engine))
-    return tuple(distinct_representatives(
-        network, anchor, target, 2, _uncapped(limits), engine))
+        return tuple(first_completions(network, anchor, 2, limits, engine))
+    return tuple(distinct_representatives(network, anchor, target, 2, limits, engine))
+
+
+def _anchor_values(network: Network, scope: tuple[str, ...], limits: Limits,
+                   bounded: bool = True) -> list[tuple[str, ...]]:
+    """The values of each anchor set, indexed by the anchors' value-index
+    tuples; with ``bounded``, the anchor count is checked against the budget."""
+    values = [network.value_set(sid).values for sid in scope]
+    if bounded:
+        within_budget(math.prod(map(len, values)), limits)
+    return values
+
+
+# Whether an anchor fails on two or more outcomes (else on none); the note.
+_FAILURES = {
+    PropertyKind.FUNCTIONAL: (True, "multiple-outcomes"),
+    PropertyKind.TOTAL: (False, "no-outcome"),
+    PropertyKind.INJECTIVE: (True, "multiple-preimages"),
+    PropertyKind.SURJECTIVE: (False, "unreachable"),
+    PropertyKind.SURJECTIVE_IN: (False, "unrealizable-value"),
+}
+
+
+def _sweep(network: Network, query: PropertyQuery, scope: tuple[str, ...],
+           target: tuple[str, ...], limits: Limits, engine: Engine,
+           bounded: bool = True) -> Verdict:
+    """Count each anchor over ``scope`` in order through one counter. An
+    anchor fails when its completions have two or more outcomes over
+    ``target`` in the query's mode (two of them witness it), or else when
+    it has none; the first failing anchor is the witness."""
+    many, note = _FAILURES[query.kind]
+    values = _anchor_values(network, scope, limits, bounded)
+    if not all(values):
+        return Verdict(query, True, (), 0)
+    mode = query.mode if many else CountMode.FULL
+    count = counter(network, scope, target, mode,
+                    replace(limits, cap=2 if many else 1), engine)
+    for checked, key in enumerate(itertools.product(*map(range, map(len, values))), 1):
+        n = count(key)
+        if (n > 1) if many else (n == 0):
+            anchor = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
+            evidence = (_pair_evidence(network, anchor, target, mode, limits, engine)
+                        if many else ())
+            return Verdict(query, False, (Witness(anchor, evidence, note),), checked)
+    return Verdict(query, True, (), checked)
 
 
 def check_functional(network: Network, from_scope: Iterable[str] | None = None,
@@ -128,19 +169,8 @@ def check_functional(network: Network, from_scope: Iterable[str] | None = None,
                      limits: Limits = _DEFAULT_LIMITS,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every from-instance leads to at most one outcome."""
-    a_scope = _scope(network, from_scope, _data_scope(network))
-    b_scope = _scope(network, to_scope, sinks(network))
-    query = PropertyQuery(PropertyKind.FUNCTIONAL, a_scope, b_scope, mode)
-    capped = _capped(limits, 2)
-    checked = 0
-    for anchor in enumerate_instances(network, a_scope, limits):
-        checked += 1
-        n = count_distinct(network, anchor, b_scope, mode, capped, engine)
-        if n > 1:
-            evidence = _pair_evidence(network, anchor, b_scope, mode, limits, engine)
-            witness = Witness(anchor, evidence, "multiple-outcomes")
-            return Verdict(query, False, (witness,), checked)
-    return Verdict(query, True, (), checked)
+    query = _query(PropertyKind.FUNCTIONAL, network, from_scope, to_scope, mode)
+    return _sweep(network, query, query.from_scope, query.to_scope, limits, engine)
 
 
 def check_total(network: Network, from_scope: Iterable[str] | None = None,
@@ -153,18 +183,8 @@ def check_total(network: Network, from_scope: Iterable[str] | None = None,
     The result is mode-independent (a completion exists iff a projection
     does); the mode is recorded for symmetry with the other checkers.
     """
-    a_scope = _scope(network, from_scope, _data_scope(network))
-    b_scope = _scope(network, to_scope, sinks(network))
-    query = PropertyQuery(PropertyKind.TOTAL, a_scope, b_scope, mode)
-    capped = _capped(limits, 1)
-    checked = 0
-    for anchor in enumerate_instances(network, a_scope, limits):
-        checked += 1
-        n = count_distinct(network, anchor, b_scope, CountMode.FULL, capped, engine)
-        if n == 0:
-            witness = Witness(anchor, (), "no-outcome")
-            return Verdict(query, False, (witness,), checked)
-    return Verdict(query, True, (), checked)
+    query = _query(PropertyKind.TOTAL, network, from_scope, to_scope, mode)
+    return _sweep(network, query, query.from_scope, query.to_scope, limits, engine)
 
 
 def check_injective(network: Network, from_scope: Iterable[str] | None = None,
@@ -173,19 +193,8 @@ def check_injective(network: Network, from_scope: Iterable[str] | None = None,
                     limits: Limits = _DEFAULT_LIMITS,
                     engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is produced by at most one from-instance."""
-    a_scope = _scope(network, from_scope, _data_scope(network))
-    b_scope = _scope(network, to_scope, sinks(network))
-    query = PropertyQuery(PropertyKind.INJECTIVE, a_scope, b_scope, mode)
-    capped = _capped(limits, 2)
-    checked = 0
-    for anchor in enumerate_instances(network, b_scope, limits):
-        checked += 1
-        n = count_distinct(network, anchor, a_scope, mode, capped, engine)
-        if n > 1:
-            evidence = _pair_evidence(network, anchor, a_scope, mode, limits, engine)
-            witness = Witness(anchor, evidence, "multiple-preimages")
-            return Verdict(query, False, (witness,), checked)
-    return Verdict(query, True, (), checked)
+    query = _query(PropertyKind.INJECTIVE, network, from_scope, to_scope, mode)
+    return _sweep(network, query, query.to_scope, query.from_scope, limits, engine)
 
 
 def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
@@ -194,18 +203,8 @@ def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
                      limits: Limits = _DEFAULT_LIMITS,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is reachable from some consistent full instance."""
-    a_scope = _scope(network, from_scope, _data_scope(network))
-    b_scope = _scope(network, to_scope, sinks(network))
-    query = PropertyQuery(PropertyKind.SURJECTIVE, a_scope, b_scope, mode)
-    capped = _capped(limits, 1)
-    checked = 0
-    for anchor in enumerate_instances(network, b_scope, limits):
-        checked += 1
-        n = count_distinct(network, anchor, a_scope, CountMode.FULL, capped, engine)
-        if n == 0:
-            witness = Witness(anchor, (), "unreachable")
-            return Verdict(query, False, (witness,), checked)
-    return Verdict(query, True, (), checked)
+    query = _query(PropertyKind.SURJECTIVE, network, from_scope, to_scope, mode)
+    return _sweep(network, query, query.to_scope, query.from_scope, limits, engine)
 
 
 def check_surjective_in(network: Network, param: str,
@@ -215,21 +214,12 @@ def check_surjective_in(network: Network, param: str,
                         limits: Limits = _DEFAULT_LIMITS,
                         engine: Engine = Engine.JOIN) -> Verdict:
     """Every value of the parameter set occurs in some consistent instance."""
-    a_scope = _scope(network, from_scope, _data_scope(network))
+    a_scope = _scope(network, from_scope, network.data_selection)
     b_scope = _scope(network, to_scope, (param,))
     if param not in b_scope:
         raise ScopeMismatchError(f"param {param!r} must belong to the to scope")
     query = PropertyQuery(PropertyKind.SURJECTIVE_IN, a_scope, b_scope, mode, param)
-    capped = _capped(limits, 1)
-    checked = 0
-    for value in network.value_set(param).values:
-        checked += 1
-        anchor = Instance({param: value})
-        n = count_distinct(network, anchor, (param,), CountMode.FULL, capped, engine)
-        if n == 0:
-            witness = Witness(anchor, (), "unrealizable-value")
-            return Verdict(query, False, (witness,), checked)
-    return Verdict(query, True, (), checked)
+    return _sweep(network, query, (param,), (param,), limits, engine, bounded=False)
 
 
 def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
@@ -247,32 +237,31 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     examined: every Q is searched until a separating i is found or the
     instances are exhausted.
     """
-    a_scope = _scope(network, from_scope, _data_scope(network))
-    b_scope = _scope(network, to_scope, sinks(network))
+    query = _query(PropertyKind.MINIMAL, network, from_scope, to_scope, mode)
+    a_scope, b_scope = query.from_scope, query.to_scope
     if not a_scope:
         raise ScopeMismatchError("minimality requires a nonempty from scope")
-    query = PropertyQuery(PropertyKind.MINIMAL, a_scope, b_scope, mode)
-    exact = _uncapped(limits)
+    values = _anchor_values(network, a_scope, limits)
+    exact = replace(limits, cap=None)
+    # Without anchors nothing is counted, so no counter is prepared.
+    kept = counter(network, a_scope, b_scope, mode, exact, engine) if all(values) else None
     checked = 0
     redundant: list[str] = []
-    for q in a_scope:
-        rest = tuple(sid for sid in a_scope if sid != q)
-        dropped_counts: dict[Instance, int] = {}
-        separated = False
-        for anchor in enumerate_instances(network, a_scope, limits):
+    for qi, q in enumerate(a_scope):
+        dropped = counter(network, a_scope[:qi] + a_scope[qi + 1:], b_scope, mode,
+                          exact, engine) if kept else None
+        dropped_counts: dict[tuple[int, ...], int] = {}
+        for key in itertools.product(*map(range, map(len, values))):
             checked += 1
-            n_kept = count_distinct(network, anchor, b_scope, mode, exact, engine)
-            restricted = project(anchor, rest)
+            restricted = key[:qi] + key[qi + 1:]
+            n_kept = kept(key)
             if restricted not in dropped_counts:
-                dropped_counts[restricted] = count_distinct(
-                    network, restricted, b_scope, mode, exact, engine)
+                dropped_counts[restricted] = dropped(restricted)
             if n_kept != dropped_counts[restricted]:
-                separated = True
                 break
-        if not separated:
+        else:
             redundant.append(q)
-    witnesses = tuple(
-        Witness(Instance(), (), f"redundant:{q}") for q in redundant)
+    witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
     return Verdict(query, not redundant, witnesses, checked)
 
 

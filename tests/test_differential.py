@@ -11,6 +11,13 @@ operation, with empty targets among the random ones, and the counts must
 equal the oracle's. The JSON report of every check suite must be equal
 under both engines on every net with sets; a net without sets has no data
 selection, so ``check_suite`` refuses it.
+
+On the 300 small nets every verdict of every suite is also compared with
+the oracle: ``holds`` with the matching ``oracle_*`` function, and the
+witness and ``instances_checked`` with the first failing anchor found by
+walking the anchors in the oracle's order. Join and brute force share the
+property checkers, so only this comparison catches an anchor sweep that
+skips or reorders anchors.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import random
 
 import pytest
 
+import oracle
 from oracle import distinct_from, oracle_completions
 from semnet import (
     CountMode,
@@ -28,6 +36,7 @@ from semnet import (
     Instance,
     Limits,
     Network,
+    PropertyKind,
     Relation,
     ScopeMismatchError,
     ValueSet,
@@ -160,8 +169,86 @@ def _unread_data(net):
     return net.data_selection - {sid for rel in net.relations for sid in rel.scope}
 
 
-def test_join_bruteforce_and_oracle_agree_on_random_nets():
+def _first_failure(net, scope, failed):
+    """The first anchor over ``scope`` that ``failed`` accepts (None if
+    none does) and the number of anchors walked up to it."""
+    checked = 0
+    for checked, anchor in enumerate(oracle.instances_over(net, scope), 1):
+        if failed(anchor):
+            return anchor, checked
+    return None, checked
+
+
+def _oracle_verdict(net, query):
+    """``(holds, instances_checked, witnesses)`` of a query by the oracle;
+    the witnesses are the failing anchor, or the redundancy notes."""
+    a, b, mode = list(query.from_scope), list(query.to_scope), query.mode.value
+    kind = query.kind
+    if kind is PropertyKind.MINIMAL:
+        checked, notes = 0, []
+        for q in a:
+            rest = [sid for sid in a if sid != q]
+            separating, n = _first_failure(net, a, lambda x: (
+                oracle.oracle_outcomes(net, x, b, mode)
+                != oracle.oracle_outcomes(net, {k: x[k] for k in rest}, b, mode)))
+            checked += n
+            if separating is None:
+                notes.append(f"redundant:{q}")
+        holds = oracle.oracle_minimal(net, a, b, mode)
+        assert holds == (not notes)
+        return holds, checked, notes
+
+    def has_none(x):
+        return not oracle.oracle_completions(net, x)
+
+    if kind is PropertyKind.FUNCTIONAL:
+        holds = oracle.oracle_functional(net, a, b, mode)
+        anchor, checked = _first_failure(
+            net, a, lambda x: oracle.oracle_count_distinct(net, x, b, mode) > 1)
+    elif kind is PropertyKind.INJECTIVE:
+        holds = oracle.oracle_injective(net, a, b, mode)
+        anchor, checked = _first_failure(
+            net, b, lambda x: oracle.oracle_count_distinct(net, x, a, mode) > 1)
+    elif kind is PropertyKind.TOTAL:
+        holds = oracle.oracle_total(net, a)
+        anchor, checked = _first_failure(net, a, has_none)
+    elif kind is PropertyKind.SURJECTIVE:
+        holds = oracle.oracle_surjective(net, b)
+        anchor, checked = _first_failure(net, b, has_none)
+    else:
+        holds = oracle.oracle_surjective_in(net, query.param)
+        anchor, checked = _first_failure(net, [query.param], has_none)
+    assert holds == (anchor is None)
+    return holds, checked, [] if anchor is None else [anchor]
+
+
+def _check_against_oracle(net, verdicts):
+    for verdict in verdicts:
+        holds, checked, witnesses = _oracle_verdict(net, verdict.query)
+        got = [w.note if verdict.query.kind is PropertyKind.MINIMAL else w.anchor.as_dict()
+               for w in verdict.witnesses]
+        assert (verdict.holds, verdict.instances_checked, got) == (holds, checked, witnesses), (
+            net.name, verdict.query)
+
+
+@pytest.fixture
+def memo_oracle(monkeypatch):
+    """Memoise the oracle's completions, a pure function of (net, partial),
+    so that every oracle function asks for each anchor's completions once."""
+    memo = {}
+
+    def completions(network, partial, _naive=oracle.oracle_completions):
+        key = (network, tuple(sorted(partial.items())))
+        if key not in memo:
+            memo[key] = _naive(network, partial)
+        return memo[key]
+    monkeypatch.setattr(oracle, "oracle_completions", completions)
+    return memo
+
+
+def test_join_bruteforce_and_oracle_agree_on_random_nets(memo_oracle):
     rng = random.Random(SEED + 1)
+    oracle_verdicts = 0
     kinds_seen = set()
     most_completions = 0
     empty_targets = zero_set_nets = unread_data_nets = 0
@@ -180,13 +267,19 @@ def test_join_bruteforce_and_oracle_agree_on_random_nets():
         for direction in Direction:
             for mode in CountMode:
                 join, brute = (
-                    render_json(net.name, direction.value, mode.value,
-                                check_suite(net, direction, mode, engine=engine))
+                    check_suite(net, direction, mode, engine=engine)
                     for engine in (Engine.JOIN, Engine.BRUTEFORCE))
-                assert join == brute, (net.name, direction, mode)
+                assert (render_json(net.name, direction.value, mode.value, join)
+                        == render_json(net.name, direction.value, mode.value, brute)), (
+                    net.name, direction, mode)
+                if net.name.startswith("small"):
+                    _check_against_oracle(net, join)
+                    oracle_verdicts += len(join)
+        memo_oracle.clear()
     # The generator must keep producing every relation kind and loose nets.
     assert kinds_seen >= {"nullary", "empty", "out-only", "multi-output", "plain"}
     assert most_completions >= 200
     assert zero_set_nets == ZERO_SET_NETS
     assert unread_data_nets >= 150  # 60 of them from the isolated-set nets
     assert empty_targets >= 150
+    assert oracle_verdicts >= 8000

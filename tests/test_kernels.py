@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from semnet import Direction, check_suite, encode, kernels
+from semnet import CountMode, Direction, check_suite, encode, kernels, properties
 from semnet.bruteforce import (
     bf_collect,
     bf_collect_distinct_reps,
@@ -100,22 +100,28 @@ def test_search_leaves_no_reference_cycles():
         gc.enable()
 
 
-def _traced_kernel_names():
-    """``KERNELS`` of perfbench/spans.py, read without importing the benchmark."""
+def _spans_names(constant):
+    """A tuple of names in perfbench/spans.py, read without importing the benchmark."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["KERNELS"]:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [constant]:
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/spans.py defines no KERNELS")
+    raise AssertionError(f"perfbench/spans.py defines no {constant}")
 
 
 def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
-    """The traced benchmark counts kernel calls by swapping the module
-    attributes it names in ``KERNELS``, and perfbench/harness.py reads
-    ``JIT_ENABLED``; a check must still reach the kernels through them."""
-    names = _traced_kernel_names()
+    """The traced benchmark swaps the module attributes it names in
+    ``KERNELS``, ``ENGINE_CALLS`` and ``CHECKERS`` (the last two on
+    ``semnet.properties``), and perfbench/harness.py reads ``JIT_ENABLED``;
+    every name must exist, and a check must still reach the kernels
+    through them, as often as before."""
+    names = _spans_names("KERNELS")
     assert set(names) == {"count_completions", "collect_completions",
                           "count_distinct_capped", "collect_distinct_reps"}
+    for name in _spans_names("ENGINE_CALLS") + _spans_names("CHECKERS"):
+        assert callable(getattr(properties, name, None)), name
+    assert ({fn.__name__ for fn in properties._CHECKERS.values()}
+            <= set(_spans_names("CHECKERS")))
     assert isinstance(kernels.JIT_ENABLED, bool)
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -128,10 +134,10 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
         monkeypatch.setattr(kernels, name, counted)
     net = all_networks()["fig1-mini"]
     for direction in Direction:
-        check_suite(net, direction)
-    assert calls["count_distinct_capped"] > 0, calls
-    assert calls["count_completions"] > 0, calls
-    assert calls["collect_distinct_reps"] + calls["collect_completions"] > 0, calls
+        for mode in CountMode:
+            check_suite(net, direction, mode)
+    assert calls == {"count_completions": 92, "count_distinct_capped": 47,
+                     "collect_completions": 4, "collect_distinct_reps": 3}
 
 
 def test_bench_kernels_ends_with_one_json_record():

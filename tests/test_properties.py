@@ -28,6 +28,8 @@ from semnet import (
     check_surjective,
     check_surjective_in,
     check_total,
+    engine,
+    properties,
     sinks,
     sources,
 )
@@ -266,3 +268,25 @@ def test_instances_checked_counts_anchors():
     # minimality examines (Q, i) pairs: one Q, both anchors, no separation
     assert check_minimal(t2, {"X"}, {"Y"},
                          CountMode.PROJECTED).instances_checked == 2
+
+
+def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
+    """Each prepared counter looks the network up in the encode cache once
+    for its whole anchor sweep; only witness calls add a lookup."""
+    tally = dict.fromkeys(("encode", "counter", "witness"), 0)
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            tally[key] += 1
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(engine, "encode", counted("encode", engine.encode))
+    monkeypatch.setattr(properties, "counter", counted("counter", properties.counter))
+    for name in ("first_completions", "distinct_representatives"):
+        monkeypatch.setattr(properties, name, counted("witness", getattr(properties, name)))
+    net = all_networks()["fig1-mini"]
+    for direction in Direction:
+        for mode in CountMode:
+            check_suite(net, direction, mode)
+    # One lookup per engine call, 146 here, would mean one per anchor.
+    assert tally["encode"] == tally["counter"] + tally["witness"] == 61, tally
