@@ -231,6 +231,8 @@ def _validate(network: Network) -> ValidationReport:
         scope = rel.scope
         arity = len(scope)
         scope_domains = [domains[sid] for sid in scope]
+        if rows_conform(rel.rows, scope_domains):
+            continue
         seen_rows: set[tuple[str, ...]] = set()
         for i, row in enumerate(rel.rows):
             if len(row) != arity:
@@ -287,6 +289,21 @@ def structural_flags(network: Network) -> StructuralFlags:
         is_acyclic=_find_cycle(network) is None,
         is_contiguous=_is_contiguous(network),
     )
+
+
+def rows_conform(rows, domains) -> bool:
+    """Whether every row holds one value per domain, each value lies in its
+    column's domain, and no row repeats.
+
+    The checks run column by column in C, so a relation without defects
+    costs no per-row Python work. :func:`validate` and ``netdef.parse`` walk
+    a relation's rows one by one only when this is false, to report each
+    defect in row order.
+    """
+    if set(map(len, rows)) - {len(domains)}:
+        return False
+    return (all(map(frozenset.issuperset, domains, zip(*rows)))
+            and len(set(rows)) == len(rows))
 
 
 def _first_duplicate(items) -> str | None:

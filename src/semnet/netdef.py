@@ -20,22 +20,39 @@ flat list of :class:`ParseError` with 1-based line and column numbers,
 never a partial network. Serialization is canonical (declaration order,
 single spaces, values quoted only when not bare, LF line endings, trailing
 newline) and ``parse(serialize(network))`` reproduces the network exactly.
+It refuses a value holding any character at which ``str.splitlines`` ends a
+line, since no line of the text can hold one.
 
-Parsing is linear in the input. Value and row membership are hash lookups,
-and a ``row`` line whose values are all bare (nearly every line of a
-table-heavy file) is split by one whole-line match and kept as plain
-strings. ``_tokenize`` is still the only tokenizer: every other line goes
-through it, and the column of an error in a row comes from tokenizing that
-line again when the error is reported.
+Parsing is linear in the input, and the rows of a table are handled in
+bulk, by C-level string and set operations rather than one row at a time:
+
+- A relation's row block runs from its ``rel`` line to the next line that
+  is exactly ``end``. When every line of it is ``row`` (at the very start
+  of the line) followed by as many bare values as the header has scope
+  sets, with blanks and no comment, the block is split as one string and
+  its ``end`` line closes the relation; each block is tried once.
+- Any other block (a quoted value, a comment, a blank line, a leading
+  blank or a wrong arity anywhere in it) goes line by line: a ``row`` line
+  whose values are all bare is split by one whole-line match, and every
+  other line goes through ``_tokenize``, still the only tokenizer.
+- A relation's rows are then checked column by column for arity, domain
+  and repeats (``model.rows_conform``, shared with :func:`validate`). Only
+  a relation that fails is walked row by row, to report each defect with
+  its line and column, in order. The column of an error in a row comes
+  from tokenizing that line again when the error is reported.
+
+Both routes give the same network and the same errors.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import string
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import SemnetError
-from .model import Network, Relation, ValueSet, sources
+from .model import Network, Relation, ValueSet, rows_conform, sources
 
 __all__ = [
     "ParseError",
@@ -51,6 +68,11 @@ _BARE_VALUE_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
 # group 1 holds the values. A line it matches, _tokenize splits into
 # ``row`` and the same values, without error.
 _BARE_ROW_RE = re.compile(r"[ \t]*row((?:[ \t]+[A-Za-z0-9_.+-]+)*)[ \t]*(?:#.*)?", re.DOTALL)
+# Every character at which str.splitlines (and so parse) ends a line.
+_LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# The characters of a block of bare rows joined by "\n": bare-value
+# characters and blanks.
+_BARE_BLOCK_CHARS = (string.ascii_letters + string.digits + "_.+- \t\n").encode()
 
 
 @dataclass(frozen=True)
@@ -142,8 +164,8 @@ class _RawRelation:
     column: int
     in_tokens: list[_Token]
     out_tokens: list[_Token]
-    row_statements: list[tuple[int, tuple[str, ...]]]
-    closed: bool = False
+    rows: list[tuple[str, ...]] = field(default_factory=list)
+    row_lines: list[int] = field(default_factory=list)  # line number per row
 
 
 def parse(text: str) -> SemnetDocument:
@@ -157,13 +179,16 @@ def parse(text: str) -> SemnetDocument:
     data_line = 0
     open_rel: _RawRelation | None = None
     saw_statement = False
+    block_end = -1  # index of the line that ends the last row block tried
 
     lines = text.splitlines()  # splits at "\r" too, so no line holds one
-    for line_no, line in enumerate(lines, start=1):
+    numbered = enumerate(lines, start=1)
+    for line_no, line in numbered:
         if open_rel is not None:
             bare_row = _BARE_ROW_RE.fullmatch(line)
             if bare_row is not None:
-                open_rel.row_statements.append((line_no, tuple(bare_row[1].split())))
+                open_rel.rows.append(tuple(bare_row[1].split()))
+                open_rel.row_lines.append(line_no)
                 continue
         tokens = _tokenize(line, line_no, errors)
         if tokens is None or not tokens:
@@ -241,8 +266,26 @@ def parse(text: str) -> SemnetDocument:
             out_tokens = rest[out_at + 1:]
             if not _check_identifiers(in_tokens + out_tokens, line_no, errors):
                 continue
-            open_rel = _RawRelation(ident.text, line_no, head.column, in_tokens, out_tokens, [])
+            open_rel = _RawRelation(ident.text, line_no, head.column, in_tokens, out_tokens)
             raw_rels.append(open_rel)
+            # The block runs to the next line that is exactly "end" (or to
+            # the end of the text). No line is in two blocks tried, which
+            # keeps parsing linear: a rel line inside a block that failed
+            # leaves its rows to the line-by-line loop.
+            if line_no > block_end:
+                try:
+                    block_end = lines.index("end", line_no)
+                except ValueError:
+                    block_end = len(lines)
+                block = _bare_block(lines[line_no:block_end], len(in_tokens) + len(out_tokens))
+                if block is not None:
+                    open_rel.rows += block
+                    open_rel.row_lines += range(line_no + 1, block_end + 1)
+                    skip = len(block)
+                    if block_end < len(lines):  # its "end" line closes the relation
+                        open_rel = None
+                        skip += 1
+                    next(islice(numbered, skip, skip), None)
         elif keyword == "row":
             if open_rel is None:
                 errors.append(ParseError(
@@ -250,7 +293,8 @@ def parse(text: str) -> SemnetDocument:
                 continue
             if not _check_values(args, line_no, errors):
                 continue
-            open_rel.row_statements.append((line_no, tuple(tok.text for tok in args)))
+            open_rel.rows.append(tuple(tok.text for tok in args))
+            open_rel.row_lines.append(line_no)
         elif keyword == "end":
             if open_rel is None:
                 errors.append(ParseError(
@@ -259,7 +303,6 @@ def parse(text: str) -> SemnetDocument:
             if args:
                 errors.append(ParseError(
                     "TRAILING_TOKENS", "unexpected tokens after 'end'", line_no, args[0].column))
-            open_rel.closed = True
             open_rel = None
         elif keyword == "data":
             if open_rel is not None:
@@ -330,28 +373,10 @@ def parse(text: str) -> SemnetDocument:
             continue
         scope = [t.text for t in raw.in_tokens] + [t.text for t in raw.out_tokens]
         scope_domains = [domains[sid] for sid in scope]
-        rows: dict[tuple[str, ...], None] = {}  # an ordered set
-        for row_line, row in raw.row_statements:
-            if len(row) != len(scope):
-                errors.append(ParseError(
-                    "ROW_ARITY",
-                    f"row has {len(row)} values, relation {raw.id!r} needs {len(scope)}",
-                    row_line, _first_value_column(lines, row_line)))
-                continue
-            if not all(map(frozenset.__contains__, scope_domains, row)):
-                columns = _value_columns(lines, row_line)
-                for sid, domain, value, column in zip(scope, scope_domains, row, columns):
-                    if value not in domain:
-                        errors.append(ParseError(
-                            "UNKNOWN_VALUE",
-                            f"value {value!r} not in set {sid!r}", row_line, column))
-                continue
-            if row in rows:
-                errors.append(ParseError(
-                    "DUPLICATE_ROW", f"row repeated in relation {raw.id!r}",
-                    row_line, _first_value_column(lines, row_line)))
-                continue
-            rows[row] = None
+        if rows_conform(raw.rows, scope_domains):
+            rows = raw.rows
+        else:
+            rows = _conforming_rows(raw, scope, scope_domains, lines, errors)
         relations.append(Relation(
             raw.id,
             tuple(t.text for t in raw.in_tokens),
@@ -383,6 +408,61 @@ def parse(text: str) -> SemnetDocument:
     if data_tokens is None:
         network = Network(network.name, network.sets, network.relations, sources(network))
     return SemnetDocument(network, spans)
+
+
+def _bare_block(block: list[str], arity: int) -> list[tuple[str, ...]] | None:
+    """The rows of a block of lines, or None unless each line is ``row`` at
+    its very start, then ``arity`` (at least one) bare values and blanks.
+
+    Such a line is one that ``_BARE_ROW_RE`` matches, less leading blanks
+    and comments, so both paths give the same rows. The block is checked as
+    one string: its characters at once, then its words. Each line starts
+    with the word ``row``, and ``row`` is every (arity + 1)-th word and no
+    other, so each line holds exactly one row.
+    """
+    text = "\n".join(block)
+    if not arity or not text.isascii() or text.encode().translate(None, _BARE_BLOCK_CHARS):
+        return None
+    starts = "\n" + text
+    words = text.split()
+    if (starts.count("\nrow ") + starts.count("\nrow\t") != len(block)
+            or len(words) != len(block) * (arity + 1)
+            or words.count("row") != len(block)
+            or words[::arity + 1].count("row") != len(block)):
+        return None
+    del words[::arity + 1]
+    return list(zip(*[iter(words)] * arity))
+
+
+def _conforming_rows(raw: _RawRelation, scope: list[str], scope_domains: list[frozenset[str]],
+                     lines: list[str], errors: list[ParseError]) -> list[tuple[str, ...]]:
+    """The rows of ``raw`` without defects, in order; reports each defect.
+
+    One row at a time, for a relation that :func:`rows_conform` rejects.
+    """
+    rows: dict[tuple[str, ...], None] = {}  # an ordered set
+    for row_line, row in zip(raw.row_lines, raw.rows):
+        if len(row) != len(scope):
+            errors.append(ParseError(
+                "ROW_ARITY",
+                f"row has {len(row)} values, relation {raw.id!r} needs {len(scope)}",
+                row_line, _first_value_column(lines, row_line)))
+            continue
+        if not all(map(frozenset.__contains__, scope_domains, row)):
+            columns = _value_columns(lines, row_line)
+            for sid, domain, value, column in zip(scope, scope_domains, row, columns):
+                if value not in domain:
+                    errors.append(ParseError(
+                        "UNKNOWN_VALUE",
+                        f"value {value!r} not in set {sid!r}", row_line, column))
+            continue
+        if row in rows:
+            errors.append(ParseError(
+                "DUPLICATE_ROW", f"row repeated in relation {raw.id!r}",
+                row_line, _first_value_column(lines, row_line)))
+            continue
+        rows[row] = None
+    return list(rows)
 
 
 def _value_columns(lines: list[str], line_no: int) -> list[int]:
@@ -450,7 +530,7 @@ def serialize(network: Network) -> str:
         raise ValueError(f"network name {network.name!r} is not a valid identifier")
     for vs in network.sets:
         for v in vs.values:
-            if "\n" in v or "\r" in v:
+            if _LINE_BREAK_RE.search(v):
                 raise ValueError(f"value {v!r} in set {vs.id!r} contains a line break")
     lines = [f"net {network.name}"]
     for vs in network.sets:

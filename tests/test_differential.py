@@ -18,6 +18,10 @@ witness and ``instances_checked`` with the first failing anchor found by
 walking the anchors in the oracle's order. Join and brute force share the
 property checkers, so only this comparison catches an anchor sweep that
 skips or reorders anchors.
+
+Every generated net also survives a round trip through the text format:
+``parse(serialize(net))`` gives an equal network with the same
+``validate`` report.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ from semnet import (
     count_distinct,
     distinct_representatives,
     first_completions,
+    parse,
     render_json,
+    serialize,
     validate,
 )
 
@@ -283,3 +289,13 @@ def test_join_bruteforce_and_oracle_agree_on_random_nets(memo_oracle):
     assert unread_data_nets >= 150  # 60 of them from the isolated-set nets
     assert empty_targets >= 150
     assert oracle_verdicts >= 8000
+
+
+def test_generated_nets_round_trip_through_text():
+    nets = 0
+    for net in _nets():
+        again = parse(serialize(net)).network
+        assert again == net, net.name
+        assert validate(again) == validate(net), net.name
+        nets += 1
+    assert nets == SMALL_NETS + LOOSE_NETS + ISOLATED_NETS + ZERO_SET_NETS

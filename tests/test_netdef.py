@@ -161,12 +161,27 @@ def test_round_trip_builders():
         assert parse(serialize(net)).network == net, name
 
 
+# Every character at which str.splitlines, and so parse, ends a line.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_line_breaks_are_those_of_splitlines():
+    assert [c for c in map(chr, range(0x110000))
+            if len(f"a{c}b".splitlines()) > 1] == sorted(LINE_BREAKS)
+
+
 def test_serialize_rejects_unserialisable_networks():
     from semnet import Network, ValueSet
     with pytest.raises(ValueError):
         serialize(Network("n", (ValueSet("A", ("a",)),), (), {"MISSING"}))
-    with pytest.raises(ValueError):
-        serialize(Network("n", (ValueSet("A", ("bad\nline",)),), (), {"A"}))
+    for brk in LINE_BREAKS:
+        for value in (f"bad{brk}line", brk, f"{brk}x", f"x{brk}"):
+            with pytest.raises(ValueError, match="line break"):
+                serialize(Network("n", (ValueSet("A", ("a", value)),), (), {"A"}))
+    # Other control and non-ASCII characters round-trip inside quotes.
+    values = ("tab\tx", "nul\x00x", "us\x1fx", "nbsp\xa0x", "e\u0301")
+    net = Network("n", (ValueSet("A", values),), (), {"A"})
+    assert parse(serialize(net)).network == net
 
 
 def _random_text(rng: random.Random) -> str:
