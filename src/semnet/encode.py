@@ -1,13 +1,14 @@
-"""Integer encoding of networks for the array-based engines.
+"""Integer encoding of networks for the search engines.
 
 Sets become contiguous indices in declaration order, values become indices
-into their set. Each relation is stored as a sorted array of row keys,
-where a row key is the mixed-radix encoding of the row's value indices
-over the relation's scope. The join search's per-relation indexes
-(``kernels.build_index``) are built from these arrays on a network's first
-search and kept on its encoding. What the engine prepares per call (set
-sizes, fixed value indices, projection strides) stays in plain Python
-ints, since one call's search is too small to repay numpy's fixed costs.
+into their set. Each relation is encoded on its own, as its scope's set
+positions, a mixed-radix stride per position and the sorted int64 array of
+its row keys, where a row key is the stride-weighted sum of the row's value
+indices. Both engines read these tuples: brute force tests its candidates
+against the key arrays, and the join search's per-relation indexes
+(``kernels.build_index``) are built from them on a network's first search
+and kept on its encoding. What the engine prepares per call (fixed value
+indices, target positions) stays in plain Python ints.
 """
 
 from __future__ import annotations
@@ -35,11 +36,8 @@ class EncodedNetwork:
     set_index: dict[str, int]
     sizes: tuple[int, ...]      # (n_sets,) domain size per set
     value_index: tuple[dict[str, int], ...]
-    scope_flat: np.ndarray      # set indices, all relation scopes concatenated
-    scope_strides: np.ndarray   # mixed-radix stride per scope position
-    scope_start: np.ndarray     # (n_rels + 1,) slice bounds into scope_flat
-    rowkeys_flat: np.ndarray    # sorted row keys, all relations concatenated
-    rowkeys_start: np.ndarray   # (n_rels + 1,) slice bounds into rowkeys_flat
+    # Per relation: scope set positions, their strides, sorted row keys.
+    relations: tuple[tuple[tuple[int, ...], tuple[int, ...], np.ndarray], ...]
 
     @property
     def n_sets(self) -> int:
@@ -48,9 +46,7 @@ class EncodedNetwork:
     @cached_property
     def join_index(self) -> kernels.JoinIndex:
         """The join search's relation indexes, built on first use."""
-        return kernels.build_index(self.sizes, self.scope_flat, self.scope_strides,
-                                   self.scope_start, self.rowkeys_flat,
-                                   self.rowkeys_start)
+        return kernels.build_index(self.sizes, self.relations)
 
     def fixed_from(self, partial: Instance) -> list[int]:
         """Value index per set, -1 where the partial leaves the set free."""
@@ -70,29 +66,24 @@ class EncodedNetwork:
         indices (a :meth:`fixed_from` list)."""
         return math.prod(size for size, value in zip(self.sizes, fixed) if value < 0)
 
-    def instance_from_row(self, row: np.ndarray) -> Instance:
+    def instance_from_row(self, row: tuple[int, ...]) -> Instance:
         return Instance({
-            sid: self.network.sets[i].values[int(row[i])]
-            for i, sid in enumerate(self.set_ids)
+            sid: vs.values[v] for sid, vs, v in zip(self.set_ids, self.network.sets, row)
         })
 
-    def target_strides(self, target: frozenset[str]) -> tuple[list[int], int]:
-        """Projection-key strides over the target sets; 0 elsewhere.
-
-        Returns the stride per set as a list and the size of the target
-        value space.
-        """
-        strides = [0] * self.n_sets
-        stride = 1
-        for sid in reversed(self.network.set_order(target)):
-            i = self.set_index[sid]
-            strides[i] = stride
-            stride *= self.sizes[i]
-            if stride > _KEY_LIMIT:
+    def target_positions(self, target: frozenset[str]) -> list[int]:
+        """Set positions of the target, ascending; refused when the target's
+        value space would overflow an int64 projection key."""
+        ordered = self.network.set_order(target)
+        positions = [self.set_index[sid] for sid in ordered]
+        space = 1
+        for i in reversed(positions):
+            space *= self.sizes[i]
+            if space > _KEY_LIMIT:
                 raise KeyOverflowError(
-                    f"projection target {{{','.join(self.network.set_order(target))}}} "
+                    f"projection target {{{','.join(ordered)}}} "
                     "space exceeds the engine's 2^62 key limit")
-        return strides, stride
+        return positions
 
 
 @lru_cache(maxsize=64)
@@ -107,13 +98,8 @@ def encode(network: Network) -> EncodedNetwork:
     sizes = tuple(len(vs.values) for vs in network.sets)
     value_index = tuple({v: i for i, v in enumerate(vs.values)} for vs in network.sets)
 
-    scope_flat: list[int] = []
-    scope_strides: list[int] = []
-    scope_start = [0]
-    rowkeys_flat: list[int] = []
-    rowkeys_start = [0]
-
-    for r, rel in enumerate(network.relations):
+    relations = []
+    for rel in network.relations:
         scope = [set_index[sid] for sid in rel.scope]
         strides = [0] * len(scope)
         stride = 1
@@ -124,16 +110,12 @@ def encode(network: Network) -> EncodedNetwork:
             raise KeyOverflowError(
                 f"relation {rel.id!r} scope space of {stride} value combinations "
                 "exceeds the engine's 2^62 key limit")
-        scope_flat.extend(scope)
-        scope_strides.extend(strides)
-        scope_start.append(len(scope_flat))
         keys = [0] * len(rel.rows)
         for s, st, column in zip(scope, strides, zip(*rel.rows)):
             index = value_index[s]
             keys = [key + st * index[v] for key, v in zip(keys, column)]
         keys.sort()
-        rowkeys_flat.extend(keys)
-        rowkeys_start.append(len(rowkeys_flat))
+        relations.append((tuple(scope), tuple(strides), np.array(keys, dtype=np.int64)))
 
     return EncodedNetwork(
         network=network,
@@ -141,9 +123,5 @@ def encode(network: Network) -> EncodedNetwork:
         set_index=set_index,
         sizes=sizes,
         value_index=value_index,
-        scope_flat=np.array(scope_flat, dtype=np.int64),
-        scope_strides=np.array(scope_strides, dtype=np.int64),
-        scope_start=np.array(scope_start, dtype=np.int64),
-        rowkeys_flat=np.array(rowkeys_flat, dtype=np.int64),
-        rowkeys_start=np.array(rowkeys_start, dtype=np.int64),
+        relations=tuple(relations),
     )

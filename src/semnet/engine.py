@@ -1,11 +1,14 @@
 """Instance-space operations: enumeration, consistency, completions, counting.
 
 Two interchangeable engines back the heavy operations: JOIN, a backtracking
-natural join that checks each relation as soon as its scope is assigned,
-and BRUTEFORCE, a chunked enumeration of the whole candidate space. They
-implement the same contracts with the same deterministic order and exist to
-cross-validate each other; callers choose per call and must get identical
-results either way.
+natural join that checks each relation as soon as its scope is assigned
+(``kernels``), and BRUTEFORCE, a chunked enumeration of the whole candidate
+space (``bruteforce``). They share no code but one call contract: the same
+four entry points with the same arguments, results and deterministic
+order, so they cross-validate each other and :func:`_backend` is the only
+place that tells them apart. Callers choose per call and must get identical
+results either way. A network without sets always goes to brute force,
+whose walk covers its one candidate, the empty instance.
 
 Enumeration order everywhere is lexicographic in (set declaration order,
 value declaration order). Every operation checks the candidate space it
@@ -25,8 +28,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from . import bruteforce, kernels
 from .encode import EncodedNetwork, encode
@@ -137,9 +138,13 @@ def _prepare(network: Network, partial: Instance,
     return enc, fixed
 
 
-def _empty_network_count(network: Network) -> int:
-    """Completion count for the degenerate zero-set network."""
-    return 1 if is_consistent(network, Instance()) else 0
+def _backend(enc: EncodedNetwork, engine: Engine) -> tuple[object, object]:
+    """The module whose entry points serve ``engine`` and the first
+    argument they take. The join search walks one level per set, so a
+    network without sets goes to brute force."""
+    if engine is Engine.JOIN and enc.n_sets:
+        return kernels, enc.join_index
+    return bruteforce, enc
 
 
 def completions(network: Network, partial: Instance,
@@ -156,13 +161,9 @@ def first_completions(network: Network, partial: Instance, k: int,
     enc, fixed = _prepare(network, partial, limits)
     if k <= 0:
         return []
-    if enc.n_sets == 0:
-        return [Instance()] if _empty_network_count(network) else []
-    if engine is Engine.JOIN:
-        out = kernels.collect_completions(enc.join_index, fixed, k)
-    else:
-        out = bruteforce.bf_collect(enc, fixed, k)
-    return [enc.instance_from_row(row) for row in out]
+    backend, data = _backend(enc, engine)
+    return [enc.instance_from_row(row)
+            for row in backend.collect_completions(data, fixed, k)]
 
 
 def counter(network: Network, scope: Sequence[str], target: Iterable[str],
@@ -181,24 +182,12 @@ def counter(network: Network, scope: Sequence[str], target: Iterable[str],
     base = [0 if i in at else -1 for i in range(enc.n_sets)]
     within_budget(enc.space_size(base), limits)
     cap = limits.cap or 0
-    if enc.n_sets == 0:
-        n = _empty_network_count(network)
-        return lambda values: min(n, cap) if cap else n
+    backend, data = _backend(enc, engine)
     if mode is CountMode.FULL:
-        if engine is Engine.JOIN:
-            index = enc.join_index
-            run = lambda fixed: kernels.count_completions(index, fixed, cap)
-        else:
-            run = lambda fixed: bruteforce.bf_count(enc, fixed, cap)
+        run = lambda fixed: backend.count_completions(data, fixed, cap)
     else:
-        tstrides, _ = enc.target_strides(wanted)
-        if engine is Engine.JOIN:
-            index = enc.join_index
-            positions = [i for i, stride in enumerate(tstrides) if stride]
-            run = lambda fixed: kernels.count_distinct_capped(index, fixed, positions, cap)
-        else:
-            strides = np.array(tstrides, dtype=np.int64)
-            run = lambda fixed: bruteforce.bf_count_distinct(enc, fixed, strides, cap)
+        positions = enc.target_positions(wanted)
+        run = lambda fixed: backend.count_distinct_capped(data, fixed, positions, cap)
 
     def count(values: Sequence[int]) -> int:
         fixed = base.copy()
@@ -231,13 +220,7 @@ def distinct_representatives(network: Network, partial: Instance,
     enc, fixed = _prepare(network, partial, limits)
     if k <= 0:
         return []
-    if enc.n_sets == 0:
-        return [Instance()] if _empty_network_count(network) else []
-    tstrides, _ = enc.target_strides(wanted)
-    if engine is Engine.JOIN:
-        positions = [i for i, stride in enumerate(tstrides) if stride]
-        reps = kernels.collect_distinct_reps(enc.join_index, fixed, positions, k)
-    else:
-        reps = bruteforce.bf_collect_distinct_reps(
-            enc, fixed, np.array(tstrides, dtype=np.int64), k)
-    return [enc.instance_from_row(row) for row in reps]
+    positions = enc.target_positions(wanted)
+    backend, data = _backend(enc, engine)
+    return [enc.instance_from_row(row)
+            for row in backend.collect_distinct_reps(data, fixed, positions, k)]

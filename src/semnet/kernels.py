@@ -28,7 +28,10 @@ At each consistent completion (a leaf) the walk does three things:
 The four entry points are single calls into ``_search`` that pick the leaf
 behaviour through ``target`` and ``keep``. ``fixed`` is a list of value
 indices per set, -1 where the partial leaves the set free; a ``cap`` of 0
-or less means no cap.
+or less means no cap. ``bruteforce`` exports the same four names with the
+same arguments and results, so the engine calls either through one
+contract. The walk needs at least one set; the engine sends a network
+without sets to brute force.
 """
 
 from __future__ import annotations
@@ -57,28 +60,22 @@ JoinIndex = tuple[tuple[tuple[int, ...], ...],
                                     tuple[tuple[int, int], ...]], ...], ...]]
 
 
-def build_index(sizes: Sequence[int], scope_flat, scope_strides, scope_start,
-                rowkeys_flat, rowkeys_start) -> JoinIndex:
-    """Index every relation at its trigger level, from the encoded network."""
-    scope_flat, scope_strides = scope_flat.tolist(), scope_strides.tolist()
-    scope_start, rowkeys_start = scope_start.tolist(), rowkeys_start.tolist()
-    rowkeys = rowkeys_flat.tolist()
+def build_index(sizes: Sequence[int], relations) -> JoinIndex:
+    """Index every relation at its trigger level, from the encoded
+    network's ``(scope, strides, row keys)`` per relation."""
     checks: list[list] = [[] for _ in sizes]
-    for r in range(len(scope_start) - 1):
-        scope = scope_flat[scope_start[r]:scope_start[r + 1]]
-        strides = scope_strides[scope_start[r]:scope_start[r + 1]]
-        keys = rowkeys[rowkeys_start[r]:rowkeys_start[r + 1]]
+    for scope, strides, keys in relations:
         admits: dict[int, list[int]] = {}
         if scope:
             level = max(scope)
             stride = strides[scope.index(level)]
             # Keys ascend, so within one bound key the values ascend too.
-            for key in keys:
+            for key in keys.tolist():
                 value = key // stride % sizes[level]
                 admits.setdefault(key - value * stride, []).append(value)
         else:
             level = 0
-            if keys:
+            if keys.size:
                 admits[0] = list(range(sizes[0]))
         bound = tuple((s, st) for s, st in zip(scope, strides) if s != level)
         checks[level].append(

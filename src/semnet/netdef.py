@@ -21,7 +21,9 @@ never a partial network. Serialization is canonical (declaration order,
 single spaces, values quoted only when not bare, LF line endings, trailing
 newline) and ``parse(serialize(network))`` reproduces the network exactly.
 It refuses a value holding any character at which ``str.splitlines`` ends a
-line, since no line of the text can hold one.
+line, since no line of the text can hold one, and a network that ``parse``
+would read back differently: a set or relation id that is not an
+identifier, or a set named ``out`` in a relation's in-scope.
 
 Parsing is linear in the input, and the rows of a table are handled in
 bulk, by C-level string and set operations rather than one row at a time:
@@ -529,9 +531,18 @@ def serialize(network: Network) -> str:
     if not _IDENT_RE.match(network.name):
         raise ValueError(f"network name {network.name!r} is not a valid identifier")
     for vs in network.sets:
+        if not _IDENT_RE.match(vs.id):
+            raise ValueError(f"set id {vs.id!r} is not a valid identifier")
         for v in vs.values:
             if _LINE_BREAK_RE.search(v):
                 raise ValueError(f"value {v!r} in set {vs.id!r} contains a line break")
+    for rel in network.relations:
+        for what, ident in (("relation", rel.id), *(("set", sid) for sid in rel.scope)):
+            if not _IDENT_RE.match(ident):
+                raise ValueError(f"{what} id {ident!r} is not a valid identifier")
+        if "out" in rel.in_sets:
+            # parse ends the in-scope at the first "out".
+            raise ValueError(f"set 'out' cannot be in the in-scope of relation {rel.id!r}")
     lines = [f"net {network.name}"]
     for vs in network.sets:
         rendered = " ".join(_format_value(v) for v in vs.values)

@@ -19,6 +19,11 @@ walking the anchors in the oracle's order. Join and brute force share the
 property checkers, so only this comparison catches an anchor sweep that
 skips or reorders anchors.
 
+On the same nets the duality laws hold over the scope pairs (data,
+sinks), (sources, sinks) and (data, sources) in both modes: injective(A, B)
+is functional(B, A) and surjective(A, B) is total(B, A), in ``holds``, the
+witness anchor, its evidence and ``instances_checked``.
+
 Every generated net also survives a round trip through the text format:
 ``parse(serialize(net))`` gives an equal network with the same
 ``validate`` report.
@@ -44,7 +49,11 @@ from semnet import (
     Relation,
     ScopeMismatchError,
     ValueSet,
+    check_functional,
+    check_injective,
     check_suite,
+    check_surjective,
+    check_total,
     completions,
     count_distinct,
     distinct_representatives,
@@ -54,6 +63,7 @@ from semnet import (
     serialize,
     validate,
 )
+from semnet.model import sinks, sources
 
 SEED = 20241018
 SMALL_NETS = 300
@@ -299,3 +309,27 @@ def test_generated_nets_round_trip_through_text():
         assert validate(again) == validate(net), net.name
         nets += 1
     assert nets == SMALL_NETS + LOOSE_NETS + ISOLATED_NETS + ZERO_SET_NETS
+
+
+def _outcome(verdict):
+    return (verdict.holds, verdict.instances_checked,
+            [(w.anchor, w.evidence) for w in verdict.witnesses])
+
+
+def test_duality_laws_on_small_nets():
+    cases = injective_failures = surjective_failures = 0
+    for net in itertools.islice(_nets(), SMALL_NETS):
+        for a, b in ((net.data_selection, sinks(net)), (sources(net), sinks(net)),
+                     (net.data_selection, sources(net))):
+            for mode in CountMode:
+                case = (net.name, sorted(a), sorted(b), mode)
+                injective = _outcome(check_injective(net, a, b, mode))
+                assert injective == _outcome(check_functional(net, b, a, mode)), case
+                surjective = _outcome(check_surjective(net, a, b, mode))
+                assert surjective == _outcome(check_total(net, b, a, mode)), case
+                cases += 1
+                injective_failures += not injective[0]
+                surjective_failures += not surjective[0]
+    assert cases == SMALL_NETS * 6
+    # Both laws must be tried on failing verdicts, with witnesses.
+    assert injective_failures >= 150 and surjective_failures >= 1000

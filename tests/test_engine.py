@@ -327,7 +327,7 @@ def test_key_overflow_is_its_own_error():
     net = Network("wide-target", sets, (), frozenset(ids))
     overflow = r"\{S1,S2,S3,S4,S5,S6,S7\}.*2\^62"
     with pytest.raises(KeyOverflowError, match=overflow):
-        encode(net).target_strides(frozenset(ids))
+        encode(net).target_positions(frozenset(ids))
     # Fixing every set makes the search space 1, so the engine calls reach
     # the projection target and refuse it the same way.
     everything = Instance({sid: "v0" for sid in ids})
@@ -377,6 +377,7 @@ def test_row_keys_match_the_per_row_loop():
     ), frozenset({"A"}))
     for network in [*all_networks().values(), edge_cases]:
         enc = encode(network)
-        for r, rel in enumerate(network.relations):
-            keys = enc.rowkeys_flat[enc.rowkeys_start[r]:enc.rowkeys_start[r + 1]]
+        assert len(enc.relations) == len(network.relations)
+        for (scope, _, keys), rel in zip(enc.relations, network.relations):
+            assert scope == tuple(enc.set_index[sid] for sid in rel.scope)
             assert keys.tolist() == _loop_row_keys(network, rel), (network.name, rel.id)

@@ -1,5 +1,6 @@
-"""The join search: its entry points must match brute force, and the
-names the traced benchmark wraps must stay where it looks for them."""
+"""The join search: its entry points must match brute force's, which share
+their names and arguments, and the names the traced benchmark wraps must
+stay where it looks for them."""
 
 from __future__ import annotations
 
@@ -15,12 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from semnet import CountMode, Direction, check_suite, encode, kernels, properties
-from semnet.bruteforce import (
-    bf_collect,
-    bf_collect_distinct_reps,
-    bf_count,
-    bf_count_distinct,
+from semnet import (
+    CountMode,
+    Direction,
+    bruteforce,
+    check_suite,
+    encode,
+    full_space_size,
+    kernels,
+    properties,
 )
 from semnet.corpus import all_networks
 from semnet.kernels import (
@@ -32,13 +36,12 @@ from semnet.kernels import (
 
 ROOT = Path(__file__).resolve().parent.parent
 
+ENTRY_POINTS = {"count_completions", "collect_completions",
+                "count_distinct_capped", "collect_distinct_reps"}
+
 
 def _args(enc, fixed):
     return enc.join_index, fixed
-
-
-def _rows(rows, enc):
-    return np.array(rows, dtype=np.int64).reshape(-1, enc.n_sets)
 
 
 def _random_fixed(rng, enc):
@@ -49,28 +52,36 @@ def _random_target(rng, net):
     return frozenset(vs.id for vs in net.sets if rng.random() < 0.5)
 
 
-def test_kernel_entry_points_match_bruteforce():
-    rng = random.Random(7)
-    for name, net in all_networks().items():
+def test_both_engines_export_the_same_entry_points():
+    assert set(bruteforce.__all__) == ENTRY_POINTS
+    assert set(kernels.__all__) & set(bruteforce.__all__) == ENTRY_POINTS
+
+
+def _compare_entry_points(nets, rng):
+    for name, net in nets.items():
         enc = encode(net)
         for _ in range(8):
             fixed = _random_fixed(rng, enc)
-            case = (name, fixed)
-            for cap in (0, 1, 2, 5):
-                assert (count_completions(*_args(enc, fixed), cap)
-                        == bf_count(enc, fixed, cap)), (case, cap)
-            for k in (0, 1, 2, 7):
-                got = collect_completions(*_args(enc, fixed), k)
-                assert np.array_equal(_rows(got, enc), bf_collect(enc, fixed, k)), (case, k)
-            tstrides = np.array(enc.target_strides(_random_target(rng, net))[0])
-            target = np.flatnonzero(tstrides).tolist()
-            for cap in (0, 1, 2, 4, 16):
-                assert (count_distinct_capped(*_args(enc, fixed), target, cap)
-                        == bf_count_distinct(enc, fixed, tstrides, cap)), (case, cap)
-            for k in (0, 1, 2, 4, 16):
-                got = collect_distinct_reps(*_args(enc, fixed), target, k)
-                want = bf_collect_distinct_reps(enc, fixed, tstrides, k)
-                assert np.array_equal(_rows(got, enc), want), (case, k)
+            target = enc.target_positions(_random_target(rng, net))
+            for entry in sorted(ENTRY_POINTS):
+                join, brute = getattr(kernels, entry), getattr(bruteforce, entry)
+                extra = (target,) if "distinct" in entry else ()
+                for limit in (0, 1, 2, 4, 5, 7, 16):
+                    got = join(enc.join_index, fixed, *extra, limit)
+                    assert got == brute(enc, fixed, *extra, limit), (name, fixed, entry, limit)
+
+
+def test_kernel_entry_points_match_bruteforce():
+    _compare_entry_points(all_networks(), random.Random(7))
+
+
+def test_bruteforce_walk_carries_across_chunks(monkeypatch):
+    """With one candidate per chunk, counts, caps, kept rows and the
+    projections already met carry from each chunk to the next."""
+    monkeypatch.setattr(bruteforce, "_CHUNK", 1)
+    small = {name: net for name, net in all_networks().items() if full_space_size(net) <= 8}
+    assert len(small) == 5
+    _compare_entry_points(small, random.Random(8))
 
 
 def test_zero_capacity_buffers():
@@ -79,10 +90,12 @@ def test_zero_capacity_buffers():
     fixed = [-1] * enc.n_sets
     assert collect_completions(*_args(enc, fixed), 0) == []
     assert collect_distinct_reps(*_args(enc, fixed), [enc.set_index["Y"]], 0) == []
-    assert count_completions(*_args(enc, fixed), 0) == bf_count(enc, fixed, 0) > 0
-    tstrides = np.array(enc.target_strides(frozenset({"Y"}))[0])
+    assert bruteforce.collect_completions(enc, fixed, 0) == []
+    assert bruteforce.collect_distinct_reps(enc, fixed, [enc.set_index["Y"]], 0) == []
+    assert (count_completions(*_args(enc, fixed), 0)
+            == bruteforce.count_completions(enc, fixed, 0) > 0)
     assert (count_distinct_capped(*_args(enc, fixed), [enc.set_index["Y"]], 0)
-            == bf_count_distinct(enc, fixed, tstrides, 0) > 0)
+            == bruteforce.count_distinct_capped(enc, fixed, [enc.set_index["Y"]], 0) > 0)
 
 
 def test_search_leaves_no_reference_cycles():
@@ -116,8 +129,7 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     every name must exist, and a check must still reach the kernels
     through them, as often as before."""
     names = _spans_names("KERNELS")
-    assert set(names) == {"count_completions", "collect_completions",
-                          "count_distinct_capped", "collect_distinct_reps"}
+    assert set(names) == ENTRY_POINTS
     for name in _spans_names("ENGINE_CALLS") + _spans_names("CHECKERS"):
         assert callable(getattr(properties, name, None)), name
     assert ({fn.__name__ for fn in properties._CHECKERS.values()}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 from pathlib import Path
 
@@ -171,9 +172,25 @@ def test_line_breaks_are_those_of_splitlines():
 
 
 def test_serialize_rejects_unserialisable_networks():
-    from semnet import Network, ValueSet
+    from semnet import Network, Relation, ValueSet
     with pytest.raises(ValueError):
         serialize(Network("n", (ValueSet("A", ("a",)),), (), {"MISSING"}))
+    # Ids that parse would misread: not identifiers, or "out" in an in-scope.
+    sets = (ValueSet("out", ("x",)), ValueSet("Y", ("y",)))
+    for net, message in (
+            (Network("n", (ValueSet("a b", ("x",)),), (), {"a b"}),
+             "set id 'a b' is not a valid identifier"),
+            (Network("n", sets, (Relation("r 1", (), ("Y",), (("y",),)),), {"Y"}),
+             "relation id 'r 1' is not a valid identifier"),
+            (Network("n", sets, (Relation("r", (), ("a b",), ()),), {"Y"}),
+             "set id 'a b' is not a valid identifier"),
+            (Network("n", sets, (Relation("r", ("out",), ("Y",), (("x", "y"),)),), {"out"}),
+             "set 'out' cannot be in the in-scope of relation 'r'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize(net)
+    # "out" among the out-scope reads back as written.
+    net = Network("n", sets, (Relation("r", ("Y",), ("out",), (("y", "x"),)),), {"Y"})
+    assert parse(serialize(net)).network == net
     for brk in LINE_BREAKS:
         for value in (f"bad{brk}line", brk, f"{brk}x", f"x{brk}"):
             with pytest.raises(ValueError, match="line break"):
