@@ -1,13 +1,14 @@
 """Brute-force engine: chunked full-space enumeration.
 
 Independent of the join search by design, so the two routes can
-cross-check each other, and yet called the same way: the four entry
-points carry the join kernels' names, take the same arguments (with the
-encoded network where the kernels take their index) and return the same
-int tuples. Candidate instances are ranked lexicographically by (set
-declaration order, value declaration order), the order the join search
-produces, and materialised chunk by chunk as value-index matrices;
-consistency is a vectorised membership test of each relation's row keys.
+cross-check each other, and yet called the same way: ``build_index`` and
+the four entry points carry the join kernels' names, take the same
+arguments (this module's index where the kernels take theirs) and return
+the same int tuples. Only this module of the package imports numpy.
+Candidates are ranked lexicographically by (set declaration order, value
+declaration order), the order the join search produces, and materialised
+chunk by chunk as value-index matrices; consistency is a vectorised
+membership test of each relation's sorted int64 row keys.
 A network without sets has one candidate, the empty instance, which this
 walk handles like any other.
 
@@ -25,9 +26,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encode import EncodedNetwork
-
 __all__ = [
+    "build_index",
     "collect_completions",
     "collect_distinct_reps",
     "count_completions",
@@ -36,22 +36,32 @@ __all__ = [
 
 _CHUNK = 1 << 18
 
+# Set sizes; per relation, scope positions, strides and sorted int64 row keys.
+BruteForceIndex = tuple[tuple[int, ...], tuple[tuple[tuple, tuple, np.ndarray], ...]]
 
-def _chunks(enc: EncodedNetwork, fixed: list[int]) -> Iterator[np.ndarray]:
+
+def build_index(sizes: Sequence[int], relations) -> BruteForceIndex:
+    """The encoding's ``(scope, strides, row keys)`` with int64 key arrays."""
+    return tuple(sizes), tuple((scope, strides, np.array(keys, dtype=np.int64))
+                               for scope, strides, keys in relations)
+
+
+def _chunks(index: BruteForceIndex, fixed: list[int]) -> Iterator[np.ndarray]:
     """Consistent completions of ``fixed`` as value-index matrices, in rank
     order; the first declared free set varies slowest."""
-    free = [i for i in range(enc.n_sets) if fixed[i] < 0]
+    sizes, relations = index
+    free = [i for i, value in enumerate(fixed) if value < 0]
     divs = {}
     div = 1
     for i in reversed(free):
         divs[i] = div
-        div *= enc.sizes[i]
+        div *= sizes[i]
     for lo in range(0, div, _CHUNK):
         rank = np.arange(lo, min(lo + _CHUNK, div), dtype=np.int64)
-        vals = np.empty((rank.size, enc.n_sets), dtype=np.int64)
-        for i in range(enc.n_sets):
-            vals[:, i] = fixed[i] if i not in divs else rank // divs[i] % enc.sizes[i]
-        for scope, strides, keys in enc.relations:
+        vals = np.empty((rank.size, len(sizes)), dtype=np.int64)
+        for i, size in enumerate(sizes):
+            vals[:, i] = fixed[i] if i not in divs else rank // divs[i] % size
+        for scope, strides, keys in relations:
             key = np.zeros(len(vals), dtype=np.int64)
             for s, stride in zip(scope, strides):
                 key += vals[:, s] * stride
@@ -65,17 +75,7 @@ def _chunks(enc: EncodedNetwork, fixed: list[int]) -> Iterator[np.ndarray]:
             yield vals
 
 
-def _projection_keys(enc: EncodedNetwork, vals: np.ndarray,
-                     target: Sequence[int]) -> np.ndarray:
-    """Mixed-radix key of each row's projection onto the target positions;
-    ``EncodedNetwork.target_positions`` keeps the keys within int64."""
-    keys = np.zeros(len(vals), dtype=np.int64)
-    for i in target:
-        keys = keys * enc.sizes[i] + vals[:, i]
-    return keys
-
-
-def _walk(enc: EncodedNetwork, fixed: list[int], target: Sequence[int] | None,
+def _walk(index: BruteForceIndex, fixed: list[int], target: Sequence[int] | None,
           cap: int, keep: int) -> tuple[int, list[tuple[int, ...]]]:
     """Walk the completions of ``fixed``; see the module docstring.
 
@@ -85,9 +85,12 @@ def _walk(enc: EncodedNetwork, fixed: list[int], target: Sequence[int] | None,
     count = 0
     rows: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    for vals in _chunks(enc, fixed):
+    for vals in _chunks(index, fixed):
         if target is not None:
-            keys = _projection_keys(enc, vals, target)
+            # Mixed-radix projection keys; ``target_positions`` keeps them in int64.
+            keys = np.zeros(len(vals), dtype=np.int64)
+            for i in target:
+                keys = keys * index[0][i] + vals[:, i]
             _, first = np.unique(keys, return_index=True)
             first.sort()
             new = [i for i, key in zip(first.tolist(), keys[first].tolist())
@@ -102,27 +105,27 @@ def _walk(enc: EncodedNetwork, fixed: list[int], target: Sequence[int] | None,
     return count, rows
 
 
-def count_completions(enc: EncodedNetwork, fixed: list[int], cap: int) -> int:
+def count_completions(index: BruteForceIndex, fixed: list[int], cap: int) -> int:
     """Count consistent completions of ``fixed``, up to ``cap``."""
-    return _walk(enc, fixed, None, cap, 0)[0]
+    return _walk(index, fixed, None, cap, 0)[0]
 
 
-def collect_completions(enc: EncodedNetwork, fixed: list[int],
+def collect_completions(index: BruteForceIndex, fixed: list[int],
                         k: int) -> list[tuple[int, ...]]:
     """The first ``k`` consistent completions of ``fixed``."""
-    return _walk(enc, fixed, None, k, k)[1] if k > 0 else []
+    return _walk(index, fixed, None, k, k)[1] if k > 0 else []
 
 
-def count_distinct_capped(enc: EncodedNetwork, fixed: list[int],
+def count_distinct_capped(index: BruteForceIndex, fixed: list[int],
                           target: Sequence[int], cap: int) -> int:
     """Count distinct projections of completions onto the ``target`` sets,
     up to ``cap``."""
-    return _walk(enc, fixed, target, cap, 0)[0]
+    return _walk(index, fixed, target, cap, 0)[0]
 
 
-def collect_distinct_reps(enc: EncodedNetwork, fixed: list[int],
+def collect_distinct_reps(index: BruteForceIndex, fixed: list[int],
                           target: Sequence[int],
                           k: int) -> list[tuple[int, ...]]:
     """The first completion for each of the first ``k`` distinct target
     projections, in order of first appearance."""
-    return _walk(enc, fixed, target, k, k)[1] if k > 0 else []
+    return _walk(index, fixed, target, k, k)[1] if k > 0 else []

@@ -74,7 +74,7 @@ def _load(path: str) -> Network | None:
     """Parse a network file; on failure print diagnostics and return None."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:

@@ -2,13 +2,13 @@
 
 Sets become contiguous indices in declaration order, values become indices
 into their set. Each relation is encoded on its own, as its scope's set
-positions, a mixed-radix stride per position and the sorted int64 array of
-its row keys, where a row key is the stride-weighted sum of the row's value
-indices. Both engines read these tuples: brute force tests its candidates
-against the key arrays, and the join search's per-relation indexes
-(``kernels.build_index``) are built from them on a network's first search
-and kept on its encoding. What the engine prepares per call (fixed value
-indices, target positions) stays in plain Python ints.
+positions, a mixed-radix stride per position and the sorted tuple of its
+row keys, where a row key is the stride-weighted sum of the row's value
+indices. Each engine builds its own index from these tuples on its first
+search of a network and keeps it on the encoding: the join search's
+per-relation dicts (``kernels.build_index``) and brute force's key arrays
+(``bruteforce.build_index``). What the engine prepares per call (fixed
+value indices, target positions) stays in plain Python ints.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from . import kernels
 from .errors import InvalidNetworkError, KeyOverflowError, ScopeMismatchError
 from .model import Instance, Network, validate
 
 __all__ = ["EncodedNetwork", "encode"]
 
-# Row keys and space sizes are int64; reject scopes whose product could wrap.
+# Brute force's keys are int64; both engines refuse scopes whose product could wrap.
 _KEY_LIMIT = 2**62
 
 
@@ -37,7 +35,7 @@ class EncodedNetwork:
     sizes: tuple[int, ...]      # (n_sets,) domain size per set
     value_index: tuple[dict[str, int], ...]
     # Per relation: scope set positions, their strides, sorted row keys.
-    relations: tuple[tuple[tuple[int, ...], tuple[int, ...], np.ndarray], ...]
+    relations: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
 
     @property
     def n_sets(self) -> int:
@@ -47,6 +45,12 @@ class EncodedNetwork:
     def join_index(self) -> kernels.JoinIndex:
         """The join search's relation indexes, built on first use."""
         return kernels.build_index(self.sizes, self.relations)
+
+    @cached_property
+    def bruteforce_index(self):
+        """Brute force's key arrays, built (and its module imported) on first use."""
+        from . import bruteforce
+        return bruteforce.build_index(self.sizes, self.relations)
 
     def fixed_from(self, partial: Instance) -> list[int]:
         """Value index per set, -1 where the partial leaves the set free."""
@@ -114,8 +118,7 @@ def encode(network: Network) -> EncodedNetwork:
         for s, st, column in zip(scope, strides, zip(*rel.rows)):
             index = value_index[s]
             keys = [key + st * index[v] for key, v in zip(keys, column)]
-        keys.sort()
-        relations.append((tuple(scope), tuple(strides), np.array(keys, dtype=np.int64)))
+        relations.append((tuple(scope), tuple(strides), tuple(sorted(keys))))
 
     return EncodedNetwork(
         network=network,

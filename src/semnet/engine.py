@@ -4,11 +4,12 @@ Two interchangeable engines back the heavy operations: JOIN, a backtracking
 natural join that checks each relation as soon as its scope is assigned
 (``kernels``), and BRUTEFORCE, a chunked enumeration of the whole candidate
 space (``bruteforce``). They share no code but one call contract: the same
-four entry points with the same arguments, results and deterministic
-order, so they cross-validate each other and :func:`_backend` is the only
-place that tells them apart. Callers choose per call and must get identical
-results either way. A network without sets always goes to brute force,
-whose walk covers its one candidate, the empty instance.
+four entry points, each taking its engine's index of the encoding, with the
+same results and deterministic order, so they cross-validate each other and
+:func:`_backend` is the only place that tells them apart. Callers choose per
+call and must get identical results either way. A network without sets
+always goes to brute force, whose walk covers its one candidate, the empty
+instance.
 
 Enumeration order everywhere is lexicographic in (set declaration order,
 value declaration order). Every operation checks the candidate space it
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import bruteforce, kernels
+from . import kernels
 from .encode import EncodedNetwork, encode
 from .errors import LimitExceededError, ScopeMismatchError
 from .model import Instance, Network
@@ -139,12 +140,13 @@ def _prepare(network: Network, partial: Instance,
 
 
 def _backend(enc: EncodedNetwork, engine: Engine) -> tuple[object, object]:
-    """The module whose entry points serve ``engine`` and the first
-    argument they take. The join search walks one level per set, so a
-    network without sets goes to brute force."""
+    """The module whose entry points serve ``engine`` and the index they
+    take. The join search walks one level per set, so a network without
+    sets goes to brute force, which is imported on its first use."""
     if engine is Engine.JOIN and enc.n_sets:
         return kernels, enc.join_index
-    return bruteforce, enc
+    from . import bruteforce
+    return bruteforce, enc.bruteforce_index
 
 
 def completions(network: Network, partial: Instance,

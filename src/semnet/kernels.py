@@ -14,8 +14,8 @@ level. The candidates at a level are those tuples intersected across the
 relations triggered there, then with the partial's fixed value; they stay
 ascending, so the walk meets completions in lexicographic order. The idea
 is the variable-at-a-time intersection of Leapfrog Triejoin (Veldhuizen,
-ICDT 2014), over Python ints, since each search is too small for numpy's
-fixed costs.
+ICDT 2014), over Python ints, since each search is too small for array
+set-up costs to pay off.
 
 At each consistent completion (a leaf) the walk does three things:
 
@@ -70,12 +70,12 @@ def build_index(sizes: Sequence[int], relations) -> JoinIndex:
             level = max(scope)
             stride = strides[scope.index(level)]
             # Keys ascend, so within one bound key the values ascend too.
-            for key in keys.tolist():
+            for key in keys:
                 value = key // stride % sizes[level]
                 admits.setdefault(key - value * stride, []).append(value)
         else:
             level = 0
-            if keys.size:
+            if keys:
                 admits[0] = list(range(sizes[0]))
         bound = tuple((s, st) for s, st in zip(scope, strides) if s != level)
         checks[level].append(

@@ -44,6 +44,17 @@ def test_missing_file_is_exit_2(capsys):
     assert "cannot read" in err
 
 
+def test_file_not_in_utf8_is_exit_2(capsys, tmp_path):
+    latin1 = tmp_path / "latin1.semnet"
+    latin1.write_bytes(b"net n\nset A = caf\xe9\nend\n")
+    for command in ("check", "info", "validate"):
+        code, out, err = _run(capsys, command, str(latin1))
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith(f"error: cannot read {latin1}: ")
+        assert "can't decode byte 0xe9" in err
+
+
 def test_usage_errors_are_exit_2(capsys):
     assert _run(capsys, "frobnicate")[0] == 2
     assert _run(capsys, "check", str(CORPUS / "t2.semnet"),

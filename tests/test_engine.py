@@ -3,8 +3,12 @@ and equivalence of both engines with the naive oracle."""
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,7 @@ from semnet import (
 from semnet.corpus import all_networks, build_t1, build_t2, build_t3, build_t4
 
 ENGINES = (Engine.JOIN, Engine.BRUTEFORCE)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def build_t4_merge() -> Network:
@@ -380,4 +385,26 @@ def test_row_keys_match_the_per_row_loop():
         assert len(enc.relations) == len(network.relations)
         for (scope, _, keys), rel in zip(enc.relations, network.relations):
             assert scope == tuple(enc.set_index[sid] for sid in rel.scope)
-            assert keys.tolist() == _loop_row_keys(network, rel), (network.name, rel.id)
+            assert type(keys) is tuple and all(type(key) is int for key in keys)
+            assert keys == tuple(_loop_row_keys(network, rel)), (network.name, rel.id)
+
+
+def test_only_bruteforce_loads_numpy():
+    """A join-only process never imports numpy; brute force's first use does."""
+    script = """
+import sys
+import semnet
+from semnet.corpus import all_networks
+net = all_networks()["fig1-mini"]
+args = (net, semnet.Direction.FORWARD, semnet.CountMode.PROJECTED)
+join = semnet.check_suite(*args)
+print("numpy" in sys.modules)
+brute = semnet.check_suite(*args, engine=semnet.Engine.BRUTEFORCE)
+print("numpy" in sys.modules, brute == join)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]

@@ -1,6 +1,6 @@
 """The join search: its entry points must match brute force's, which share
-their names and arguments, and the names the traced benchmark wraps must
-stay where it looks for them."""
+their names and arguments (each engine's own index first), and the names
+the traced benchmark wraps must stay where it looks for them."""
 
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ def _random_target(rng, net):
 
 
 def test_both_engines_export_the_same_entry_points():
-    assert set(bruteforce.__all__) == ENTRY_POINTS
-    assert set(kernels.__all__) & set(bruteforce.__all__) == ENTRY_POINTS
+    assert set(bruteforce.__all__) == ENTRY_POINTS | {"build_index"}
+    assert set(kernels.__all__) & set(bruteforce.__all__) == ENTRY_POINTS | {"build_index"}
 
 
 def _compare_entry_points(nets, rng):
@@ -68,7 +68,8 @@ def _compare_entry_points(nets, rng):
                 extra = (target,) if "distinct" in entry else ()
                 for limit in (0, 1, 2, 4, 5, 7, 16):
                     got = join(enc.join_index, fixed, *extra, limit)
-                    assert got == brute(enc, fixed, *extra, limit), (name, fixed, entry, limit)
+                    assert got == brute(enc.bruteforce_index, fixed, *extra, limit), \
+                        (name, fixed, entry, limit)
 
 
 def test_kernel_entry_points_match_bruteforce():
@@ -88,14 +89,15 @@ def test_zero_capacity_buffers():
     """Asking for no rows keeps none; a cap of 0 counts without a cap."""
     enc = encode(all_networks()["t2"])
     fixed = [-1] * enc.n_sets
+    brute = enc.bruteforce_index
     assert collect_completions(*_args(enc, fixed), 0) == []
     assert collect_distinct_reps(*_args(enc, fixed), [enc.set_index["Y"]], 0) == []
-    assert bruteforce.collect_completions(enc, fixed, 0) == []
-    assert bruteforce.collect_distinct_reps(enc, fixed, [enc.set_index["Y"]], 0) == []
+    assert bruteforce.collect_completions(brute, fixed, 0) == []
+    assert bruteforce.collect_distinct_reps(brute, fixed, [enc.set_index["Y"]], 0) == []
     assert (count_completions(*_args(enc, fixed), 0)
-            == bruteforce.count_completions(enc, fixed, 0) > 0)
+            == bruteforce.count_completions(brute, fixed, 0) > 0)
     assert (count_distinct_capped(*_args(enc, fixed), [enc.set_index["Y"]], 0)
-            == bruteforce.count_distinct_capped(enc, fixed, [enc.set_index["Y"]], 0) > 0)
+            == bruteforce.count_distinct_capped(brute, fixed, [enc.set_index["Y"]], 0) > 0)
 
 
 def test_search_leaves_no_reference_cycles():
