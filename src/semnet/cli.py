@@ -71,9 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> Network | None:
-    """Parse a network file; on failure print diagnostics and return None."""
+    """Parse a network file; on failure print diagnostics and return None.
+
+    The file is UTF-8, with or without a byte-order mark."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None

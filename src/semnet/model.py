@@ -119,7 +119,10 @@ class Network:
 
 @dataclass(frozen=True)
 class Instance:
-    """A partial assignment of values to sets; the scope is the key set."""
+    """A partial assignment of values to sets; the scope is the key set.
+
+    ``assignment`` holds the ``(set id, value)`` pairs sorted by set id;
+    a repeated set id is refused with ``ValueError``."""
 
     assignment: tuple[tuple[str, str], ...]
 
@@ -128,6 +131,8 @@ class Instance:
             items = tuple(sorted(assignment.items()))
         else:
             items = tuple(sorted(tuple(p) for p in assignment))
+            if len({k for k, _ in items}) != len(items):
+                raise ValueError(f"an instance repeats a set id: {items}")
         object.__setattr__(self, "assignment", items)
 
     @property

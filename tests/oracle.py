@@ -9,6 +9,7 @@ compare every engine against them.
 from __future__ import annotations
 
 import itertools
+import json
 
 __all__ = [
     "all_full_instances",
@@ -20,6 +21,7 @@ __all__ = [
     "oracle_is_consistent",
     "oracle_minimal",
     "oracle_outcomes",
+    "oracle_render_json",
     "oracle_surjective",
     "oracle_surjective_in",
     "oracle_total",
@@ -122,3 +124,30 @@ def oracle_minimal(network, from_scope, to_scope, mode):
         if not separated:
             return False
     return True
+
+
+def oracle_render_json(network_name, direction, mode, verdicts):
+    """The report document as ``json.dumps`` lays it out: a dict per
+    object, sorted keys, two-space indent and a trailing newline."""
+    def witness_doc(w):
+        return {"anchor": w.anchor.as_dict(),
+                "evidence": [e.as_dict() for e in w.evidence],
+                "note": w.note}
+    doc = {
+        "network": network_name,
+        "direction": direction,
+        "mode": mode,
+        "verdicts": [
+            {
+                "property": v.query.kind.value,
+                "from": list(v.query.from_scope),
+                "to": list(v.query.to_scope),
+                "param": v.query.param,
+                "holds": v.holds,
+                "witnesses": [witness_doc(w) for w in v.witnesses],
+                "instances_checked": v.instances_checked,
+            }
+            for v in verdicts
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -55,6 +55,17 @@ def test_file_not_in_utf8_is_exit_2(capsys, tmp_path):
         assert "can't decode byte 0xe9" in err
 
 
+def test_byte_order_mark_is_accepted(capsys, tmp_path):
+    plain = CORPUS / "t2.semnet"
+    marked = tmp_path / "t2.semnet"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for argv in (["validate"], ["info"], ["check", "--json"]):
+        want = _run(capsys, argv[0], str(plain), *argv[1:])
+        got = _run(capsys, argv[0], str(marked), *argv[1:])
+        # ``validate`` names the file it read; nothing else may differ.
+        assert got == (want[0], want[1].replace(str(plain), str(marked)), want[2]), argv
+
+
 def test_usage_errors_are_exit_2(capsys):
     assert _run(capsys, "frobnicate")[0] == 2
     assert _run(capsys, "check", str(CORPUS / "t2.semnet"),

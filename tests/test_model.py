@@ -157,6 +157,14 @@ def test_instance_equality_and_scope():
     assert Instance().assignment == ()
 
 
+def test_instance_refuses_a_repeated_set_id():
+    with pytest.raises(ValueError, match="repeats a set id"):
+        Instance([("A", "x"), ("A", "y")])
+    with pytest.raises(ValueError, match="repeats a set id"):
+        Instance([("A", "x"), ("B", "y"), ("A", "x")])
+    assert Instance([("B", "y"), ("A", "x")]).as_dict() == {"A": "x", "B": "y"}
+
+
 def test_set_order_follows_declaration():
     t4 = build_t4()
     assert t4.set_order({"Y", "X", "M"}) == ("X", "M", "Y")

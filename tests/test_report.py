@@ -3,10 +3,29 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-from semnet import CountMode, Direction, check_suite, render_json, render_text
-from semnet.corpus import build_t1, build_t3
+import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+
+from oracle import oracle_render_json
+from semnet import (
+    CountMode,
+    Direction,
+    Instance,
+    PropertyKind,
+    PropertyQuery,
+    Verdict,
+    Witness,
+    check_suite,
+    render_json,
+    render_text,
+)
+from semnet.corpus import all_networks, build_t1, build_t3
 from semnet.properties import check_surjective_in
+
+GOLDEN = Path(__file__).resolve().parent.parent / "corpus" / "golden"
 
 
 def test_render_text_t3_forward_full():
@@ -70,3 +89,55 @@ def test_render_json_single_verdict():
     doc = json.loads(render_json("t1", "forward", "projected", [v]))
     assert len(doc["verdicts"]) == 1
     assert doc["verdicts"][0]["property"] == "surjective_in"
+
+
+# --- the direct writer against json.dumps ------------------------------------
+
+# Quotes, backslashes, control characters and non-ASCII up to the astral
+# planes, besides arbitrary text.
+_TEXT = (st.text(st.sampled_from('aZ0 _-/"\\\n\t\x00\x1f\x7f\xe9\u20ac\u2028\U0001d11e'),
+                 max_size=4)
+         | st.text(max_size=3))
+_INSTANCES = st.dictionaries(_TEXT, _TEXT, max_size=3).map(Instance)
+_WITNESSES = st.builds(Witness, _INSTANCES,
+                       st.lists(_INSTANCES, max_size=3).map(tuple), _TEXT)
+
+
+@st.composite
+def _verdicts(draw):
+    kind = draw(st.sampled_from(PropertyKind))
+    scopes = st.lists(_TEXT, max_size=3).map(tuple)
+    query = PropertyQuery(
+        kind, draw(scopes), draw(scopes), draw(st.sampled_from(CountMode)),
+        draw(_TEXT) if kind is PropertyKind.SURJECTIVE_IN else None)
+    return Verdict(query, draw(st.booleans()),
+                   tuple(draw(st.lists(_WITNESSES, max_size=3))),
+                   draw(st.integers(0, 2**70)))
+
+
+_REDUNDANT = Verdict(PropertyQuery(PropertyKind.MINIMAL, ("A",), (), CountMode.FULL),
+                 False, (Witness(Instance(), (), "redundant:A"),), 0)
+
+
+@seed(20241020)
+@settings(max_examples=120, deadline=None, database=None)
+@given(_TEXT, _TEXT, _TEXT, st.lists(_verdicts(), max_size=3))
+@example("n", "forward", "projected", [])
+@example("n", "backward", "full", [_REDUNDANT])
+def test_render_json_equals_json_dumps(network, direction, mode, verdicts):
+    assert (render_json(network, direction, mode, verdicts)
+            == oracle_render_json(network, direction, mode, verdicts))
+
+
+def test_render_json_never_enters_the_python_encoder(monkeypatch):
+    """``json.dumps`` with an indent walks the document in Python generators
+    built by ``_make_iterencode``; the report must not go that way."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's Python encoder was used")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="Python encoder"):
+        json.dumps({}, indent=2)
+    net = all_networks()["fig1-mini-oor"]
+    verdicts = check_suite(net, Direction.FORWARD, CountMode.PROJECTED)
+    assert (render_json(net.name, "forward", "projected", verdicts)
+            == (GOLDEN / "fig1-mini-oor.forward.projected.json").read_text("utf-8"))
