@@ -4,9 +4,12 @@ Sets become contiguous indices in declaration order, values become indices
 into their set. Each relation is encoded on its own, as its scope's set
 positions, a mixed-radix stride per position and the sorted tuple of its
 row keys, where a row key is the stride-weighted sum of the row's value
-indices. Each engine builds its own index from these tuples on its first
-search of a network and keeps it on the encoding: the join search's
-per-relation dicts (``kernels.build_index``) and brute force's key arrays
+indices. The keys are the ones the network memoises (``model.row_keys``,
+computed while ``parse`` or :func:`validate` checked the rows, with the
+same strides), so encoding only sorts them. Each engine builds its own
+index from these tuples on its first search of a network and keeps it on
+the encoding: the join search's per-relation dicts
+(``kernels.build_index``) and brute force's key arrays
 (``bruteforce.build_index``). What the engine prepares per call (fixed
 value indices, target positions) stays in plain Python ints.
 """
@@ -103,7 +106,7 @@ def encode(network: Network) -> EncodedNetwork:
     value_index = tuple({v: i for i, v in enumerate(vs.values)} for vs in network.sets)
 
     relations = []
-    for rel in network.relations:
+    for rel, keys in zip(network.relations, network._row_keys):
         scope = [set_index[sid] for sid in rel.scope]
         strides = [0] * len(scope)
         stride = 1
@@ -114,10 +117,6 @@ def encode(network: Network) -> EncodedNetwork:
             raise KeyOverflowError(
                 f"relation {rel.id!r} scope space of {stride} value combinations "
                 "exceeds the engine's 2^62 key limit")
-        keys = [0] * len(rel.rows)
-        for s, st, column in zip(scope, strides, zip(*rel.rows)):
-            index = value_index[s]
-            keys = [key + st * index[v] for key, v in zip(keys, column)]
         relations.append((tuple(scope), tuple(strides), tuple(sorted(keys))))
 
     return EncodedNetwork(

@@ -9,8 +9,10 @@ is a row of that relation. The ``data_selection`` marks the sets that play
 the role of stored data when properties are checked.
 
 All types are immutable and hashable; all operations are pure. A
-``Network`` memoises its hash per instance on first use (the same value as
-the hash of its fields), and never pickles or copies the memo, since str
+``Network`` memoises per instance, on first use, its hash (the same value
+as the hash of its fields), its :func:`validate` report and its
+relations' row keys (:func:`row_keys`; ``netdef.parse`` hands over the
+keys it computed). It never pickles or copies the memos, since str
 hashes differ between processes. Constructors accept structurally broken
 input (dangling references, cycles, duplicate rows): :func:`validate`
 reports such defects instead of raising, so parsed files can be diagnosed
@@ -109,11 +111,19 @@ class Network:
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def _row_keys(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Per relation, :func:`row_keys` of its rows, or None when a scope
+        set is undeclared; computed on first use unless ``parse`` set it."""
+        values = {vs.id: vs.values for vs in reversed(self.sets)}  # first declaration wins
+        return tuple(row_keys(rel.rows, scope_weights([values[sid] for sid in rel.scope]))
+                     if values.keys() >= set(rel.scope) else None for rel in self.relations)
+
     def __getstate__(self) -> dict:
         # Pickles and copies carry the fields only, never the memos.
         state = dict(self.__dict__)
-        state.pop("_validation", None)
-        state.pop("_hash", None)
+        for memo in ("_validation", "_hash", "_row_keys"):
+            state.pop(memo, None)
         return state
 
 
@@ -207,7 +217,7 @@ def _validate(network: Network) -> ValidationReport:
             errors.append(ValidationIssue("DUPLICATE_VALUE", f"value {dup!r} repeated in set {vs.id!r}", loc))
 
     seen_rels: set[str] = set()
-    for rel in network.relations:
+    for rel, keys in zip(network.relations, network._row_keys):
         loc = f"rel {rel.id}"
         if rel.id in seen_rels:
             errors.append(ValidationIssue("DUPLICATE_ID", f"relation id {rel.id!r} declared twice", loc))
@@ -231,13 +241,11 @@ def _validate(network: Network) -> ValidationReport:
                 f"sets {sorted(overlap)} appear on both sides of relation {rel.id!r}", loc))
         if not rel.rows:
             warnings.append(ValidationIssue("EMPTY_RELATION", f"relation {rel.id!r} admits no rows", loc))
-        if dangling:
-            continue  # row checks need resolvable scope sets
+        if dangling or keys is not None:
+            continue  # row checks need resolvable scope sets; keys mean no defect
         scope = rel.scope
         arity = len(scope)
         scope_domains = [domains[sid] for sid in scope]
-        if rows_conform(rel.rows, scope_domains):
-            continue
         seen_rows: set[tuple[str, ...]] = set()
         for i, row in enumerate(rel.rows):
             if len(row) != arity:
@@ -296,19 +304,39 @@ def structural_flags(network: Network) -> StructuralFlags:
     )
 
 
-def rows_conform(rows, domains) -> bool:
-    """Whether every row holds one value per domain, each value lies in its
-    column's domain, and no row repeats.
+def scope_weights(scope_values) -> list[dict[str, int]]:
+    """Per column of ``scope_values``, each value to its index times the
+    column's mixed-radix stride, the last column varying fastest."""
+    weights = []
+    stride = 1
+    for values in reversed(scope_values):
+        weights.append({v: i * stride for i, v in enumerate(values)})
+        stride *= len(values)
+    return weights[::-1]
 
-    The checks run column by column in C, so a relation without defects
-    costs no per-row Python work. :func:`validate` and ``netdef.parse`` walk
-    a relation's rows one by one only when this is false, to report each
-    defect in row order.
-    """
-    if set(map(len, rows)) - {len(domains)}:
-        return False
-    return (all(map(frozenset.issuperset, domains, zip(*rows)))
-            and len(set(rows)) == len(rows))
+
+def row_keys(rows, weights) -> tuple[int, ...] | None:
+    """Each row's key, the sum of its values' :func:`scope_weights`, or None
+    if a row has the wrong arity, a value outside its column's set, or a
+    repeat, which shows as a repeated key. The walk is C-level, so a clean
+    relation costs no per-row Python work; :func:`validate` and
+    ``netdef.parse`` walk the rows of a None one by one, to report each
+    defect in order."""
+    if set(map(len, rows)) - {len(weights)}:
+        return None
+    try:
+        keys = (tuple(map(sum, zip(*[map(w.__getitem__, column)
+                                     for w, column in zip(weights, zip(*rows))])))
+                if weights else (0,) * len(rows))
+    except KeyError:
+        return None
+    return keys if len(set(keys)) == len(keys) else None
+
+
+def with_row_keys(network: Network, keys) -> Network:
+    """``network`` with its row-key memo set to ``keys``, one per relation."""
+    network.__dict__["_row_keys"] = tuple(keys)
+    return network
 
 
 def _first_duplicate(items) -> str | None:

@@ -37,11 +37,12 @@ bulk, by C-level string and set operations rather than one row at a time:
   blank or a wrong arity anywhere in it) goes line by line: a ``row`` line
   whose values are all bare is split by one whole-line match, and every
   other line goes through ``_tokenize``, still the only tokenizer.
-- A relation's rows are then checked column by column for arity, domain
-  and repeats (``model.rows_conform``, shared with :func:`validate`). Only
-  a relation that fails is walked row by row, to report each defect with
-  its line and column, in order. The column of an error in a row comes
-  from tokenizing that line again when the error is reported.
+- A relation's rows are then checked for arity, domain and repeats by
+  computing their encoding keys in one C-level walk (``model.row_keys``),
+  which the network returned keeps for :func:`validate` and ``encode``.
+  Only a relation that fails is walked row by row, to report each defect
+  with its line and column, in order. The column of an error in a row
+  comes from tokenizing that line again when the error is reported.
 
 Both routes give the same network and the same errors.
 """
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .errors import SemnetError
-from .model import Network, Relation, ValueSet, rows_conform, sources
+from .model import Network, Relation, ValueSet, row_keys, scope_weights, sources, with_row_keys
 
 __all__ = [
     "ParseError",
@@ -334,7 +335,6 @@ def parse(text: str) -> SemnetDocument:
         spans[f"net:{net_name}"] = net_span
 
     sets_by_id: dict[str, ValueSet] = {}
-    domains: dict[str, frozenset[str]] = {}
     value_sets: list[ValueSet] = []
     for sid, value_tokens, line_no, column in raw_sets:
         if sid in sets_by_id:
@@ -351,11 +351,11 @@ def parse(text: str) -> SemnetDocument:
                 values[tok.text] = None
         vs = ValueSet(sid, tuple(values))
         sets_by_id[sid] = vs
-        domains[sid] = frozenset(values)
         value_sets.append(vs)
         spans[f"set:{sid}"] = (line_no, column)
 
     relations: list[Relation] = []
+    keys: list[tuple[int, ...] | None] = []  # row keys per relation
     rel_ids: set[str] = set()
     for raw in raw_rels:
         if raw.id in rel_ids:
@@ -374,11 +374,10 @@ def parse(text: str) -> SemnetDocument:
         if not ok:
             continue
         scope = [t.text for t in raw.in_tokens] + [t.text for t in raw.out_tokens]
-        scope_domains = [domains[sid] for sid in scope]
-        if rows_conform(raw.rows, scope_domains):
-            rows = raw.rows
-        else:
-            rows = _conforming_rows(raw, scope, scope_domains, lines, errors)
+        weights = scope_weights([sets_by_id[sid].values for sid in scope])
+        keys.append(row_keys(raw.rows, weights))
+        rows = raw.rows if keys[-1] is not None else _conforming_rows(
+            raw, scope, weights, lines, errors)
         relations.append(Relation(
             raw.id,
             tuple(t.text for t in raw.in_tokens),
@@ -409,7 +408,7 @@ def parse(text: str) -> SemnetDocument:
     network = Network(net_name or "", tuple(value_sets), tuple(relations), data_ids)
     if data_tokens is None:
         network = Network(network.name, network.sets, network.relations, sources(network))
-    return SemnetDocument(network, spans)
+    return SemnetDocument(with_row_keys(network, keys), spans)
 
 
 def _bare_block(block: list[str], arity: int) -> list[tuple[str, ...]] | None:
@@ -436,11 +435,11 @@ def _bare_block(block: list[str], arity: int) -> list[tuple[str, ...]] | None:
     return list(zip(*[iter(words)] * arity))
 
 
-def _conforming_rows(raw: _RawRelation, scope: list[str], scope_domains: list[frozenset[str]],
+def _conforming_rows(raw: _RawRelation, scope: list[str], weights: list[dict[str, int]],
                      lines: list[str], errors: list[ParseError]) -> list[tuple[str, ...]]:
     """The rows of ``raw`` without defects, in order; reports each defect.
 
-    One row at a time, for a relation that :func:`rows_conform` rejects.
+    One row at a time, for a relation whose rows have no :func:`row_keys`.
     """
     rows: dict[tuple[str, ...], None] = {}  # an ordered set
     for row_line, row in zip(raw.row_lines, raw.rows):
@@ -450,9 +449,9 @@ def _conforming_rows(raw: _RawRelation, scope: list[str], scope_domains: list[fr
                 f"row has {len(row)} values, relation {raw.id!r} needs {len(scope)}",
                 row_line, _first_value_column(lines, row_line)))
             continue
-        if not all(map(frozenset.__contains__, scope_domains, row)):
+        if not all(map(dict.__contains__, weights, row)):
             columns = _value_columns(lines, row_line)
-            for sid, domain, value, column in zip(scope, scope_domains, row, columns):
+            for sid, domain, value, column in zip(scope, weights, row, columns):
                 if value not in domain:
                     errors.append(ParseError(
                         "UNKNOWN_VALUE",
@@ -519,7 +518,8 @@ def _check_values(tokens: list[_Token], line_no: int, errors: list[ParseError]) 
     return ok
 
 
-def _format_value(value: str) -> str:
+def format_value(value: str) -> str:
+    """A value as the text writes it: bare, or quoted with escapes."""
     if _BARE_VALUE_RE.match(value):
         return value
     escaped = value.replace("\\", "\\\\").replace('"', '\\"')
@@ -545,12 +545,12 @@ def serialize(network: Network) -> str:
             raise ValueError(f"set 'out' cannot be in the in-scope of relation {rel.id!r}")
     lines = [f"net {network.name}"]
     for vs in network.sets:
-        rendered = " ".join(_format_value(v) for v in vs.values)
+        rendered = " ".join(format_value(v) for v in vs.values)
         lines.append(f"set {vs.id} = {rendered}")
     for rel in network.relations:
         lines.append(" ".join(["rel", rel.id, "in", *rel.in_sets, "out", *rel.out_sets]))
         for row in rel.rows:
-            lines.append("row " + " ".join(_format_value(v) for v in row))
+            lines.append("row " + " ".join(format_value(v) for v in row))
         lines.append("end")
     data_ids = network.set_order(network.data_selection)
     if len(data_ids) != len(network.data_selection):

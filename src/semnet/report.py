@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable, Sequence
 
 from .model import Instance
+from .netdef import format_value
 from .properties import Verdict, Witness
 
 __all__ = ["render_json", "render_text"]
@@ -31,7 +32,7 @@ __all__ = ["render_json", "render_text"]
 def _format_instance(instance: Instance) -> str:
     if not instance.assignment:
         return "{}"
-    return "{" + ", ".join(f"{k}={v}" for k, v in instance.assignment) + "}"
+    return "{" + ", ".join(f"{k}={format_value(v)}" for k, v in instance.assignment) + "}"
 
 
 def _format_witness(witness: Witness) -> str:
@@ -41,7 +42,8 @@ def _format_witness(witness: Witness) -> str:
 
 
 def render_text(verdicts: Iterable[Verdict]) -> str:
-    """One line per verdict, with indented witness lines after failures."""
+    """One line per verdict, with indented witness lines after failures;
+    values are quoted as ``serialize`` quotes them, so none reads as two."""
     lines: list[str] = []
     for verdict in verdicts:
         q = verdict.query

@@ -22,6 +22,7 @@ __all__ = [
     "oracle_minimal",
     "oracle_outcomes",
     "oracle_render_json",
+    "rows_conform",
     "oracle_surjective",
     "oracle_surjective_in",
     "oracle_total",
@@ -151,3 +152,13 @@ def oracle_render_json(network_name, direction, mode, verdicts):
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def rows_conform(rows, domains):
+    """Whether every row holds one value per domain, each value lies in its
+    column's domain, and no row repeats: the column-by-column check that
+    ``model.row_keys`` replaced, which it must accept and refuse alike."""
+    if set(map(len, rows)) - {len(domains)}:
+        return False
+    return (all(map(frozenset.issuperset, domains, zip(*rows)))
+            and len(set(rows)) == len(rows))

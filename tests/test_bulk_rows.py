@@ -1,10 +1,13 @@
 """Row tables checked in bulk agree with the row-by-row walks.
 
-``parse`` splits a block of bare rows as one string, and both ``parse``
-and ``validate`` check a relation's rows column by column. A relation that
+``parse`` splits a block of bare rows as one string and checks a
+relation's rows by computing their keys (``model.row_keys``), which the
+parsed network keeps for ``validate`` and ``encode``. A relation that
 fails those checks is walked one row at a time, so every error keeps its
-code, message, position and order. These tests compare the two routes and
-check that a clean table keeps taking the bulk one.
+code, message, position and order. These tests compare the two routes,
+compare ``row_keys`` with the column check it replaced
+(``oracle.rows_conform``), and check that a clean table keeps taking the
+bulk route and gets its keys computed once per relation.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import random
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from semnet import Network, ParseFailure, Relation, ValueSet, parse, serialize, validate
-from semnet import netdef
+from oracle import rows_conform
+from semnet import Network, ParseFailure, Relation, ValueSet, encode, parse, serialize, validate
+from semnet import model, netdef
 
 SETS = {"A": ("a1", "a2", "row"), "B": ("b1", "b2"), "C": ("c1", "c2", "c3")}
 SCOPES = ((("A", "B"), ("C",)), (("A",), ("C",)), (("B",), ("A", "C")))
@@ -183,6 +187,54 @@ def test_validate_row_errors_match_a_per_row_walk():
     assert clean >= 100 and defective >= 100
 
 
+# --- row_keys: keys for conforming rows, None exactly when the reference refuses
+
+@st.composite
+def _relation_rows(draw):
+    """A scope, one of ``SCOPES`` or the nullary one, and rows over it with
+    short and long rows, unknown values and repeats among them."""
+    ins, outs = draw(st.sampled_from(SCOPES + (((), ()),)))
+    scope = ins + outs
+    rows: list[tuple[str, ...]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["ok"] * 6 + ["unknown", "short", "long", "repeat"]))
+        values = tuple(draw(st.sampled_from(SETS[sid])) for sid in scope)
+        if kind == "unknown" and values:
+            at = draw(st.integers(0, len(values) - 1))
+            unknown = draw(st.sampled_from(["zz", "b1", "c3", "a3"]))
+            values = values[:at] + (unknown,) + values[at + 1:]
+        elif kind == "short" and values:
+            values = values[:draw(st.integers(0, len(values) - 1))]
+        elif kind == "long":
+            values += ("a1",)
+        elif kind == "repeat" and rows:
+            values = draw(st.sampled_from(rows))
+        rows.append(values)
+    return scope, rows
+
+
+@seed(20241020)
+@settings(max_examples=400, deadline=None, database=None)
+@given(_relation_rows())
+@example(((), []))
+@example(((), [()]))
+@example(((), [(), ()]))
+@example((("A", "C"), []))
+@example((("A", "C"), [("a1", "c1"), ("a1", "c1")]))
+@example((("A", "C"), [("a1",), ("a2", "c1")]))
+def test_row_keys_agree_with_the_column_check(case):
+    scope, rows = case
+    keys = model.row_keys(rows, model.scope_weights([SETS[sid] for sid in scope]))
+    if not rows_conform(rows, [frozenset(SETS[sid]) for sid in scope]):
+        assert keys is None
+        return
+    strides = [1] * len(scope)
+    for j in range(len(scope) - 2, -1, -1):
+        strides[j] = strides[j + 1] * len(SETS[scope[j + 1]])
+    assert keys == tuple(sum(stride * SETS[sid].index(v)
+                             for stride, sid, v in zip(strides, scope, row)) for row in rows)
+
+
 # --- the bulk path stays in use ----------------------------------------------
 
 def test_clean_table_takes_the_bulk_path(monkeypatch):
@@ -263,3 +315,30 @@ def test_bare_block_takes_exactly_the_lines_of_bare_rows(block, arity):
     assert (rows is not None) == bulk
     if bulk:
         assert rows == [tuple(m[1].split()) for m in matches]
+
+
+def test_clean_table_gets_row_keys_once_per_relation(monkeypatch):
+    """parse checks each relation's rows by computing its row keys, and
+    validate and encode use those keys: no relation is walked again."""
+    rows = tuple((f"a{i // 100}", f"b{i // 10 % 10}", f"c{i % 10}") for i in range(1000))
+    sets = tuple(ValueSet(sid, tuple(f"{sid.lower()}{i}" for i in range(10))) for sid in "ABC")
+    net = Network("big", sets, (Relation("t", ("A", "B"), ("C",), rows),
+                                Relation("u", ("A",), ("B",), (("a0", "b1"), ("a1", "b0")))),
+                  frozenset({"A", "B"}))
+    text = serialize(net)
+    calls = []
+
+    def row_keys(rows, weights, _real=model.row_keys):
+        calls.append(len(rows))
+        return _real(rows, weights)
+
+    monkeypatch.setattr(model, "row_keys", row_keys)
+    monkeypatch.setattr(netdef, "row_keys", row_keys)
+    encode.cache_clear()
+    parsed = parse(text).network
+    assert calls == [1000, 2]
+    assert validate(parsed).ok
+    encoded = encode(parsed)
+    encode.cache_clear()
+    assert calls == [1000, 2]
+    assert [len(keys) for _, _, keys in encoded.relations] == [1000, 2]

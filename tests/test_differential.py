@@ -27,13 +27,17 @@ witness anchor, its evidence and ``instances_checked``.
 
 Every generated net also survives a round trip through the text format:
 ``parse(serialize(net))`` gives an equal network with the same
-``validate`` report.
+``validate`` report. For these texts and the corpus files, the row keys
+``parse`` hands to the network, its ``validate`` report and its encoded
+relations equal those of a rebuild from its fields, which computes its
+own keys.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,7 @@ from semnet import (
     Direction,
     Engine,
     Instance,
+    InvalidNetworkError,
     Limits,
     Network,
     PropertyKind,
@@ -58,6 +63,7 @@ from semnet import (
     completions,
     count_distinct,
     distinct_representatives,
+    encode,
     first_completions,
     parse,
     render_json,
@@ -66,6 +72,7 @@ from semnet import (
 )
 from semnet.model import sinks, sources
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SEED = 20241018
 SMALL_NETS = 300
 LOOSE_NETS = 6
@@ -302,6 +309,31 @@ def test_join_bruteforce_and_oracle_agree_on_random_nets(memo_oracle):
     assert unread_data_nets >= 150  # 60 of them from the isolated-set nets
     assert empty_targets >= 150
     assert oracle_verdicts >= 8000
+
+
+def _load_path(net):
+    """The row-key memo, the validate report and the encoded relations (or
+    the refusal) of one Network instance, bypassing the encode cache."""
+    try:
+        relations = encode.__wrapped__(net).relations
+    except InvalidNetworkError as refusal:
+        relations = repr(refusal)
+    return net._row_keys, validate(net), relations
+
+
+def test_parsed_row_keys_equal_an_unseeded_rebuild():
+    """parse hands its row keys to the network it returns; the keys, the
+    report and the encoding must be those of the same fields built anew."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.semnet"))]
+    texts += [serialize(net) for net in _nets()]
+    for text in texts:
+        net = parse(text).network
+        seeded = net.__dict__["_row_keys"]
+        assert type(seeded) is tuple and all(type(k) in (tuple, type(None)) for k in seeded)
+        rebuilt = Network(net.name, net.sets, net.relations, net.data_selection)
+        assert "_row_keys" not in rebuilt.__dict__
+        assert _load_path(net) == _load_path(rebuilt), net.name
+    assert len(texts) == 9 + SMALL_NETS + LOOSE_NETS + ISOLATED_NETS + ZERO_SET_NETS
 
 
 def test_generated_nets_round_trip_through_text():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib
 import os
 import pickle
@@ -219,7 +220,12 @@ def test_validation_memo_leaves_equality_hash_and_pickle_alone():
     path = CORPUS / "fig1-mini.semnet"
     text = path.read_text(encoding="utf-8")
     net, twin = parse(text).network, parse(text).network
-    pickled = pickle.dumps(net)  # before either memo exists
+    # parse hands over the row-key memo; no pickle or copy carries it.
+    bare = Network(net.name, net.sets, net.relations, net.data_selection)
+    pickled = pickle.dumps(net)
+    assert pickled == pickle.dumps(bare)
+    for duplicate in (pickle.loads(pickled), copy.copy(net), copy.deepcopy(net)):
+        assert duplicate == net and "_row_keys" not in duplicate.__dict__
     digest = hash(net)
     assert digest == hash((net.name, net.sets, net.relations, net.data_selection))
     report = validate(net)

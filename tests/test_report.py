@@ -19,6 +19,7 @@ from semnet import (
     Verdict,
     Witness,
     check_suite,
+    parse,
     render_json,
     render_text,
 )
@@ -45,6 +46,27 @@ def test_render_text_t1_suite():
     text = render_text(verdicts)
     assert text.count(": HOLDS") == 6
     assert "SURJECTIVE_IN(A) from={A} to={A} mode=projected : HOLDS" in text
+
+
+def test_render_text_quotes_values_as_serialize_does():
+    net = parse('net q\n'
+                'set A = "x, B=y" x "say \\"hi\\"" "back\\\\slash"\n'
+                'set B = y z\n'
+                'rel r in A out B\n'
+                'row "x, B=y" y\nrow "x, B=y" z\nrow x y\n'
+                'row "say \\"hi\\"" y\nrow "back\\\\slash" y\n'
+                'end\n').network
+    assert net.value_set("A").values == ("x, B=y", "x", 'say "hi"', "back\\slash")
+    text = render_text(check_suite(net))
+    assert ('  witness: {A="x, B=y"} -> [{A="x, B=y", B=y}, {A="x, B=y", B=z}]'
+            ' (multiple-outcomes)') in text.splitlines()
+    instance = Instance({"A": 'say "hi"', "B": "back\\slash"})
+    witness = Witness(instance, (instance,), "note")
+    verdict = Verdict(PropertyQuery(PropertyKind.TOTAL, ("A",), ("B",), CountMode.FULL),
+                      False, (witness,), 1)
+    assert render_text([verdict]).splitlines()[1] == (
+        '  witness: {A="say \\"hi\\"", B="back\\\\slash"}'
+        ' -> [{A="say \\"hi\\"", B="back\\\\slash"}] (note)')
 
 
 def test_render_text_empty():
