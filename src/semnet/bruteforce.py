@@ -16,7 +16,9 @@ walk handles like any other.
 candidates of each chunk, in rank order: it counts them (with a
 ``target``, only those whose projection onto the target sets has not been
 met), keeps the first ``keep`` counted as tuples of value indices, and
-stops once ``cap`` are counted (no cap when ``cap`` is 0 or less).
+stops once ``cap`` are counted (no cap when ``cap`` is 0 or less). The
+work ``collect_completions``'s ``budget`` bounds is the candidate space
+it walks, so a space larger than a nonzero budget is refused up front.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import math
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .errors import LimitExceededError
 
 __all__ = [
     "build_index",
@@ -46,7 +50,8 @@ def build_index(sizes: Sequence[int], relations) -> BruteForceIndex:
                                for scope, strides, keys in relations)
 
 
-def _chunks(index: BruteForceIndex, fixed: list[int]) -> Iterator[np.ndarray]:
+def _chunks(index: BruteForceIndex, fixed: list[int],
+            budget: int) -> Iterator[np.ndarray]:
     """Consistent completions of ``fixed`` as value-index matrices, in rank
     order; the first declared free set varies slowest."""
     sizes, relations = index
@@ -56,6 +61,8 @@ def _chunks(index: BruteForceIndex, fixed: list[int]) -> Iterator[np.ndarray]:
     for i in reversed(free):
         divs[i] = div
         div *= sizes[i]
+    if 0 < budget < div:
+        raise LimitExceededError(div, budget)
     for lo in range(0, div, _CHUNK):
         rank = np.arange(lo, min(lo + _CHUNK, div), dtype=np.int64)
         vals = np.empty((rank.size, len(sizes)), dtype=np.int64)
@@ -76,7 +83,7 @@ def _chunks(index: BruteForceIndex, fixed: list[int]) -> Iterator[np.ndarray]:
 
 
 def _walk(index: BruteForceIndex, fixed: list[int], target: Sequence[int] | None,
-          cap: int, keep: int) -> tuple[int, list[tuple[int, ...]]]:
+          cap: int, keep: int, budget: int = 0) -> tuple[int, list[tuple[int, ...]]]:
     """Walk the completions of ``fixed``; see the module docstring.
 
     Returns the count and the kept completions.
@@ -85,7 +92,7 @@ def _walk(index: BruteForceIndex, fixed: list[int], target: Sequence[int] | None
     count = 0
     rows: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    for vals in _chunks(index, fixed):
+    for vals in _chunks(index, fixed, budget):
         if target is not None:
             # Mixed-radix projection keys; ``target_positions`` keeps them in int64.
             keys = np.zeros(len(vals), dtype=np.int64)
@@ -110,10 +117,11 @@ def count_completions(index: BruteForceIndex, fixed: list[int], cap: int) -> int
     return _walk(index, fixed, None, cap, 0)[0]
 
 
-def collect_completions(index: BruteForceIndex, fixed: list[int],
-                        k: int) -> list[tuple[int, ...]]:
-    """The first ``k`` consistent completions of ``fixed``."""
-    return _walk(index, fixed, None, k, k)[1] if k > 0 else []
+def collect_completions(index: BruteForceIndex, fixed: list[int], k: int,
+                        budget: int = 0) -> list[tuple[int, ...]]:
+    """The first ``k`` consistent completions of ``fixed``, refused when
+    their candidate space exceeds ``budget``."""
+    return _walk(index, fixed, None, k, k, budget)[1] if k > 0 else []
 
 
 def count_distinct_capped(index: BruteForceIndex, fixed: list[int],

@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--engine", default="join",
                          choices=[e.value for e in Engine])
     p_check.add_argument("--max-instances", dest="max_instances", type=int,
-                         metavar="N", help="candidate-space budget")
+                         metavar="N", help="work budget: candidate space, or the"
+                         " join's search nodes for the minimality table")
     p_check.add_argument("--json", action="store_true",
                          help="emit the machine-readable report")
     return parser

@@ -10,19 +10,21 @@ same strides), so encoding only sorts them. Each engine builds its own
 index from these tuples on its first search of a network and keeps it on
 the encoding: the join search's per-relation dicts
 (``kernels.build_index``) and brute force's key arrays
-(``bruteforce.build_index``). What the engine prepares per call (fixed
-value indices, target positions) stays in plain Python ints.
+(``bruteforce.build_index``). The consistent table T each engine walks for
+minimality is kept there too, so it is freed with its cache entry. What
+the engine prepares per call (fixed value indices, target positions)
+stays in plain Python ints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import kernels
 from .errors import InvalidNetworkError, KeyOverflowError, ScopeMismatchError
-from .model import Instance, Network, validate
+from .model import Instance, Network, mixed_radix, validate
 
 __all__ = ["EncodedNetwork", "encode"]
 
@@ -39,6 +41,9 @@ class EncodedNetwork:
     value_index: tuple[dict[str, int], ...]
     # Per relation: scope set positions, their strides, sorted row keys.
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    # Per engine module: the smallest budget known to admit the walk of the
+    # consistent table T, and T (``engine.consistent_table``).
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_sets(self) -> int:
@@ -105,17 +110,14 @@ def encode(network: Network) -> EncodedNetwork:
     sizes = tuple(len(vs.values) for vs in network.sets)
     value_index = tuple({v: i for i, v in enumerate(vs.values)} for vs in network.sets)
 
+    values = [vs.values for vs in network.sets]
     relations = []
     for rel, keys in zip(network.relations, network._row_keys):
         scope = [set_index[sid] for sid in rel.scope]
-        strides = [0] * len(scope)
-        stride = 1
-        for j in range(len(scope) - 1, -1, -1):
-            strides[j] = stride
-            stride *= sizes[scope[j]]
-        if stride > _KEY_LIMIT:
+        strides, space = mixed_radix(scope, values)
+        if space > _KEY_LIMIT:
             raise KeyOverflowError(
-                f"relation {rel.id!r} scope space of {stride} value combinations "
+                f"relation {rel.id!r} scope space of {space} value combinations "
                 "exceeds the engine's 2^62 key limit")
         relations.append((tuple(scope), tuple(strides), tuple(sorted(keys))))
 

@@ -12,10 +12,14 @@ always goes to brute force, whose walk covers its one candidate, the empty
 instance.
 
 Enumeration order everywhere is lexicographic in (set declaration order,
-value declaration order). Every operation checks the candidate space it
-would walk against ``Limits.max_enumerated`` and raises
-``LimitExceededError`` rather than truncate silently. ``Limits.cap`` is an
-early-stop for counting: results are then ``min(true count, cap)``.
+value declaration order). Every operation checks the work it would do
+against ``Limits.max_enumerated`` and raises ``LimitExceededError`` rather
+than truncate silently. For the anchor counts and collections that work
+is the cartesian candidate space, checked before the walk. For
+:func:`consistent_table`, the table T that minimality reads, it is the
+engine's own work: the join counts the search nodes it visits and stops
+past the budget; brute force checks the full space it walks. ``Limits.cap``
+is an early-stop for counting: results are then ``min(true count, cap)``.
 
 :func:`counter` prepares the count for a sweep of anchors over one scope,
 checking the target, the encoding and the budget once, and leaves one
@@ -40,6 +44,7 @@ __all__ = [
     "Engine",
     "Limits",
     "completions",
+    "consistent_table",
     "count_distinct",
     "counter",
     "distinct_representatives",
@@ -166,6 +171,27 @@ def first_completions(network: Network, partial: Instance, k: int,
     backend, data = _backend(enc, engine)
     return [enc.instance_from_row(row)
             for row in backend.collect_completions(data, fixed, k)]
+
+
+def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
+                     engine: Engine = Engine.JOIN) -> list[tuple[int, ...]]:
+    """T: every consistent full instance as value indices, in order.
+
+    The engine's uncapped ``collect_completions`` builds T once per
+    encoding and keeps it there. Its budget bounds the walk's own work:
+    the join's search nodes, brute force's whole candidate space. A T kept
+    from a larger budget is walked again under a smaller one, so whether
+    a budget refuses T does not depend on the cache.
+    """
+    enc = encode(network)
+    backend, data = _backend(enc, engine)
+    budget = limits.max_enumerated
+    known = enc.tables.get(backend)
+    if known is None or budget < known[0]:
+        free = [-1] * enc.n_sets
+        known = enc.tables[backend] = (budget, backend.collect_completions(
+            data, free, enc.space_size(free), budget))
+    return known[1]
 
 
 def counter(network: Network, scope: Sequence[str], target: Iterable[str],

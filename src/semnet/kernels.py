@@ -28,16 +28,20 @@ At each consistent completion (a leaf) the walk does three things:
 The four entry points are single calls into ``_search`` that pick the leaf
 behaviour through ``target`` and ``keep``. ``fixed`` is a list of value
 indices per set, -1 where the partial leaves the set free; a ``cap`` of 0
-or less means no cap. ``bruteforce`` exports the same four names with the
-same arguments and results, so the engine calls either through one
-contract. The walk needs at least one set; the engine sends a network
-without sets to brute force.
+or less means no cap. ``collect_completions`` also takes a ``budget``: the
+walk raises ``LimitExceededError`` once it has visited more than that many
+search nodes (value assignments at any level), 0 meaning no budget.
+``bruteforce`` exports the same four names with the same arguments and
+results, so the engine calls either through one contract. The walk needs
+at least one set; the engine sends a network without sets to brute force.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 from typing import Sequence
+
+from .errors import LimitExceededError
 
 __all__ = [
     "JIT_ENABLED",
@@ -85,7 +89,7 @@ def build_index(sizes: Sequence[int], relations) -> JoinIndex:
 
 
 def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
-            cap: int, keep: int) -> tuple[int, list[tuple[int, ...]]]:
+            cap: int, keep: int, budget: int = 0) -> tuple[int, list[tuple[int, ...]]]:
     """Walk the completions of ``fixed``; see the module docstring.
 
     Returns the count and the kept completions.
@@ -102,10 +106,10 @@ def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
     else:
         project = lambda cur: ()  # every completion projects alike
     cap = cap if cap > 0 else float("inf")
-    count = 0
+    count = nodes = 0
 
     def walk(level: int) -> bool:
-        nonlocal count
+        nonlocal count, nodes
         domain = domains[level]
         cands = domain if fixed[level] < 0 else (fixed[level],)
         for admits, bound in checks[level]:
@@ -116,6 +120,10 @@ def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
             if allowed is None:
                 return False
             cands = allowed if cands is domain else [v for v in cands if v in allowed]
+        if budget:
+            nodes += len(cands)
+            if nodes > budget:
+                raise LimitExceededError(nodes, budget)
         if level < last:
             for v in cands:
                 cur[level] = v
@@ -151,10 +159,11 @@ def count_completions(index: JoinIndex, fixed: list[int], cap: int) -> int:
     return _search(index, fixed, None, cap, 0)[0]
 
 
-def collect_completions(index: JoinIndex, fixed: list[int],
-                        k: int) -> list[tuple[int, ...]]:
-    """The first ``k`` consistent completions of ``fixed``."""
-    return _search(index, fixed, None, k, k)[1] if k > 0 else []
+def collect_completions(index: JoinIndex, fixed: list[int], k: int,
+                        budget: int = 0) -> list[tuple[int, ...]]:
+    """The first ``k`` consistent completions of ``fixed``, refused once
+    the walk visits more than ``budget`` search nodes."""
+    return _search(index, fixed, None, k, k, budget)[1] if k > 0 else []
 
 
 def count_distinct_capped(index: JoinIndex, fixed: list[int],

@@ -116,7 +116,8 @@ class Network:
         """Per relation, :func:`row_keys` of its rows, or None when a scope
         set is undeclared; computed on first use unless ``parse`` set it."""
         values = {vs.id: vs.values for vs in reversed(self.sets)}  # first declaration wins
-        return tuple(row_keys(rel.rows, scope_weights([values[sid] for sid in rel.scope]))
+        memo: dict = {}
+        return tuple(row_keys(rel.rows, scope_weights(rel.scope, values, memo))
                      if values.keys() >= set(rel.scope) else None for rel in self.relations)
 
     def __getstate__(self) -> dict:
@@ -304,15 +305,30 @@ def structural_flags(network: Network) -> StructuralFlags:
     )
 
 
-def scope_weights(scope_values) -> list[dict[str, int]]:
-    """Per column of ``scope_values``, each value to its index times the
-    column's mixed-radix stride, the last column varying fastest."""
+def mixed_radix(scope, values) -> tuple[list[int], int]:
+    """The mixed-radix stride of each set of ``scope``, whose values
+    ``values[set]`` lists, the last set varying fastest, and the scope's
+    value space: the layout of every row key."""
+    strides = []
+    space = 1
+    for s in reversed(scope):
+        strides.append(space)
+        space *= len(values[s])
+    strides.reverse()
+    return strides, space
+
+
+def scope_weights(scope, values, memo) -> list[dict[str, int]]:
+    """Per set id of ``scope``, each of its ``values[sid]`` to its index
+    times the set's :func:`mixed_radix` stride in the scope. ``memo`` keeps
+    each (set id, stride) dict, built once for every scope that needs it."""
     weights = []
-    stride = 1
-    for values in reversed(scope_values):
-        weights.append({v: i * stride for i, v in enumerate(values)})
-        stride *= len(values)
-    return weights[::-1]
+    for sid, stride in zip(scope, mixed_radix(scope, values)[0]):
+        weight = memo.get((sid, stride))
+        if weight is None:
+            weight = memo[sid, stride] = {v: i * stride for i, v in enumerate(values[sid])}
+        weights.append(weight)
+    return weights
 
 
 def row_keys(rows, weights) -> tuple[int, ...] | None:

@@ -40,6 +40,8 @@ bulk, by C-level string and set operations rather than one row at a time:
 - A relation's rows are then checked for arity, domain and repeats by
   computing their encoding keys in one C-level walk (``model.row_keys``),
   which the network returned keeps for :func:`validate` and ``encode``.
+  The per-column value weights behind the keys are built once per file
+  for each (set, stride) pair (``model.scope_weights``).
   Only a relation that fails is walked row by row, to report each defect
   with its line and column, in order. The column of an error in a row
   comes from tokenizing that line again when the error is reported.
@@ -336,26 +338,29 @@ def parse(text: str) -> SemnetDocument:
 
     sets_by_id: dict[str, ValueSet] = {}
     value_sets: list[ValueSet] = []
+    weights_memo: dict = {}  # model.scope_weights' dicts, built once per file
     for sid, value_tokens, line_no, column in raw_sets:
         if sid in sets_by_id:
             errors.append(ParseError(
                 "DUPLICATE_ID", f"set {sid!r} already declared", line_no, column))
             continue
-        values: dict[str, None] = {}  # an ordered set
+        values: dict[str, int] = {}  # each value's index, its weight at stride 1
         for tok in value_tokens:
             if tok.text in values:
                 errors.append(ParseError(
                     "DUPLICATE_VALUE", f"value {tok.text!r} repeated in set {sid!r}",
                     line_no, tok.column))
             else:
-                values[tok.text] = None
+                values[tok.text] = len(values)
         vs = ValueSet(sid, tuple(values))
+        weights_memo[sid, 1] = values
         sets_by_id[sid] = vs
         value_sets.append(vs)
         spans[f"set:{sid}"] = (line_no, column)
 
     relations: list[Relation] = []
     keys: list[tuple[int, ...] | None] = []  # row keys per relation
+    set_values = {sid: vs.values for sid, vs in sets_by_id.items()}
     rel_ids: set[str] = set()
     for raw in raw_rels:
         if raw.id in rel_ids:
@@ -373,16 +378,14 @@ def parse(text: str) -> SemnetDocument:
                 ok = False
         if not ok:
             continue
-        scope = [t.text for t in raw.in_tokens] + [t.text for t in raw.out_tokens]
-        weights = scope_weights([sets_by_id[sid].values for sid in scope])
+        in_sets = tuple(t.text for t in raw.in_tokens)
+        out_sets = tuple(t.text for t in raw.out_tokens)
+        scope = in_sets + out_sets
+        weights = scope_weights(scope, set_values, weights_memo)
         keys.append(row_keys(raw.rows, weights))
         rows = raw.rows if keys[-1] is not None else _conforming_rows(
             raw, scope, weights, lines, errors)
-        relations.append(Relation(
-            raw.id,
-            tuple(t.text for t in raw.in_tokens),
-            tuple(t.text for t in raw.out_tokens),
-            tuple(rows)))
+        relations.append(Relation(raw.id, in_sets, out_sets, tuple(rows)))
 
     data_ids: frozenset[str]
     if data_tokens is None:
@@ -435,7 +438,7 @@ def _bare_block(block: list[str], arity: int) -> list[tuple[str, ...]] | None:
     return list(zip(*[iter(words)] * arity))
 
 
-def _conforming_rows(raw: _RawRelation, scope: list[str], weights: list[dict[str, int]],
+def _conforming_rows(raw: _RawRelation, scope: tuple[str, ...], weights: list[dict[str, int]],
                      lines: list[str], errors: list[ParseError]) -> list[tuple[str, ...]]:
     """The rows of ``raw`` without defects, in order; reports each defect.
 

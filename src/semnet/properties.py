@@ -8,9 +8,13 @@ witness content and order: the witness is always the first counterexample
 in lexicographic declaration order; minimality instead names every
 redundant set. Evidence instances are always consistent full instances.
 
-A checker walks its anchors as value-index tuples and counts them through
-one ``engine.counter`` per sweep, which checks the budget once against each
-anchor's completion space; only a witness anchor becomes an ``Instance``.
+A checker walks its anchors as value-index tuples; only a witness anchor
+becomes an ``Instance``. Five checkers count each anchor through one
+``engine.counter`` per sweep, which checks the budget once against each
+anchor's completion space (its cartesian size). Minimality instead reads
+every count from the consistent table T, which ``engine.consistent_table``
+builds once per encoding and engine: the join's walk of T is budgeted by
+the search nodes it visits, brute force's by the full candidate space.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable
 
 # count_distinct stays importable for wrappers of this module's engine calls.
@@ -26,6 +31,7 @@ from .engine import (  # noqa: F401
     CountMode,
     Engine,
     Limits,
+    consistent_table,
     count_distinct,
     counter,
     distinct_representatives,
@@ -232,37 +238,61 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     A set Q is redundant when for every instance i over the from scope the
     outcome set of i equals that of i restricted to from∖{Q}. Since the
     completions of i are a subset of the completions of its restriction,
-    the outcome sets are equal iff their counts are, so exact (uncapped)
-    counts decide equality. instances_checked totals the (Q, i) pairs
-    examined: every Q is searched until a separating i is found or the
-    instances are exhausted.
+    the outcome sets are equal iff their counts are. Both counts come from
+    one group-by of the consistent table T (:func:`consistent_table`) by
+    instance: the rows over i (FULL) or their distinct target projections
+    (PROJECTED). The restriction's count merges the groups of the
+    instances it covers, as in TANE's partition refinement (Huhtala et
+    al., Computer Journal 1999). instances_checked totals the (Q, i) pairs
+    examined: every Q walks the instances in order until a separating i is
+    found or the instances are exhausted.
     """
     query = _query(PropertyKind.MINIMAL, network, from_scope, to_scope, mode)
     a_scope, b_scope = query.from_scope, query.to_scope
     if not a_scope:
         raise ScopeMismatchError("minimality requires a nonempty from scope")
     values = _anchor_values(network, a_scope, limits)
-    exact = replace(limits, cap=None)
-    # Without anchors nothing is counted, so no counter is prepared.
-    kept = counter(network, a_scope, b_scope, mode, exact, engine) if all(values) else None
+    position = {vs.id: i for i, vs in enumerate(network.sets)}
+    at = [position[sid] for sid in a_scope]
+    k = len(at)
+    outcome = (list(range(len(network.sets))) if mode is CountMode.FULL
+               else [position[sid] for sid in b_scope])
+    # Without anchors nothing is counted, so T is not built.
+    rows = consistent_table(network, limits, engine) if all(values) else ()
+    # Each anchor's distinct outcomes in T: its rows (FULL) or their target
+    # projections (PROJECTED); an anchor's count is their number.
+    groups: dict[tuple[int, ...], list] = {}
+    for pair in set(map(_columns(at + outcome), rows)):
+        groups.setdefault(pair[:k], []).append(pair[k:])
     checked = 0
     redundant: list[str] = []
     for qi, q in enumerate(a_scope):
-        dropped = counter(network, a_scope[:qi] + a_scope[qi + 1:], b_scope, mode,
-                          exact, engine) if kept else None
-        dropped_counts: dict[tuple[int, ...], int] = {}
-        for key in itertools.product(*map(range, map(len, values))):
-            checked += 1
-            restricted = key[:qi] + key[qi + 1:]
-            n_kept = kept(key)
-            if restricted not in dropped_counts:
-                dropped_counts[restricted] = dropped(restricted)
-            if n_kept != dropped_counts[restricted]:
+        # Outcomes that hold Q's value (every FULL row does) differ between
+        # the instances a restriction covers, so their counts add.
+        adds = at[qi] in outcome
+        dropped: dict[tuple[int, ...], int] = {}  # count per restricted anchor
+        rank = 0
+        for rank, key in enumerate(itertools.product(*map(range, map(len, values))), 1):
+            rest = key[:qi] + key[qi + 1:]
+            if rest not in dropped:
+                near = [groups.get(rest[:qi] + (v,) + rest[qi:], ())
+                        for v in range(len(values[qi]))]
+                dropped[rest] = sum(map(len, near)) if adds else len(set().union(*near))
+            if len(groups.get(key, ())) != dropped[rest]:
                 break
         else:
             redundant.append(q)
+        checked += rank
     witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
     return Verdict(query, not redundant, witnesses, checked)
+
+
+def _columns(positions: list[int]):
+    """The function from a row of T to its values at ``positions`` (at
+    least one), as a tuple."""
+    if len(positions) == 1:
+        return lambda row, i=positions[0]: (row[i],)
+    return itemgetter(*positions)
 
 
 _CHECKERS = {

@@ -224,7 +224,7 @@ def _relation_rows(draw):
 @example((("A", "C"), [("a1",), ("a2", "c1")]))
 def test_row_keys_agree_with_the_column_check(case):
     scope, rows = case
-    keys = model.row_keys(rows, model.scope_weights([SETS[sid] for sid in scope]))
+    keys = model.row_keys(rows, model.scope_weights(scope, SETS, {}))
     if not rows_conform(rows, [frozenset(SETS[sid]) for sid in scope]):
         assert keys is None
         return

@@ -23,7 +23,10 @@ skips or reorders anchors.
 On the same nets the duality laws hold over the scope pairs (data,
 sinks), (sources, sinks) and (data, sources) in both modes: injective(A, B)
 is functional(B, A) and surjective(A, B) is total(B, A), in ``holds``, the
-witness anchor, its evidence and ``instances_checked``.
+witness anchor, its evidence and ``instances_checked``. Two metamorphic
+laws of minimality hold there too, under both engines: shuffling each
+set's values keeps every ``holds`` and redundant set, and renaming sets
+and values maps every verdict one to one.
 
 Every generated net also survives a round trip through the text format:
 ``parse(serialize(net))`` gives an equal network with the same
@@ -57,6 +60,7 @@ from semnet import (
     ValueSet,
     check_functional,
     check_injective,
+    check_minimal,
     check_suite,
     check_surjective,
     check_total,
@@ -368,3 +372,65 @@ def test_duality_laws_on_small_nets():
     assert cases == SMALL_NETS * 6
     # Both laws must be tried on failing verdicts, with witnesses.
     assert injective_failures >= 150 and surjective_failures >= 1000
+
+
+def _shuffled(net, rng):
+    """``net`` with each set's values in a random order."""
+    sets = tuple(ValueSet(vs.id, tuple(rng.sample(vs.values, len(vs.values))))
+                 for vs in net.sets)
+    return Network(net.name, sets, net.relations, net.data_selection)
+
+
+def _renamed(net, rng):
+    """``net`` with every set and value renamed, declaration order kept,
+    and the map of set ids; the new ids sort in another order."""
+    ids = [vs.id for vs in net.sets]
+    new_ids = dict(zip(ids, rng.sample([f"N{i}" for i in range(len(ids))], len(ids))))
+    sets = tuple(ValueSet(new_ids[vs.id], tuple(f"{vs.id}:{v}" for v in vs.values))
+                 for vs in net.sets)
+    relations = tuple(
+        Relation(rel.id, tuple(map(new_ids.get, rel.in_sets)),
+                 tuple(map(new_ids.get, rel.out_sets)),
+                 tuple(tuple(f"{sid}:{v}" for sid, v in zip(rel.scope, row))
+                       for row in rel.rows))
+        for rel in net.relations)
+    data = frozenset(map(new_ids.get, net.data_selection))
+    return Network(net.name, sets, relations, data), new_ids
+
+
+def _redundant(verdict):
+    return [w.note.removeprefix("redundant:") for w in verdict.witnesses]
+
+
+def test_minimality_metamorphic_laws_on_small_nets():
+    """Shuffling each set's values keeps every minimality ``holds`` and
+    redundant set; renaming sets and values maps every verdict one to one,
+    ``instances_checked`` included. Under both engines, over the scope
+    pairs of the duality laws."""
+    rng = random.Random(SEED)
+    cases = redundant = 0
+    for net in itertools.islice(_nets(), SMALL_NETS):
+        shuffled = _shuffled(net, rng)
+        renamed, new_ids = _renamed(net, rng)
+        for a, b in ((net.data_selection, sinks(net)), (sources(net), sinks(net)),
+                     (net.data_selection, sources(net))):
+            if not a:
+                continue  # minimality needs a nonempty from scope
+            for mode in CountMode:
+                for engine in (Engine.JOIN, Engine.BRUTEFORCE):
+                    case = (net.name, sorted(a), sorted(b), mode, engine)
+                    verdict = check_minimal(net, a, b, mode, engine=engine)
+                    again = check_minimal(shuffled, a, b, mode, engine=engine)
+                    assert (again.holds, _redundant(again)) == (
+                        verdict.holds, _redundant(verdict)), case
+                    mapped = check_minimal(renamed, map(new_ids.get, a), map(new_ids.get, b),
+                                           mode, engine=engine)
+                    assert (mapped.holds, mapped.instances_checked) == (
+                        verdict.holds, verdict.instances_checked), case
+                    assert _redundant(mapped) == [new_ids[q] for q in _redundant(verdict)], case
+                    cases += 1
+                    redundant += not verdict.holds
+    # 300 nets, 12 cases each but where no set is a source.
+    assert cases == 3196
+    # Both laws must be tried on redundant sets and on minimal selections.
+    assert redundant >= 2000 and cases - redundant >= 800

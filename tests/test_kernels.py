@@ -129,7 +129,8 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     ``KERNELS``, ``ENGINE_CALLS`` and ``CHECKERS`` (the last two on
     ``semnet.properties``), and perfbench/harness.py reads ``JIT_ENABLED``;
     every name must exist, and a check must still reach the kernels
-    through them, as often as before."""
+    through them, as often as before. The encode cache is cleared first:
+    minimality's consistent table is walked once per encoding."""
     names = _spans_names("KERNELS")
     assert set(names) == ENTRY_POINTS
     for name in _spans_names("ENGINE_CALLS") + _spans_names("CHECKERS"):
@@ -147,11 +148,12 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(kernels, name, counted)
     net = all_networks()["fig1-mini"]
+    encode.cache_clear()
     for direction in Direction:
         for mode in CountMode:
             check_suite(net, direction, mode)
-    assert calls == {"count_completions": 92, "count_distinct_capped": 47,
-                     "collect_completions": 4, "collect_distinct_reps": 3}
+    assert calls == {"count_completions": 64, "count_distinct_capped": 19,
+                     "collect_completions": 5, "collect_distinct_reps": 3}
 
 
 def test_bench_kernels_ends_with_one_json_record():

@@ -3,6 +3,10 @@ agreement with the naive oracle."""
 
 from __future__ import annotations
 
+import gc
+import itertools
+import weakref
+
 import pytest
 
 from oracle import (
@@ -18,9 +22,14 @@ from semnet import (
     Direction,
     Engine,
     Instance,
+    LimitExceededError,
+    Limits,
+    Network,
     PropertyKind,
     PropertyQuery,
+    Relation,
     ScopeMismatchError,
+    ValueSet,
     check_functional,
     check_injective,
     check_minimal,
@@ -28,7 +37,10 @@ from semnet import (
     check_surjective,
     check_surjective_in,
     check_total,
+    encode,
     engine,
+    full_space_size,
+    kernels,
     properties,
     sinks,
     sources,
@@ -272,8 +284,9 @@ def test_instances_checked_counts_anchors():
 
 def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
     """Each prepared counter looks the network up in the encode cache once
-    for its whole anchor sweep; only witness calls add a lookup."""
-    tally = dict.fromkeys(("encode", "counter", "witness"), 0)
+    for its whole anchor sweep, and minimality once for its consistent
+    table; only witness calls add a lookup."""
+    tally = dict.fromkeys(("encode", "counter", "table", "witness"), 0)
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -282,11 +295,127 @@ def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
         return call
     monkeypatch.setattr(engine, "encode", counted("encode", engine.encode))
     monkeypatch.setattr(properties, "counter", counted("counter", properties.counter))
+    monkeypatch.setattr(properties, "consistent_table",
+                        counted("table", properties.consistent_table))
     for name in ("first_completions", "distinct_representatives"):
         monkeypatch.setattr(properties, name, counted("witness", getattr(properties, name)))
     net = all_networks()["fig1-mini"]
     for direction in Direction:
         for mode in CountMode:
             check_suite(net, direction, mode)
-    # One lookup per engine call, 146 here, would mean one per anchor.
-    assert tally["encode"] == tally["counter"] + tally["witness"] == 61, tally
+    # One lookup per kernel call, 91 here, would mean one per anchor.
+    assert (tally["encode"] == tally["counter"] + tally["table"] + tally["witness"]
+            == 45), tally
+
+
+# --- minimality over the consistent table: budget and lifetime -------------
+
+def _chain(n_sets, n_values):
+    """Sets S0..S{n-1} of n values, each a bijection of the one before."""
+    values = tuple(f"v{i}" for i in range(n_values))
+    sets = tuple(ValueSet(f"S{k}", values) for k in range(n_sets))
+    relations = tuple(Relation(f"r{k}", (f"S{k}",), (f"S{k + 1}",),
+                               tuple((v, v) for v in values))
+                      for k in range(n_sets - 1))
+    return Network(f"chain{n_sets}x{n_values}", sets, relations, frozenset({"S0"}))
+
+
+def _join_nodes(network):
+    """Reference for the join's search nodes walking T: per set in
+    declaration order, the prefixes consistent with every relation whose
+    scope they cover, counted by extending the last level's prefixes."""
+    prefixes = [{}]
+    nodes = 0
+    for level, vs in enumerate(network.sets):
+        covered = {s.id for s in network.sets[:level + 1]}
+        rels = [rel for rel in network.relations if covered >= set(rel.scope)]
+        extended = ({**p, vs.id: v} for p in prefixes for v in vs.values)
+        prefixes = [p for p in extended
+                    if all(tuple(p[sid] for sid in rel.scope) in set(rel.rows)
+                           for rel in rels)]
+        nodes += len(prefixes)
+    return nodes
+
+
+def wide_net(n_data, n_values, n_free, n_free_values):
+    """Data sets D0.. whose joint value ``key`` copies onto Y, which leads to
+    free sets F0.. without constraint. T has one row per data anchor and
+    free combination, yet Y separates each data set at the first anchor:
+    the case where minimality over T does the most work the per-anchor
+    counts skipped."""
+    values = tuple(f"v{i}" for i in range(n_values))
+    data = tuple(ValueSet(f"D{k}", values) for k in range(n_data))
+    combos = list(itertools.product(values, repeat=n_data))
+    y = ValueSet("Y", tuple("-".join(c) for c in combos))
+    free = tuple(ValueSet(f"F{k}", tuple(f"w{i}" for i in range(n_free_values)))
+                 for k in range(n_free))
+    relations = (Relation("key", tuple(vs.id for vs in data), ("Y",),
+                          tuple((*c, "-".join(c)) for c in combos)),
+                 *(Relation(f"to-{vs.id}", ("Y",), (vs.id,),
+                            tuple(itertools.product(y.values, vs.values))) for vs in free))
+    return Network(f"wide{n_data}x{n_values}", data + (y,) + free, relations,
+                   frozenset(vs.id for vs in data))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_minimal_on_a_wide_net_separates_at_the_first_anchor(engine):
+    net = wide_net(2, 3, 2, 4)
+    assert len(properties.consistent_table(net, engine=engine)) == 9 * 16
+    for mode in CountMode:
+        verdict = check_minimal(net, to_scope={"Y"}, mode=mode, engine=engine)
+        assert verdict.holds and verdict.instances_checked == 2, mode
+        assert verdict.holds == oracle_minimal(net, ["D0", "D1"], ["Y"], mode.value)
+
+
+def test_minimal_budget_counts_the_join_walk_not_the_cartesian_space():
+    """A 12-set chain of 10-value bijections has a 10^11 completion space
+    per anchor but a 10-row T: the join decides its minimality at the
+    default budget, while brute force, which walks all 10^12 candidates,
+    is refused."""
+    chain = _chain(12, 10)
+    verdict = check_minimal(chain)
+    assert verdict.holds and verdict.instances_checked == 1
+    with pytest.raises(LimitExceededError) as info:
+        check_minimal(chain, engine=Engine.BRUTEFORCE)
+    assert info.value.required == 10**12
+
+
+def test_minimal_budget_refuses_a_cached_table(monkeypatch):
+    """fig1-mini's T walk visits exactly the reference's nodes; one budget
+    below them is refused even when a T built under a larger budget is
+    kept on the encoding, and brute force is gated on the full space."""
+    fig = all_networks()["fig1-mini"]
+    nodes = _join_nodes(fig)
+    assert nodes == 87
+    encode.cache_clear()
+    assert check_minimal(fig, limits=Limits(max_enumerated=nodes)).holds is False
+    encode.cache_clear()
+    check_minimal(fig)  # T kept from the default budget
+    walks = []
+    monkeypatch.setattr(kernels, "collect_completions",
+                        lambda *args, _real=kernels.collect_completions:
+                        walks.append(args[-1]) or _real(*args))
+    with pytest.raises(LimitExceededError):
+        check_minimal(fig, limits=Limits(max_enumerated=nodes - 1))
+    assert check_minimal(fig, limits=Limits(max_enumerated=nodes)) == check_minimal(fig)
+    assert walks == [nodes - 1, nodes]  # the default budget hits the cache
+    space = full_space_size(fig)
+    with pytest.raises(LimitExceededError) as info:
+        check_minimal(fig, limits=Limits(max_enumerated=space - 1), engine=Engine.BRUTEFORCE)
+    assert (info.value.required, info.value.allowed) == (space, space - 1)
+    assert (check_minimal(fig, limits=Limits(max_enumerated=space), engine=Engine.BRUTEFORCE)
+            == check_minimal(fig))
+
+
+def test_consistent_table_is_freed_with_its_encoding():
+    fig = all_networks()["fig1-mini"]
+    encode.cache_clear()
+    for eng in ENGINES:
+        check_minimal(fig, engine=eng)
+    enc = encode(fig)
+    assert len(enc.tables) == 2
+    ref = weakref.ref(enc)
+    del enc
+    encode.cache_clear()
+    gc.collect()
+    assert ref() is None
