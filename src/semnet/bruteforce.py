@@ -16,9 +16,11 @@ walk handles like any other.
 candidates of each chunk, in rank order: it counts them (with a
 ``target``, only those whose projection onto the target sets has not been
 met), keeps the first ``keep`` counted as tuples of value indices, and
-stops once ``cap`` are counted (no cap when ``cap`` is 0 or less). The
-work ``collect_completions``'s ``budget`` bounds is the candidate space
-it walks, so a space larger than a nonzero budget is refused up front.
+stops once ``cap`` are counted (no cap when ``cap`` is 0 or less). Every
+entry point takes a trailing ``budget``, ``Limits.max_enumerated``, which
+bounds the work of each search, as the search nodes the join visits or the
+candidate space brute force walks, and the anchor count of each sweep:
+a candidate space larger than the budget is refused before the walk.
 """
 
 from __future__ import annotations
@@ -40,13 +42,15 @@ __all__ = [
 
 _CHUNK = 1 << 18
 
-# Set sizes; per relation, scope positions, strides and sorted int64 row keys.
-BruteForceIndex = tuple[tuple[int, ...], tuple[tuple[tuple, tuple, np.ndarray], ...]]
+# Set sizes; per relation, scope positions, int64 strides and sorted row keys.
+BruteForceIndex = tuple[tuple[int, ...], tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]
 
 
 def build_index(sizes: Sequence[int], relations) -> BruteForceIndex:
-    """The encoding's ``(scope, strides, row keys)`` with int64 key arrays."""
-    return tuple(sizes), tuple((scope, strides, np.array(keys, dtype=np.int64))
+    """The encoding's ``(scope, strides, row keys)`` as arrays."""
+    return tuple(sizes), tuple((np.array(scope, dtype=np.intp),
+                                np.array(strides, dtype=np.int64),
+                                np.array(keys, dtype=np.int64))
                                for scope, strides, keys in relations)
 
 
@@ -61,7 +65,7 @@ def _chunks(index: BruteForceIndex, fixed: list[int],
     for i in reversed(free):
         divs[i] = div
         div *= sizes[i]
-    if 0 < budget < div:
+    if div > budget:
         raise LimitExceededError(div, budget)
     for lo in range(0, div, _CHUNK):
         rank = np.arange(lo, min(lo + _CHUNK, div), dtype=np.int64)
@@ -69,13 +73,11 @@ def _chunks(index: BruteForceIndex, fixed: list[int],
         for i, size in enumerate(sizes):
             vals[:, i] = fixed[i] if i not in divs else rank // divs[i] % size
         for scope, strides, keys in relations:
-            key = np.zeros(len(vals), dtype=np.int64)
-            for s, stride in zip(scope, strides):
-                key += vals[:, s] * stride
-            pos = np.searchsorted(keys, key)
-            hit = pos < keys.size
-            hit[hit] = keys[pos[hit]] == key[hit]
-            vals = vals[hit]
+            if not keys.size:
+                return  # an empty relation admits no candidate
+            key = vals[:, scope] @ strides
+            # A key past the last row key is clipped onto it and differs.
+            vals = vals[keys.take(keys.searchsorted(key), mode="clip") == key]
             if not len(vals):
                 break
         if len(vals):
@@ -83,7 +85,7 @@ def _chunks(index: BruteForceIndex, fixed: list[int],
 
 
 def _walk(index: BruteForceIndex, fixed: list[int], target: Sequence[int] | None,
-          cap: int, keep: int, budget: int = 0) -> tuple[int, list[tuple[int, ...]]]:
+          cap: int, keep: int, budget: int) -> tuple[int, list[tuple[int, ...]]]:
     """Walk the completions of ``fixed``; see the module docstring.
 
     Returns the count and the kept completions.
@@ -112,28 +114,28 @@ def _walk(index: BruteForceIndex, fixed: list[int], target: Sequence[int] | None
     return count, rows
 
 
-def count_completions(index: BruteForceIndex, fixed: list[int], cap: int) -> int:
+def count_completions(index: BruteForceIndex, fixed: list[int], cap: int,
+                      budget: int) -> int:
     """Count consistent completions of ``fixed``, up to ``cap``."""
-    return _walk(index, fixed, None, cap, 0)[0]
+    return _walk(index, fixed, None, cap, 0, budget)[0]
 
 
 def collect_completions(index: BruteForceIndex, fixed: list[int], k: int,
-                        budget: int = 0) -> list[tuple[int, ...]]:
-    """The first ``k`` consistent completions of ``fixed``, refused when
-    their candidate space exceeds ``budget``."""
+                        budget: int) -> list[tuple[int, ...]]:
+    """The first ``k`` consistent completions of ``fixed``."""
     return _walk(index, fixed, None, k, k, budget)[1] if k > 0 else []
 
 
 def count_distinct_capped(index: BruteForceIndex, fixed: list[int],
-                          target: Sequence[int], cap: int) -> int:
+                          target: Sequence[int], cap: int, budget: int) -> int:
     """Count distinct projections of completions onto the ``target`` sets,
     up to ``cap``."""
-    return _walk(index, fixed, target, cap, 0)[0]
+    return _walk(index, fixed, target, cap, 0, budget)[0]
 
 
 def collect_distinct_reps(index: BruteForceIndex, fixed: list[int],
-                          target: Sequence[int],
-                          k: int) -> list[tuple[int, ...]]:
+                          target: Sequence[int], k: int,
+                          budget: int) -> list[tuple[int, ...]]:
     """The first completion for each of the first ``k`` distinct target
     projections, in order of first appearance."""
-    return _walk(index, fixed, target, k, k)[1] if k > 0 else []
+    return _walk(index, fixed, target, k, k, budget)[1] if k > 0 else []

@@ -2,8 +2,8 @@
 
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 all requested
 properties hold (or the file is valid), 1 some property fails, 2 usage or
-parse error, 3 validation error, 4 enumeration limit exceeded or a scope
-too large for the engine's 62-bit keys.
+parse error, 3 validation error, 4 work budget exceeded or a scope too
+large for the engine's 62-bit keys.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--engine", default="join",
                          choices=[e.value for e in Engine])
     p_check.add_argument("--max-instances", dest="max_instances", type=int,
-                         metavar="N", help="work budget: candidate space, or the"
-                         " join's search nodes for the minimality table")
+                         metavar="N", help="work budget of each search (the"
+                         " join's search nodes, brute force's candidate space)"
+                         " and of each sweep's anchor count")
     p_check.add_argument("--json", action="store_true",
                          help="emit the machine-readable report")
     return parser

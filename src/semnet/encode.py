@@ -18,7 +18,6 @@ stays in plain Python ints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -72,11 +71,6 @@ class EncodedNetwork:
                 raise ScopeMismatchError(f"value {value!r} not in set {sid!r}")
             fixed[i] = vi
         return fixed
-
-    def space_size(self, fixed: list[int]) -> int:
-        """Number of candidate full instances extending the fixed value
-        indices (a :meth:`fixed_from` list)."""
-        return math.prod(size for size, value in zip(self.sizes, fixed) if value < 0)
 
     def instance_from_row(self, row: tuple[int, ...]) -> Instance:
         return Instance({

@@ -12,18 +12,18 @@ always goes to brute force, whose walk covers its one candidate, the empty
 instance.
 
 Enumeration order everywhere is lexicographic in (set declaration order,
-value declaration order). Every operation checks the work it would do
-against ``Limits.max_enumerated`` and raises ``LimitExceededError`` rather
-than truncate silently. For the anchor counts and collections that work
-is the cartesian candidate space, checked before the walk. For
-:func:`consistent_table`, the table T that minimality reads, it is the
-engine's own work: the join counts the search nodes it visits and stops
-past the budget; brute force checks the full space it walks. ``Limits.cap``
-is an early-stop for counting: results are then ``min(true count, cap)``.
+value declaration order). ``Limits.max_enumerated`` bounds the work of
+each search, as the search nodes the join visits or the candidate space
+brute force walks, and the anchor count of each sweep. Every backend call
+takes it and raises ``LimitExceededError`` rather than truncate silently.
+Only :func:`enumerate_instances`, which walks a cartesian space itself,
+checks that space here; ``properties`` checks its sweeps' anchor counts.
+``Limits.cap`` is an early-stop for counting: results are then
+``min(true count, cap)``.
 
 :func:`counter` prepares the count for a sweep of anchors over one scope,
-checking the target, the encoding and the budget once, and leaves one
-kernel call per anchor; :func:`count_distinct` is a one-anchor call of it.
+checking the target and the encoding once, and leaves one kernel call per
+anchor; :func:`count_distinct` is a one-anchor call of it.
 """
 
 from __future__ import annotations
@@ -115,11 +115,11 @@ def known_sets(network: Network, ids: Iterable[str], what: str) -> frozenset[str
     return wanted
 
 
-def within_budget(space: int, limits: Limits) -> int:
-    """The size of a space about to be walked, refused beyond the budget."""
+def within_budget(values: Sequence[Sequence], limits: Limits) -> None:
+    """Refuse a walk of the cartesian product of ``values`` beyond the budget."""
+    space = math.prod(map(len, values))
     if space > limits.max_enumerated:
         raise LimitExceededError(space, limits.max_enumerated)
-    return space
 
 
 def enumerate_instances(network: Network, scope: Iterable[str],
@@ -127,21 +127,13 @@ def enumerate_instances(network: Network, scope: Iterable[str],
     """All instances over the scope, in lexicographic declaration order."""
     ordered = network.set_order(known_sets(network, scope, "scope"))
     values = [network.value_set(sid).values for sid in ordered]
-    within_budget(math.prod(map(len, values)), limits)
+    within_budget(values, limits)
     return (Instance(zip(ordered, combo)) for combo in itertools.product(*values))
 
 
 def full_space_size(network: Network) -> int:
     """Product of all set sizes: the candidate space of full instances."""
     return math.prod(len(vs.values) for vs in network.sets)
-
-
-def _prepare(network: Network, partial: Instance,
-             limits: Limits) -> tuple[EncodedNetwork, list[int]]:
-    enc = encode(network)
-    fixed = enc.fixed_from(partial)
-    within_budget(enc.space_size(fixed), limits)
-    return enc, fixed
 
 
 def _backend(enc: EncodedNetwork, engine: Engine) -> tuple[object, object]:
@@ -165,12 +157,11 @@ def first_completions(network: Network, partial: Instance, k: int,
                       limits: Limits = _DEFAULT_LIMITS,
                       engine: Engine = Engine.JOIN) -> list[Instance]:
     """The first k consistent full instances extending the partial."""
-    enc, fixed = _prepare(network, partial, limits)
-    if k <= 0:
-        return []
+    enc = encode(network)
+    fixed = enc.fixed_from(partial)
     backend, data = _backend(enc, engine)
-    return [enc.instance_from_row(row)
-            for row in backend.collect_completions(data, fixed, k)]
+    return [enc.instance_from_row(row) for row in
+            backend.collect_completions(data, fixed, k, limits.max_enumerated)]
 
 
 def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
@@ -178,19 +169,17 @@ def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
     """T: every consistent full instance as value indices, in order.
 
     The engine's uncapped ``collect_completions`` builds T once per
-    encoding and keeps it there. Its budget bounds the walk's own work:
-    the join's search nodes, brute force's whole candidate space. A T kept
-    from a larger budget is walked again under a smaller one, so whether
-    a budget refuses T does not depend on the cache.
+    encoding and keeps it there. A T kept from a larger budget is walked
+    again under a smaller one, so whether a budget refuses T does not
+    depend on the cache.
     """
     enc = encode(network)
     backend, data = _backend(enc, engine)
     budget = limits.max_enumerated
     known = enc.tables.get(backend)
     if known is None or budget < known[0]:
-        free = [-1] * enc.n_sets
         known = enc.tables[backend] = (budget, backend.collect_completions(
-            data, free, enc.space_size(free), budget))
+            data, [-1] * enc.n_sets, full_space_size(network), budget))
     return known[1]
 
 
@@ -201,21 +190,22 @@ def counter(network: Network, scope: Sequence[str], target: Iterable[str],
     """Prepare :func:`count_distinct` for every anchor over ``scope``.
 
     The returned function maps an anchor's value indices, one per set of
-    ``scope`` in the order given, to its count with one kernel call. All
-    anchors over the scope share one completion space, checked here.
+    ``scope`` in the order given, to its count with one kernel call. The
+    budget bounds each call, as the search nodes the join visits or the
+    candidate space brute force walks, and the caller's sweep of anchors.
     """
     wanted = known_sets(network, target, "target")
     enc = encode(network)
     at = [enc.set_index[sid] for sid in scope]
     base = [0 if i in at else -1 for i in range(enc.n_sets)]
-    within_budget(enc.space_size(base), limits)
-    cap = limits.cap or 0
+    cap, budget = limits.cap or 0, limits.max_enumerated
     backend, data = _backend(enc, engine)
     if mode is CountMode.FULL:
-        run = lambda fixed: backend.count_completions(data, fixed, cap)
+        run = lambda fixed: backend.count_completions(data, fixed, cap, budget)
     else:
         positions = enc.target_positions(wanted)
-        run = lambda fixed: backend.count_distinct_capped(data, fixed, positions, cap)
+        run = lambda fixed: backend.count_distinct_capped(data, fixed, positions,
+                                                          cap, budget)
 
     def count(values: Sequence[int]) -> int:
         fixed = base.copy()
@@ -245,10 +235,9 @@ def distinct_representatives(network: Network, partial: Instance,
                              engine: Engine = Engine.JOIN) -> list[Instance]:
     """First completion for each of the first k distinct target projections."""
     wanted = known_sets(network, target, "target")
-    enc, fixed = _prepare(network, partial, limits)
-    if k <= 0:
-        return []
+    enc = encode(network)
+    fixed = enc.fixed_from(partial)
     positions = enc.target_positions(wanted)
     backend, data = _backend(enc, engine)
-    return [enc.instance_from_row(row)
-            for row in backend.collect_distinct_reps(data, fixed, positions, k)]
+    return [enc.instance_from_row(row) for row in backend.collect_distinct_reps(
+        data, fixed, positions, k, limits.max_enumerated)]

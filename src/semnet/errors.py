@@ -16,13 +16,12 @@ class KeyOverflowError(SemnetError):
 
 
 class LimitExceededError(SemnetError):
-    """An enumeration would exceed the configured instance budget."""
+    """A search or enumeration would exceed the configured work budget;
+    ``unit`` names what was counted."""
 
-    def __init__(self, required: int, allowed: int) -> None:
-        super().__init__(
-            f"enumeration of {required} candidate instances exceeds the "
-            f"budget of {allowed}"
-        )
+    def __init__(self, required: int, allowed: int,
+                 unit: str = "candidate instances") -> None:
+        super().__init__(f"walking {required} {unit} exceeds the budget of {allowed}")
         self.required = required
         self.allowed = allowed
 

@@ -28,12 +28,15 @@ At each consistent completion (a leaf) the walk does three things:
 The four entry points are single calls into ``_search`` that pick the leaf
 behaviour through ``target`` and ``keep``. ``fixed`` is a list of value
 indices per set, -1 where the partial leaves the set free; a ``cap`` of 0
-or less means no cap. ``collect_completions`` also takes a ``budget``: the
-walk raises ``LimitExceededError`` once it has visited more than that many
-search nodes (value assignments at any level), 0 meaning no budget.
-``bruteforce`` exports the same four names with the same arguments and
-results, so the engine calls either through one contract. The walk needs
-at least one set; the engine sends a network without sets to brute force.
+or less means no cap. Each takes a trailing ``budget``,
+``Limits.max_enumerated``, which bounds the work of each search, as the
+search nodes the join visits or the candidate space brute force walks,
+and the anchor count of each sweep: this walk raises ``LimitExceededError``
+once it has visited more than ``budget`` search nodes (value assignments
+at any level), however large its cartesian space. ``bruteforce`` exports
+the same four names with the same arguments and results, so the engine
+calls either through one contract. The walk needs at least one set; the
+engine sends a network without sets to brute force.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def build_index(sizes: Sequence[int], relations) -> JoinIndex:
 
 
 def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
-            cap: int, keep: int, budget: int = 0) -> tuple[int, list[tuple[int, ...]]]:
+            cap: int, keep: int, budget: int) -> tuple[int, list[tuple[int, ...]]]:
     """Walk the completions of ``fixed``; see the module docstring.
 
     Returns the count and the kept completions.
@@ -120,10 +123,9 @@ def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
             if allowed is None:
                 return False
             cands = allowed if cands is domain else [v for v in cands if v in allowed]
-        if budget:
-            nodes += len(cands)
-            if nodes > budget:
-                raise LimitExceededError(nodes, budget)
+        nodes += len(cands)
+        if nodes > budget:
+            raise LimitExceededError(nodes, budget, "search nodes")
         if level < last:
             for v in cands:
                 cur[level] = v
@@ -154,28 +156,28 @@ def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
     return count, rows
 
 
-def count_completions(index: JoinIndex, fixed: list[int], cap: int) -> int:
+def count_completions(index: JoinIndex, fixed: list[int], cap: int,
+                      budget: int) -> int:
     """Count consistent completions of ``fixed``, up to ``cap``."""
-    return _search(index, fixed, None, cap, 0)[0]
+    return _search(index, fixed, None, cap, 0, budget)[0]
 
 
 def collect_completions(index: JoinIndex, fixed: list[int], k: int,
-                        budget: int = 0) -> list[tuple[int, ...]]:
-    """The first ``k`` consistent completions of ``fixed``, refused once
-    the walk visits more than ``budget`` search nodes."""
+                        budget: int) -> list[tuple[int, ...]]:
+    """The first ``k`` consistent completions of ``fixed``."""
     return _search(index, fixed, None, k, k, budget)[1] if k > 0 else []
 
 
 def count_distinct_capped(index: JoinIndex, fixed: list[int],
-                          target: Sequence[int], cap: int) -> int:
+                          target: Sequence[int], cap: int, budget: int) -> int:
     """Count distinct projections of completions onto the ``target`` sets,
     up to ``cap``."""
-    return _search(index, fixed, target, cap, 0)[0]
+    return _search(index, fixed, target, cap, 0, budget)[0]
 
 
 def collect_distinct_reps(index: JoinIndex, fixed: list[int],
-                          target: Sequence[int],
-                          k: int) -> list[tuple[int, ...]]:
+                          target: Sequence[int], k: int,
+                          budget: int) -> list[tuple[int, ...]]:
     """The first completion for each of the first ``k`` distinct target
     projections, in order of first appearance."""
-    return _search(index, fixed, target, k, k)[1] if k > 0 else []
+    return _search(index, fixed, target, k, k, budget)[1] if k > 0 else []

@@ -10,20 +10,19 @@ redundant set. Evidence instances are always consistent full instances.
 
 A checker walks its anchors as value-index tuples; only a witness anchor
 becomes an ``Instance``. Five checkers count each anchor through one
-``engine.counter`` per sweep, which checks the budget once against each
-anchor's completion space (its cartesian size). Minimality instead reads
-every count from the consistent table T, which ``engine.consistent_table``
-builds once per encoding and engine: the join's walk of T is budgeted by
-the search nodes it visits, brute force's by the full candidate space.
+``engine.counter`` per sweep, one budgeted search per anchor, and the
+sweep checks its anchor count against the same budget. Minimality instead
+reads every count from the consistent table T, which
+``engine.consistent_table`` builds once per encoding and engine, and walks
+no anchor space.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable
 
 # count_distinct stays importable for wrappers of this module's engine calls.
@@ -40,7 +39,7 @@ from .engine import (  # noqa: F401
     within_budget,
 )
 from .errors import ScopeMismatchError
-from .model import Instance, Network, sinks, sources
+from .model import Instance, Network, mixed_radix, sinks, sources
 
 __all__ = [
     "Direction",
@@ -125,16 +124,6 @@ def _pair_evidence(network: Network, anchor: Instance, target: tuple[str, ...],
     return tuple(distinct_representatives(network, anchor, target, 2, limits, engine))
 
 
-def _anchor_values(network: Network, scope: tuple[str, ...], limits: Limits,
-                   bounded: bool = True) -> list[tuple[str, ...]]:
-    """The values of each anchor set, indexed by the anchors' value-index
-    tuples; with ``bounded``, the anchor count is checked against the budget."""
-    values = [network.value_set(sid).values for sid in scope]
-    if bounded:
-        within_budget(math.prod(map(len, values)), limits)
-    return values
-
-
 # Whether an anchor fails on two or more outcomes (else on none); the note.
 _FAILURES = {
     PropertyKind.FUNCTIONAL: (True, "multiple-outcomes"),
@@ -151,9 +140,12 @@ def _sweep(network: Network, query: PropertyQuery, scope: tuple[str, ...],
     """Count each anchor over ``scope`` in order through one counter. An
     anchor fails when its completions have two or more outcomes over
     ``target`` in the query's mode (two of them witness it), or else when
-    it has none; the first failing anchor is the witness."""
+    it has none; the first failing anchor is the witness. With
+    ``bounded``, the anchor count is checked against the budget."""
     many, note = _FAILURES[query.kind]
-    values = _anchor_values(network, scope, limits, bounded)
+    values = [network.value_set(sid).values for sid in scope]
+    if bounded:
+        within_budget(values, limits)
     if not all(values):
         return Verdict(query, True, (), 0)
     mode = query.mode if many else CountMode.FULL
@@ -244,14 +236,17 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     (PROJECTED). The restriction's count merges the groups of the
     instances it covers, as in TANE's partition refinement (Huhtala et
     al., Computer Journal 1999). instances_checked totals the (Q, i) pairs
-    examined: every Q walks the instances in order until a separating i is
-    found or the instances are exhausted.
+    a walk of the instances in order would examine: for every Q, the rank
+    of the first separating i, or all instances when none separates. Only
+    an i whose restriction has rows in T can separate, so no instance
+    space is walked.
     """
     query = _query(PropertyKind.MINIMAL, network, from_scope, to_scope, mode)
     a_scope, b_scope = query.from_scope, query.to_scope
     if not a_scope:
         raise ScopeMismatchError("minimality requires a nonempty from scope")
-    values = _anchor_values(network, a_scope, limits)
+    values = [network.value_set(sid).values for sid in a_scope]
+    strides, space = mixed_radix(range(len(values)), values)
     position = {vs.id: i for i, vs in enumerate(network.sets)}
     at = [position[sid] for sid in a_scope]
     k = len(at)
@@ -264,27 +259,42 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     groups: dict[tuple[int, ...], list] = {}
     for pair in set(map(_columns(at + outcome), rows)):
         groups.setdefault(pair[:k], []).append(pair[k:])
+    ordered = sorted(groups)
     checked = 0
     redundant: list[str] = []
     for qi, q in enumerate(a_scope):
         # Outcomes that hold Q's value (every FULL row does) differ between
-        # the instances a restriction covers, so their counts add.
-        adds = at[qi] in outcome
-        dropped: dict[tuple[int, ...], int] = {}  # count per restricted anchor
-        rank = 0
-        for rank, key in enumerate(itertools.product(*map(range, map(len, values))), 1):
-            rest = key[:qi] + key[qi + 1:]
-            if rest not in dropped:
-                near = [groups.get(rest[:qi] + (v,) + rest[qi:], ())
-                        for v in range(len(values[qi]))]
-                dropped[rest] = sum(map(len, near)) if adds else len(set().union(*near))
-            if len(groups.get(key, ())) != dropped[rest]:
-                break
-        else:
+        # the instances a restriction covers, so their counts add (``adds``).
+        first = _first_separating(ordered, groups, qi, len(values[qi]), at[qi] in outcome)
+        if first is None:
             redundant.append(q)
-        checked += rank
+            checked += space
+        else:
+            checked += sum(map(mul, first, strides)) + 1
     witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
     return Verdict(query, not redundant, witnesses, checked)
+
+
+def _first_separating(ordered: list[tuple[int, ...]], groups: dict, qi: int,
+                      size: int, adds: bool) -> tuple[int, ...] | None:
+    """The lex-first instance whose count in ``groups`` differs from its
+    restriction's without position ``qi`` (``size`` values), or None. Only
+    instances whose restriction has rows can differ, so only those are
+    walked: per head (before ``qi``) of the ``ordered`` keys, each value
+    with every tail in order. ``adds`` as in :func:`check_minimal`."""
+    for head, block in itertools.groupby(ordered, lambda key: key[:qi]):
+        tails = sorted({key[qi + 1:] for key in block})
+        dropped: dict[tuple, int] = {}  # per tail, the restriction's count
+        for v in range(size):
+            for tail in tails:
+                if tail not in dropped:
+                    near = [groups.get(head + (u,) + tail, ()) for u in range(size)]
+                    dropped[tail] = (sum(map(len, near)) if adds
+                                     else len(set().union(*near)))
+                key = head + (v,) + tail
+                if len(groups.get(key, ())) != dropped[tail]:
+                    return key
+    return None
 
 
 def _columns(positions: list[int]):

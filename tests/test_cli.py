@@ -113,11 +113,18 @@ def test_check_cycle_exit_3(capsys):
 
 
 def test_check_limit_exceeded_exit_4(capsys):
+    # fig1-mini's walk of its consistent table visits 87 search nodes, the
+    # most of any of its searches (test_properties pins the count).
     code, out, err = _run(capsys, "check", str(CORPUS / "fig1-mini.semnet"),
-                          "--max-instances", "1000")
+                          "--max-instances", "86")
     assert code == 4
     assert out == ""
     assert "exceeds the budget" in err
+    assert "search nodes" in err
+    code, out, err = _run(capsys, "check", str(CORPUS / "fig1-mini.semnet"),
+                          "--max-instances", "87")
+    assert code == 1
+    assert "FAILS" in out
 
 
 def test_key_overflow_is_exit_4_not_usage(capsys, tmp_path):

@@ -24,9 +24,9 @@ On the same nets the duality laws hold over the scope pairs (data,
 sinks), (sources, sinks) and (data, sources) in both modes: injective(A, B)
 is functional(B, A) and surjective(A, B) is total(B, A), in ``holds``, the
 witness anchor, its evidence and ``instances_checked``. Two metamorphic
-laws of minimality hold there too, under both engines: shuffling each
-set's values keeps every ``holds`` and redundant set, and renaming sets
-and values maps every verdict one to one.
+laws of all six checkers hold there too, under both engines: shuffling
+each set's values keeps every ``holds`` and redundant set, and renaming
+sets and values maps every verdict one to one.
 
 Every generated net also survives a round trip through the text format:
 ``parse(serialize(net))`` gives an equal network with the same
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,7 @@ from semnet import (
     Relation,
     ScopeMismatchError,
     ValueSet,
+    Witness,
     check_functional,
     check_injective,
     check_minimal,
@@ -383,54 +385,99 @@ def _shuffled(net, rng):
 
 def _renamed(net, rng):
     """``net`` with every set and value renamed, declaration order kept,
-    and the map of set ids; the new ids sort in another order."""
+    the map of set ids and the map of (set id, value) pairs to new values;
+    the new ids and values sort in another order."""
     ids = [vs.id for vs in net.sets]
     new_ids = dict(zip(ids, rng.sample([f"N{i}" for i in range(len(ids))], len(ids))))
-    sets = tuple(ValueSet(new_ids[vs.id], tuple(f"{vs.id}:{v}" for v in vs.values))
+    new_values = {(vs.id, v): new for vs in net.sets for v, new in zip(
+        vs.values, rng.sample([f"w{i}" for i in range(len(vs.values))], len(vs.values)))}
+    sets = tuple(ValueSet(new_ids[vs.id], tuple(new_values[vs.id, v] for v in vs.values))
                  for vs in net.sets)
     relations = tuple(
         Relation(rel.id, tuple(map(new_ids.get, rel.in_sets)),
                  tuple(map(new_ids.get, rel.out_sets)),
-                 tuple(tuple(f"{sid}:{v}" for sid, v in zip(rel.scope, row))
+                 tuple(tuple(new_values[pair] for pair in zip(rel.scope, row))
                        for row in rel.rows))
         for rel in net.relations)
     data = frozenset(map(new_ids.get, net.data_selection))
-    return Network(net.name, sets, relations, data), new_ids
+    return Network(net.name, sets, relations, data), new_ids, new_values
 
 
 def _redundant(verdict):
     return [w.note.removeprefix("redundant:") for w in verdict.witnesses]
 
 
-def test_minimality_metamorphic_laws_on_small_nets():
-    """Shuffling each set's values keeps every minimality ``holds`` and
-    redundant set; renaming sets and values maps every verdict one to one,
-    ``instances_checked`` included. Under both engines, over the scope
-    pairs of the duality laws."""
+def _renamed_verdict(verdict, new_ids, new_values):
+    """``verdict`` with its sets and values renamed as :func:`_renamed` does."""
+    def instance(inst):
+        return Instance({new_ids[sid]: new_values[sid, v] for sid, v in inst.assignment})
+
+    def note(text):
+        q = text.removeprefix("redundant:")
+        return text if q == text else f"redundant:{new_ids[q]}"
+    query = verdict.query
+    query = replace(query, from_scope=tuple(map(new_ids.get, query.from_scope)),
+                    to_scope=tuple(map(new_ids.get, query.to_scope)),
+                    param=query.param and new_ids[query.param])
+    witnesses = tuple(Witness(instance(w.anchor), tuple(map(instance, w.evidence)), note(w.note))
+                      for w in verdict.witnesses)
+    return replace(verdict, query=query, witnesses=witnesses)
+
+
+def _kept(verdicts):
+    """What shuffling values keeps: each ``holds``, and minimality's
+    redundant sets."""
+    return [(v.holds, _redundant(v) if v.query.kind is PropertyKind.MINIMAL else [])
+            for v in verdicts]
+
+
+def _assert_laws(run, net, shuffled, renamed, new_ids, new_values, case):
+    """``run``, a function from a network and an engine to verdicts, obeys
+    both laws under both engines, each against the join's verdicts on
+    ``net``; those verdicts."""
+    verdicts = run(net, Engine.JOIN)
+    for engine in (Engine.JOIN, Engine.BRUTEFORCE):
+        assert _kept(run(shuffled, engine)) == _kept(verdicts), (case, engine)
+        mapped = run(renamed, engine)
+        assert mapped == tuple(_renamed_verdict(v, new_ids, new_values)
+                               for v in verdicts), (case, engine)
+    return verdicts
+
+
+def test_metamorphic_laws_on_small_nets():
+    """Shuffling each set's values keeps every ``holds`` of all six
+    checkers, and minimality's redundant sets; renaming sets and values
+    maps every verdict one to one: scopes and witnesses renamed,
+    ``instances_checked`` equal. Both engines run the changed nets, for the
+    suites of both directions and for minimality also from the sources to
+    the sinks, so that it covers the scope pairs of the duality laws. Each
+    is compared with the join's verdicts on the net itself, which brute
+    force's equal on every suite (the test above)."""
     rng = random.Random(SEED)
-    cases = redundant = 0
+    suites = from_sources = redundant = failures = 0
     for net in itertools.islice(_nets(), SMALL_NETS):
-        shuffled = _shuffled(net, rng)
-        renamed, new_ids = _renamed(net, rng)
-        for a, b in ((net.data_selection, sinks(net)), (sources(net), sinks(net)),
-                     (net.data_selection, sources(net))):
-            if not a:
-                continue  # minimality needs a nonempty from scope
-            for mode in CountMode:
-                for engine in (Engine.JOIN, Engine.BRUTEFORCE):
-                    case = (net.name, sorted(a), sorted(b), mode, engine)
-                    verdict = check_minimal(net, a, b, mode, engine=engine)
-                    again = check_minimal(shuffled, a, b, mode, engine=engine)
-                    assert (again.holds, _redundant(again)) == (
-                        verdict.holds, _redundant(verdict)), case
-                    mapped = check_minimal(renamed, map(new_ids.get, a), map(new_ids.get, b),
-                                           mode, engine=engine)
-                    assert (mapped.holds, mapped.instances_checked) == (
-                        verdict.holds, verdict.instances_checked), case
-                    assert _redundant(mapped) == [new_ids[q] for q in _redundant(verdict)], case
-                    cases += 1
-                    redundant += not verdict.holds
-    # 300 nets, 12 cases each but where no set is a source.
-    assert cases == 3196
-    # Both laws must be tried on redundant sets and on minimal selections.
-    assert redundant >= 2000 and cases - redundant >= 800
+        variants = (net, _shuffled(net, rng), *_renamed(net, rng))
+        for mode in CountMode:
+            for direction in Direction:
+                suite = _assert_laws(
+                    lambda n, engine: check_suite(n, direction, mode, engine=engine),
+                    *variants, (net.name, direction, mode))
+                suites += 1
+                failures += sum(not v.holds for v in suite[:4])
+                redundant += not suite[4].holds  # the minimality verdict
+            if sources(net):
+                (verdict,) = _assert_laws(
+                    lambda n, engine: (check_minimal(n, sources(n), sinks(n), mode,
+                                                     engine=engine),),
+                    *variants, (net.name, "sources", mode))
+                from_sources += 1
+                redundant += not verdict.holds
+    # 300 nets, 2 suites each way, and minimality from the sources where
+    # some set is one: 1598 minimality cases over the duality pairs, each
+    # under both engines.
+    minimal = suites + from_sources
+    assert suites == SMALL_NETS * 4 and minimal == 1598
+    # Both laws must be tried on redundant sets and on minimal selections,
+    # and on failing verdicts of the other checkers.
+    assert redundant >= 1000 and minimal - redundant >= 400
+    assert failures >= 1750

@@ -225,17 +225,33 @@ def test_cap_semantics(engine):
 
 
 def test_limit_exceeded():
+    """The join is refused past the search nodes it visits, 87 for
+    fig1-mini's completions (``_join_nodes`` in test_properties pins it);
+    brute force and ``enumerate_instances`` past their candidate space."""
     fig = all_networks()["fig1-mini"]
-    with pytest.raises(LimitExceededError) as info:
-        completions(fig, Instance(), Limits(max_enumerated=1000))
+    nodes = 87
+    target = [vs.id for vs in fig.sets[-3:]]
+    calls = (  # each walks every completion
+        lambda limits: completions(fig, Instance(), limits),
+        lambda limits: distinct_representatives(fig, Instance(), target, 100, limits),
+        lambda limits: count_distinct(fig, Instance(), target, CountMode.FULL, limits),
+        lambda limits: count_distinct(fig, Instance(), target, CountMode.PROJECTED, limits))
+    for call in calls:
+        with pytest.raises(LimitExceededError, match="search nodes") as info:
+            call(Limits(max_enumerated=nodes - 1))
+        assert (info.value.required, info.value.allowed) == (nodes, nodes - 1)
+        call(Limits(max_enumerated=nodes))
+    assert len(completions(fig, Instance(), Limits(max_enumerated=nodes))) == 6
+    with pytest.raises(LimitExceededError, match="candidate instances") as info:
+        completions(fig, Instance(), Limits(max_enumerated=1000), Engine.BRUTEFORCE)
     assert info.value.required == full_space_size(fig)
     assert info.value.allowed == 1000
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(LimitExceededError, match="candidate instances"):
         list(enumerate_instances(fig, [vs.id for vs in fig.sets],
                                  Limits(max_enumerated=1000)))
     # fixing sets shrinks the candidate space below the budget
     partial = Instance({vs.id: vs.values[0] for vs in fig.sets[:10]})
-    completions(fig, partial, Limits(max_enumerated=10**6))
+    completions(fig, partial, Limits(max_enumerated=10**6), Engine.BRUTEFORCE)
 
 
 def test_limits_validation():

@@ -19,6 +19,7 @@ import numpy as np
 from semnet import (
     CountMode,
     Direction,
+    Limits,
     bruteforce,
     check_suite,
     encode,
@@ -38,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ENTRY_POINTS = {"count_completions", "collect_completions",
                 "count_distinct_capped", "collect_distinct_reps"}
+# The default work budget; every corpus net's full space is within it.
+BUDGET = Limits().max_enumerated
 
 
 def _args(enc, fixed):
@@ -67,9 +70,9 @@ def _compare_entry_points(nets, rng):
                 join, brute = getattr(kernels, entry), getattr(bruteforce, entry)
                 extra = (target,) if "distinct" in entry else ()
                 for limit in (0, 1, 2, 4, 5, 7, 16):
-                    got = join(enc.join_index, fixed, *extra, limit)
-                    assert got == brute(enc.bruteforce_index, fixed, *extra, limit), \
-                        (name, fixed, entry, limit)
+                    got = join(enc.join_index, fixed, *extra, limit, BUDGET)
+                    assert got == brute(enc.bruteforce_index, fixed, *extra, limit,
+                                        BUDGET), (name, fixed, entry, limit)
 
 
 def test_kernel_entry_points_match_bruteforce():
@@ -90,14 +93,15 @@ def test_zero_capacity_buffers():
     enc = encode(all_networks()["t2"])
     fixed = [-1] * enc.n_sets
     brute = enc.bruteforce_index
-    assert collect_completions(*_args(enc, fixed), 0) == []
-    assert collect_distinct_reps(*_args(enc, fixed), [enc.set_index["Y"]], 0) == []
-    assert bruteforce.collect_completions(brute, fixed, 0) == []
-    assert bruteforce.collect_distinct_reps(brute, fixed, [enc.set_index["Y"]], 0) == []
-    assert (count_completions(*_args(enc, fixed), 0)
-            == bruteforce.count_completions(brute, fixed, 0) > 0)
-    assert (count_distinct_capped(*_args(enc, fixed), [enc.set_index["Y"]], 0)
-            == bruteforce.count_distinct_capped(brute, fixed, [enc.set_index["Y"]], 0) > 0)
+    y = [enc.set_index["Y"]]
+    assert collect_completions(*_args(enc, fixed), 0, BUDGET) == []
+    assert collect_distinct_reps(*_args(enc, fixed), y, 0, BUDGET) == []
+    assert bruteforce.collect_completions(brute, fixed, 0, BUDGET) == []
+    assert bruteforce.collect_distinct_reps(brute, fixed, y, 0, BUDGET) == []
+    assert (count_completions(*_args(enc, fixed), 0, BUDGET)
+            == bruteforce.count_completions(brute, fixed, 0, BUDGET) > 0)
+    assert (count_distinct_capped(*_args(enc, fixed), y, 0, BUDGET)
+            == bruteforce.count_distinct_capped(brute, fixed, y, 0, BUDGET) > 0)
 
 
 def test_search_leaves_no_reference_cycles():
@@ -108,8 +112,8 @@ def test_search_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        count_completions(*_args(enc, fixed), 0)
-        collect_distinct_reps(*_args(enc, fixed), [0], 2)
+        count_completions(*_args(enc, fixed), 0, BUDGET)
+        collect_distinct_reps(*_args(enc, fixed), [0], 2, BUDGET)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -320,16 +321,20 @@ def _chain(n_sets, n_values):
     return Network(f"chain{n_sets}x{n_values}", sets, relations, frozenset({"S0"}))
 
 
-def _join_nodes(network):
-    """Reference for the join's search nodes walking T: per set in
-    declaration order, the prefixes consistent with every relation whose
-    scope they cover, counted by extending the last level's prefixes."""
+def _join_nodes(network, partial=None):
+    """Reference for the search nodes of the join's full walk of the
+    completions of ``partial`` (a dict, T when empty): per set in
+    declaration order, the prefixes that agree with ``partial`` and are
+    consistent with every relation whose scope they cover, counted by
+    extending the last level's prefixes."""
+    partial = partial or {}
     prefixes = [{}]
     nodes = 0
     for level, vs in enumerate(network.sets):
         covered = {s.id for s in network.sets[:level + 1]}
         rels = [rel for rel in network.relations if covered >= set(rel.scope)]
-        extended = ({**p, vs.id: v} for p in prefixes for v in vs.values)
+        values = (partial[vs.id],) if vs.id in partial else vs.values
+        extended = ({**p, vs.id: v} for p in prefixes for v in values)
         prefixes = [p for p in extended
                     if all(tuple(p[sid] for sid in rel.scope) in set(rel.rows)
                            for rel in rels)]
@@ -378,6 +383,86 @@ def test_minimal_budget_counts_the_join_walk_not_the_cartesian_space():
     with pytest.raises(LimitExceededError) as info:
         check_minimal(chain, engine=Engine.BRUTEFORCE)
     assert info.value.required == 10**12
+
+
+def test_every_join_entry_point_is_budgeted_by_its_search_nodes():
+    """Uncapped, each join entry point visits exactly the reference's
+    search nodes for its partial: that budget admits it, one node less is
+    refused with the count of search nodes."""
+    rng = random.Random(15)
+    fig = all_networks()["fig1-mini"]
+    enc = encode(fig)
+    everything = full_space_size(fig)
+    target = enc.target_positions(frozenset(sinks(fig)))
+    calls = {  # each entry point, uncapped, on fixed value indices and a budget
+        "count_completions": lambda fixed, budget: kernels.count_completions(
+            enc.join_index, fixed, 0, budget),
+        "collect_completions": lambda fixed, budget: kernels.collect_completions(
+            enc.join_index, fixed, everything, budget),
+        "count_distinct_capped": lambda fixed, budget: kernels.count_distinct_capped(
+            enc.join_index, fixed, target, 0, budget),
+        "collect_distinct_reps": lambda fixed, budget: kernels.collect_distinct_reps(
+            enc.join_index, fixed, target, everything, budget),
+    }
+    assert calls.keys() == set(kernels.__all__) - {"JIT_ENABLED", "JoinIndex", "build_index"}
+    partials = [{}] + [{vs.id: rng.choice(vs.values) for vs in rng.sample(fig.sets, 2)}
+                       for _ in range(30)]
+    walked = 0
+    for partial in partials:
+        nodes = _join_nodes(fig, partial)
+        if not nodes:
+            continue
+        walked += 1
+        fixed = enc.fixed_from(Instance(partial))
+        for name, call in calls.items():
+            call(fixed, nodes)
+            with pytest.raises(LimitExceededError, match="search nodes") as info:
+                call(fixed, nodes - 1)
+            assert (info.value.required, info.value.allowed) == (nodes, nodes - 1), (
+                name, partial)
+    assert walked >= 10
+
+
+def test_a_cheap_search_is_decided_whatever_its_cartesian_space():
+    """Each anchor of a 12-set chain of 10-value bijections has 10^11
+    candidate completions but one consistent one: the join decides the
+    whole suite at the default budget; brute force, which would walk the
+    candidates, is refused."""
+    chain = _chain(12, 10)
+    verdicts = check_suite(chain)
+    assert [(v.query.kind, v.holds, v.instances_checked) for v in verdicts] == [
+        (PropertyKind.FUNCTIONAL, True, 10), (PropertyKind.TOTAL, True, 10),
+        (PropertyKind.INJECTIVE, True, 10), (PropertyKind.SURJECTIVE, True, 10),
+        (PropertyKind.MINIMAL, True, 1), (PropertyKind.SURJECTIVE_IN, True, 10)]
+    for check in (check_functional, check_total, check_injective, check_surjective):
+        with pytest.raises(LimitExceededError, match="candidate instances") as info:
+            check(chain, engine=Engine.BRUTEFORCE)
+        assert (info.value.required, info.value.allowed) == (10**11, Limits().max_enumerated)
+    with pytest.raises(LimitExceededError) as info:
+        check_surjective_in(chain, "S11", engine=Engine.BRUTEFORCE)
+    assert info.value.required == 10**11
+
+
+def test_minimal_walks_no_anchor_space():
+    """With S0..S7 of the chain as data there are 10^8 anchors, yet T has
+    10 rows, so minimality is decided at the default budget. Each S_j
+    separates first where one anchor value differs from all the others:
+    (0,1,1,1,1,1,1,1) for S0, rank 1111111; else the all-0 anchor with a
+    1 at S_j, rank 10^(7-j). instances_checked adds the ranks plus one."""
+    chain = _chain(12, 10)
+    data = frozenset(f"S{k}" for k in range(8))
+    chain8 = Network(chain.name, chain.sets, chain.relations, data)
+    verdict = check_minimal(chain8)
+    assert verdict.holds
+    assert verdict.instances_checked == (1111111 + 1) + sum(10**(7 - j) + 1
+                                                            for j in range(1, 8))
+    # A set X declared first and read by no relation is redundant, so its
+    # check counts all 10^9 anchors; the others separate at the same ranks.
+    x = ValueSet("X", tuple(f"x{i}" for i in range(10)))
+    wider = Network(chain.name, (x,) + chain.sets, chain.relations, data | {"X"})
+    again = check_minimal(wider, to_scope={"S11"})
+    assert [w.note for w in again.witnesses] == ["redundant:X"]
+    assert again.instances_checked == 10**9 + verdict.instances_checked
 
 
 def test_minimal_budget_refuses_a_cached_table(monkeypatch):
