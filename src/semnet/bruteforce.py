@@ -13,14 +13,14 @@ A network without sets has one candidate, the empty instance, which this
 walk handles like any other.
 
 :func:`_walk` keeps the join search's leaf contract on the consistent
-candidates of each chunk, in rank order: it counts them (with a
-``target``, only those whose projection onto the target sets has not been
-met), keeps the first ``keep`` counted as tuples of value indices, and
-stops once ``cap`` are counted (no cap when ``cap`` is 0 or less). Every
-entry point takes a trailing ``budget``, ``Limits.max_enumerated``, which
-bounds the work of each search, as the search nodes the join visits or the
-candidate space brute force walks, and the anchor count of each sweep:
-a candidate space larger than the budget is refused before the walk.
+candidates of each chunk, in rank order: it counts them (with a ``target``,
+only those whose projection onto the target sets has not been met), keeps
+the first ``keep`` counted as tuples of value indices, and stops once
+``cap`` are counted (no cap when ``cap`` is 0 or less). Every entry point
+takes a trailing ``budget``, ``Limits.max_enumerated``, which bounds the
+work of each search, as the search nodes the join visits or the candidate
+space brute force walks, and the anchor count of each sweep: a candidate
+space larger than the budget is refused before the walk.
 """
 
 from __future__ import annotations

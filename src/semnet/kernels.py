@@ -30,18 +30,19 @@ behaviour through ``target`` and ``keep``. ``fixed`` is a list of value
 indices per set, -1 where the partial leaves the set free; a ``cap`` of 0
 or less means no cap. Each takes a trailing ``budget``,
 ``Limits.max_enumerated``, which bounds the work of each search, as the
-search nodes the join visits or the candidate space brute force walks,
-and the anchor count of each sweep: this walk raises ``LimitExceededError``
-once it has visited more than ``budget`` search nodes (value assignments
-at any level), however large its cartesian space. ``bruteforce`` exports
-the same four names with the same arguments and results, so the engine
-calls either through one contract. The walk needs at least one set; the
-engine sends a network without sets to brute force.
+search nodes the join visits or the candidate space brute force walks, and
+the anchor count of each sweep: this walk raises ``LimitExceededError``
+once it has visited more than ``budget`` search nodes (value assignments at
+any level), however large its cartesian space. ``bruteforce`` exports the
+same four names with the same arguments and results, so the engine calls
+either through one contract. The walk needs at least one set; the engine
+sends a network without sets to brute force.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import LimitExceededError
@@ -61,10 +62,11 @@ JIT_ENABLED = False
 
 # Per level: every value index of the set, and one (index, bound) pair per
 # relation triggered there. ``bound`` lists the (set, stride) pairs whose
-# dot product with the current assignment is the index key.
+# dot product with the current assignment is the index key. Last, the most
+# search nodes a walk can visit: every prefix of the cartesian space.
 JoinIndex = tuple[tuple[tuple[int, ...], ...],
                   tuple[tuple[tuple[dict[int, tuple[int, ...]],
-                                    tuple[tuple[int, int], ...]], ...], ...]]
+                                    tuple[tuple[int, int], ...]], ...], ...], int]
 
 
 def build_index(sizes: Sequence[int], relations) -> JoinIndex:
@@ -88,7 +90,8 @@ def build_index(sizes: Sequence[int], relations) -> JoinIndex:
         checks[level].append(
             ({key: tuple(values) for key, values in admits.items()}, bound))
     return (tuple(tuple(range(size)) for size in sizes),
-            tuple(tuple(level_checks) for level_checks in checks))
+            tuple(tuple(level_checks) for level_checks in checks),
+            sum(accumulate(sizes, mul)))
 
 
 def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
@@ -97,7 +100,8 @@ def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
 
     Returns the count and the kept completions.
     """
-    domains, checks = index
+    domains, checks, most = index
+    counting = most > budget  # else no walk of this index can pass the budget
     last = len(domains) - 1
     cur = [0] * len(domains)
     rows: list[tuple[int, ...]] = []
@@ -123,9 +127,10 @@ def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
             if allowed is None:
                 return False
             cands = allowed if cands is domain else [v for v in cands if v in allowed]
-        nodes += len(cands)
-        if nodes > budget:
-            raise LimitExceededError(nodes, budget, "search nodes")
+        if counting:
+            nodes += len(cands)
+            if nodes > budget:
+                raise LimitExceededError(nodes, budget, "search nodes")
         if level < last:
             for v in cands:
                 cur[level] = v

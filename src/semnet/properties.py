@@ -268,9 +268,7 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
         first = _first_separating(ordered, groups, qi, len(values[qi]), at[qi] in outcome)
         if first is None:
             redundant.append(q)
-            checked += space
-        else:
-            checked += sum(map(mul, first, strides)) + 1
+        checked += space if first is None else sum(map(mul, first, strides)) + 1
     witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
     return Verdict(query, not redundant, witnesses, checked)
 

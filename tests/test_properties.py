@@ -388,38 +388,45 @@ def test_minimal_budget_counts_the_join_walk_not_the_cartesian_space():
 def test_every_join_entry_point_is_budgeted_by_its_search_nodes():
     """Uncapped, each join entry point visits exactly the reference's
     search nodes for its partial: that budget admits it, one node less is
-    refused with the count of search nodes."""
+    refused with the count of search nodes. On fig1-mini and 30 random
+    partials, and on a net without relations, whose free walk visits every
+    prefix of its cartesian space, the most any walk of it can visit."""
     rng = random.Random(15)
-    fig = all_networks()["fig1-mini"]
-    enc = encode(fig)
-    everything = full_space_size(fig)
-    target = enc.target_positions(frozenset(sinks(fig)))
-    calls = {  # each entry point, uncapped, on fixed value indices and a budget
-        "count_completions": lambda fixed, budget: kernels.count_completions(
-            enc.join_index, fixed, 0, budget),
-        "collect_completions": lambda fixed, budget: kernels.collect_completions(
-            enc.join_index, fixed, everything, budget),
-        "count_distinct_capped": lambda fixed, budget: kernels.count_distinct_capped(
-            enc.join_index, fixed, target, 0, budget),
-        "collect_distinct_reps": lambda fixed, budget: kernels.collect_distinct_reps(
-            enc.join_index, fixed, target, everything, budget),
-    }
-    assert calls.keys() == set(kernels.__all__) - {"JIT_ENABLED", "JoinIndex", "build_index"}
-    partials = [{}] + [{vs.id: rng.choice(vs.values) for vs in rng.sample(fig.sets, 2)}
-                       for _ in range(30)]
+    free = Network("free", tuple(ValueSet(f"S{k}", tuple(f"v{i}" for i in range(size)))
+                                 for k, size in enumerate((2, 1, 3, 4))), (), frozenset())
+    nets = {"fig1-mini": all_networks()["fig1-mini"], "free": free}
     walked = 0
-    for partial in partials:
-        nodes = _join_nodes(fig, partial)
-        if not nodes:
-            continue
-        walked += 1
-        fixed = enc.fixed_from(Instance(partial))
-        for name, call in calls.items():
-            call(fixed, nodes)
-            with pytest.raises(LimitExceededError, match="search nodes") as info:
-                call(fixed, nodes - 1)
-            assert (info.value.required, info.value.allowed) == (nodes, nodes - 1), (
-                name, partial)
+    for name, net in nets.items():
+        enc = encode(net)
+        everything = full_space_size(net)
+        target = enc.target_positions(frozenset(sinks(net)))
+        calls = {  # each entry point, uncapped, on fixed value indices and a budget
+            "count_completions": lambda fixed, budget: kernels.count_completions(
+                enc.join_index, fixed, 0, budget),
+            "collect_completions": lambda fixed, budget: kernels.collect_completions(
+                enc.join_index, fixed, everything, budget),
+            "count_distinct_capped": lambda fixed, budget: kernels.count_distinct_capped(
+                enc.join_index, fixed, target, 0, budget),
+            "collect_distinct_reps": lambda fixed, budget: kernels.collect_distinct_reps(
+                enc.join_index, fixed, target, everything, budget),
+        }
+        assert calls.keys() == set(kernels.__all__) - {"JIT_ENABLED", "JoinIndex",
+                                                      "build_index"}
+        partials = [{}] + [{vs.id: rng.choice(vs.values) for vs in rng.sample(net.sets, 2)}
+                           for _ in range(30 if name == "fig1-mini" else 0)]
+        for partial in partials:
+            nodes = _join_nodes(net, partial)
+            if not nodes:
+                continue
+            walked += 1
+            fixed = enc.fixed_from(Instance(partial))
+            for entry, call in calls.items():
+                call(fixed, nodes)
+                with pytest.raises(LimitExceededError, match="search nodes") as info:
+                    call(fixed, nodes - 1)
+                assert (info.value.required, info.value.allowed) == (nodes, nodes - 1), (
+                    name, entry, partial)
+    assert _join_nodes(free) == 2 + 2 + 6 + 24
     assert walked >= 10
 
 
