@@ -65,8 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=[e.value for e in Engine])
     p_check.add_argument("--max-instances", dest="max_instances", type=int,
                          metavar="N", help="work budget of each search (the"
-                         " join's search nodes, brute force's candidate space)"
-                         " and of each sweep's anchor count")
+                         " join's search nodes, brute force's candidate space),"
+                         " the consistent table's build among them, and of the"
+                         " functional and injective sweeps' anchor counts")
     p_check.add_argument("--json", action="store_true",
                          help="emit the machine-readable report")
     return parser

@@ -14,10 +14,11 @@ instance.
 Enumeration order everywhere is lexicographic in (set declaration order,
 value declaration order). ``Limits.max_enumerated`` bounds the work of
 each search, as the search nodes the join visits or the candidate space
-brute force walks, and the anchor count of each sweep. Every backend call
+brute force walks, :func:`consistent_table`'s build among them, and the
+anchor count of the functional and injective sweeps. Every backend call
 takes it and raises ``LimitExceededError`` rather than truncate silently.
 Only :func:`enumerate_instances`, which walks a cartesian space itself,
-checks that space here; ``properties`` checks its sweeps' anchor counts.
+checks that space here; ``properties`` checks those sweeps' anchor counts.
 ``Limits.cap`` is an early-stop for counting: results are then
 ``min(true count, cap)``.
 

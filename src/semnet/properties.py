@@ -9,12 +9,14 @@ in lexicographic declaration order; minimality instead names every
 redundant set. Evidence instances are always consistent full instances.
 
 A checker walks its anchors as value-index tuples; only a witness anchor
-becomes an ``Instance``. Five checkers count each anchor through one
-``engine.counter`` per sweep, one budgeted search per anchor, and the
-sweep checks its anchor count against the same budget. Minimality instead
-reads every count from the consistent table T, which
-``engine.consistent_table`` builds once per encoding and engine, and walks
-no anchor space.
+becomes an ``Instance``. Functional and injective count each anchor
+through one ``engine.counter`` per sweep, one budgeted search per anchor,
+and the sweep checks its anchor count against the same budget. The other
+four read the consistent table T, which ``engine.consistent_table`` builds
+once per encoding and engine under the budget: total, surjective and
+surjective-in project T onto their anchor scope and walk the anchors only
+up to the first one the projection lacks; minimality groups T by instance
+and walks no anchor space.
 """
 
 from __future__ import annotations
@@ -124,41 +126,59 @@ def _pair_evidence(network: Network, anchor: Instance, target: tuple[str, ...],
     return tuple(distinct_representatives(network, anchor, target, 2, limits, engine))
 
 
-# Whether an anchor fails on two or more outcomes (else on none); the note.
-_FAILURES = {
-    PropertyKind.FUNCTIONAL: (True, "multiple-outcomes"),
-    PropertyKind.TOTAL: (False, "no-outcome"),
-    PropertyKind.INJECTIVE: (True, "multiple-preimages"),
-    PropertyKind.SURJECTIVE: (False, "unreachable"),
-    PropertyKind.SURJECTIVE_IN: (False, "unrealizable-value"),
-}
-
-
 def _sweep(network: Network, query: PropertyQuery, scope: tuple[str, ...],
-           target: tuple[str, ...], limits: Limits, engine: Engine,
-           bounded: bool = True) -> Verdict:
-    """Count each anchor over ``scope`` in order through one counter. An
-    anchor fails when its completions have two or more outcomes over
-    ``target`` in the query's mode (two of them witness it), or else when
-    it has none; the first failing anchor is the witness. With
-    ``bounded``, the anchor count is checked against the budget."""
-    many, note = _FAILURES[query.kind]
+           target: tuple[str, ...], note: str, limits: Limits,
+           engine: Engine) -> Verdict:
+    """Count each anchor over ``scope`` in order through one counter, once
+    the anchor count is within the budget. An anchor fails when its
+    completions have two or more outcomes over ``target`` in the query's
+    mode; the first failing anchor is the witness, and two of those
+    completions its evidence."""
     values = [network.value_set(sid).values for sid in scope]
-    if bounded:
-        within_budget(values, limits)
+    within_budget(values, limits)
     if not all(values):
         return Verdict(query, True, (), 0)
-    mode = query.mode if many else CountMode.FULL
-    count = counter(network, scope, target, mode,
-                    replace(limits, cap=2 if many else 1), engine)
+    count = counter(network, scope, target, query.mode, replace(limits, cap=2), engine)
     for checked, key in enumerate(itertools.product(*map(range, map(len, values))), 1):
-        n = count(key)
-        if (n > 1) if many else (n == 0):
+        if count(key) > 1:
             anchor = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
-            evidence = (_pair_evidence(network, anchor, target, mode, limits, engine)
-                        if many else ())
+            evidence = _pair_evidence(network, anchor, target, query.mode, limits, engine)
             return Verdict(query, False, (Witness(anchor, evidence, note),), checked)
     return Verdict(query, True, (), checked)
+
+
+def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
+             note: str, limits: Limits, engine: Engine) -> Verdict:
+    """Whether every anchor over ``scope`` has a consistent completion.
+    The anchors that have one are T's projection onto ``scope``: the check
+    holds when it fills the anchor space, else the witness is the first
+    anchor in order that it lacks, at most |projection| + 1 steps in.
+    Only T's build is budgeted."""
+    values = [network.value_set(sid).values for sid in scope]
+    if not all(values):  # no anchors, so T is not built
+        return Verdict(query, True, (), 0)
+    rows = consistent_table(network, limits, engine)
+    strides, space = mixed_radix(range(len(values)), values)
+    at = _positions(network, scope)
+    # itemgetter yields the value itself for one position, so a one-set
+    # anchor is an int; the empty scope's one anchor is in T when T has rows.
+    present = set(map(itemgetter(*at), rows)) if at else {() for _ in rows[:1]}
+    if len(present) == space:
+        return Verdict(query, True, (), space)
+    if len(at) == 1:
+        key = (next(i for i in range(space) if i not in present),)
+    else:
+        key = next(key for key in itertools.product(*map(range, map(len, values)))
+                   if key not in present)
+    anchor = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
+    return Verdict(query, False, (Witness(anchor, (), note),),
+                   sum(map(mul, key, strides)) + 1)
+
+
+def _positions(network: Network, scope: Iterable[str]) -> list[int]:
+    """The declaration positions of ``scope``'s sets: their columns in T."""
+    position = {vs.id: i for i, vs in enumerate(network.sets)}
+    return [position[sid] for sid in scope]
 
 
 def check_functional(network: Network, from_scope: Iterable[str] | None = None,
@@ -168,7 +188,8 @@ def check_functional(network: Network, from_scope: Iterable[str] | None = None,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every from-instance leads to at most one outcome."""
     query = _query(PropertyKind.FUNCTIONAL, network, from_scope, to_scope, mode)
-    return _sweep(network, query, query.from_scope, query.to_scope, limits, engine)
+    return _sweep(network, query, query.from_scope, query.to_scope,
+                  "multiple-outcomes", limits, engine)
 
 
 def check_total(network: Network, from_scope: Iterable[str] | None = None,
@@ -182,7 +203,7 @@ def check_total(network: Network, from_scope: Iterable[str] | None = None,
     does); the mode is recorded for symmetry with the other checkers.
     """
     query = _query(PropertyKind.TOTAL, network, from_scope, to_scope, mode)
-    return _sweep(network, query, query.from_scope, query.to_scope, limits, engine)
+    return _covered(network, query, query.from_scope, "no-outcome", limits, engine)
 
 
 def check_injective(network: Network, from_scope: Iterable[str] | None = None,
@@ -192,7 +213,8 @@ def check_injective(network: Network, from_scope: Iterable[str] | None = None,
                     engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is produced by at most one from-instance."""
     query = _query(PropertyKind.INJECTIVE, network, from_scope, to_scope, mode)
-    return _sweep(network, query, query.to_scope, query.from_scope, limits, engine)
+    return _sweep(network, query, query.to_scope, query.from_scope,
+                  "multiple-preimages", limits, engine)
 
 
 def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
@@ -202,7 +224,7 @@ def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is reachable from some consistent full instance."""
     query = _query(PropertyKind.SURJECTIVE, network, from_scope, to_scope, mode)
-    return _sweep(network, query, query.to_scope, query.from_scope, limits, engine)
+    return _covered(network, query, query.to_scope, "unreachable", limits, engine)
 
 
 def check_surjective_in(network: Network, param: str,
@@ -217,7 +239,7 @@ def check_surjective_in(network: Network, param: str,
     if param not in b_scope:
         raise ScopeMismatchError(f"param {param!r} must belong to the to scope")
     query = PropertyQuery(PropertyKind.SURJECTIVE_IN, a_scope, b_scope, mode, param)
-    return _sweep(network, query, (param,), (param,), limits, engine, bounded=False)
+    return _covered(network, query, (param,), "unrealizable-value", limits, engine)
 
 
 def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
@@ -247,11 +269,10 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
         raise ScopeMismatchError("minimality requires a nonempty from scope")
     values = [network.value_set(sid).values for sid in a_scope]
     strides, space = mixed_radix(range(len(values)), values)
-    position = {vs.id: i for i, vs in enumerate(network.sets)}
-    at = [position[sid] for sid in a_scope]
+    at = _positions(network, a_scope)
     k = len(at)
     outcome = (list(range(len(network.sets))) if mode is CountMode.FULL
-               else [position[sid] for sid in b_scope])
+               else _positions(network, b_scope))
     # Without anchors nothing is counted, so T is not built.
     rows = consistent_table(network, limits, engine) if all(values) else ()
     # Each anchor's distinct outcomes in T: its rows (FULL) or their target

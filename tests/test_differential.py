@@ -26,7 +26,12 @@ is functional(B, A) and surjective(A, B) is total(B, A), in ``holds``, the
 witness anchor, its evidence and ``instances_checked``. Two metamorphic
 laws of all six checkers hold there too, under both engines: shuffling
 each set's values keeps every ``holds`` and redundant set, and renaming
-sets and values maps every verdict one to one.
+sets and values maps every verdict one to one. Adding a set that no
+relation touches, with the original scopes passed explicitly, keeps every
+PROJECTED verdict, its evidence extended by the new set's first value.
+
+The same comparisons run on nets drawn by a hypothesis strategy of the
+small nets' shapes, so that a failing net shrinks to a minimal one.
 
 Every generated net also survives a round trip through the text format:
 ``parse(serialize(net))`` gives an equal network with the same
@@ -44,6 +49,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import oracle
 from oracle import distinct_from, oracle_completions
@@ -65,6 +72,7 @@ from semnet import (
     check_minimal,
     check_suite,
     check_surjective,
+    check_surjective_in,
     check_total,
     completions,
     count_distinct,
@@ -481,3 +489,111 @@ def test_metamorphic_laws_on_small_nets():
     # and on failing verdicts of the other checkers.
     assert redundant >= 1000 and minimal - redundant >= 400
     assert failures >= 1750
+
+
+def _with_untouched_set(net, rng):
+    """``net`` with a set U of 2-3 values that no relation touches, declared
+    at a random position."""
+    extra = ValueSet("U", tuple(f"u{i}" for i in range(rng.randint(2, 3))))
+    at = rng.randint(0, len(net.sets))
+    return Network(net.name, net.sets[:at] + (extra,) + net.sets[at:], net.relations,
+                   net.data_selection)
+
+
+_CHECKS = {PropertyKind.FUNCTIONAL: check_functional, PropertyKind.TOTAL: check_total,
+           PropertyKind.INJECTIVE: check_injective, PropertyKind.SURJECTIVE: check_surjective,
+           PropertyKind.MINIMAL: check_minimal}
+
+
+def test_an_untouched_set_keeps_every_projected_verdict():
+    """Adding a set U that no relation touches, with each query's scopes
+    passed explicitly, keeps every PROJECTED verdict of both directions'
+    suites: ``holds``, the witness anchors and notes, and
+    ``instances_checked``. Each evidence instance gains U at its first
+    value, since every completion extends to each of U's values and
+    lexicographic order meets the first one first."""
+    rng = random.Random(SEED + 2)
+    verdicts = 0
+    for net in _nets():
+        if not net.sets:
+            continue
+        wider = _with_untouched_set(net, rng)
+        first = wider.value_set("U").values[0]
+        for direction in Direction:
+            for verdict in check_suite(net, direction, CountMode.PROJECTED):
+                query = verdict.query
+                if query.param is None:
+                    again = _CHECKS[query.kind](wider, query.from_scope, query.to_scope,
+                                                query.mode)
+                else:
+                    again = check_surjective_in(wider, query.param, query.from_scope,
+                                                query.to_scope, query.mode)
+                witnesses = tuple(replace(w, evidence=tuple(
+                    Instance({**e.as_dict(), "U": first}) for e in w.evidence))
+                    for w in verdict.witnesses)
+                assert again == replace(verdict, witnesses=witnesses), (net.name, query)
+                verdicts += 1
+    assert verdicts >= 5000
+
+
+@st.composite
+def drawn_nets(draw):
+    """The small nets of :func:`random_net` as a hypothesis strategy, so
+    that a failing net shrinks toward fewer sets, values, relations and
+    rows: 1-5 sets of 1-3 values, some isolated, one of those in the data
+    selection, and 0-4 relations of every kind with inputs ranked below
+    outputs."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    sets = [ValueSet(f"S{i}", tuple(f"v{j}" for j in range(n))) for i, n in enumerate(sizes)]
+    order = draw(st.permutations([vs.id for vs in sets]))
+    rank = {sid: i for i, sid in enumerate(order)}
+    isolated = set(order[:draw(st.integers(0, len(sets) - 1))])
+    linked = [vs for vs in sets if vs.id not in isolated]
+    relations = []
+    for r in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("plain", "out-only", "multi-output", "nullary")))
+        if len(linked) < 2 and kind in ("multi-output", "plain"):
+            kind = "out-only"
+        if kind == "nullary":
+            relations.append(Relation(f"r{r}", (), (), ((),) * draw(st.booleans())))
+            continue
+        arity = draw(st.integers(1 if kind == "out-only" else 2, min(3, len(linked))))
+        scope = sorted(draw(st.lists(st.sampled_from(linked), min_size=arity, max_size=arity,
+                                     unique_by=lambda vs: vs.id)),
+                       key=lambda vs: rank[vs.id])
+        if kind == "out-only":
+            split = 0
+        elif kind == "multi-output":
+            split = 1 if arity >= 3 else draw(st.integers(0, 1))
+        else:
+            split = draw(st.integers(1, arity - 1))
+        ins, outs = draw(st.permutations(scope[:split])), draw(st.permutations(scope[split:]))
+        candidates = list(itertools.product(*(vs.values for vs in ins + outs)))
+        kept = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+        rows = draw(st.permutations([row for row, keep in zip(candidates, kept) if keep]))
+        relations.append(Relation(f"r{r}", tuple(vs.id for vs in ins),
+                                  tuple(vs.id for vs in outs), tuple(rows)))
+    data = draw(st.lists(st.sampled_from(order), min_size=1, max_size=min(2, len(order)),
+                         unique=True))
+    if isolated and not isolated & set(data):
+        data.append(draw(st.sampled_from(sorted(isolated))))
+    net = Network("drawn", tuple(sets), tuple(relations), frozenset(data))
+    assert validate(net).ok, validate(net).errors
+    return net
+
+
+# The oracle memo is keyed by the network's value, so it may outlive one
+# drawn net: that is why the fixture is shared by every example.
+@seed(SEED)
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(net=drawn_nets())
+def test_join_bruteforce_and_oracle_agree_on_drawn_nets(memo_oracle, net):
+    """On every drawn net both engines give equal verdicts for all six
+    checkers, in both directions and modes, and each verdict's ``holds``,
+    witnesses and ``instances_checked`` equal the oracle's walk."""
+    for direction in Direction:
+        for mode in CountMode:
+            join = check_suite(net, direction, mode)
+            assert check_suite(net, direction, mode, engine=Engine.BRUTEFORCE) == join
+            _check_against_oracle(net, join)

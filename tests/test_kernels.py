@@ -134,7 +134,8 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     ``semnet.properties``), and perfbench/harness.py reads ``JIT_ENABLED``;
     every name must exist, and a check must still reach the kernels
     through them, as often as before. The encode cache is cleared first:
-    minimality's consistent table is walked once per encoding."""
+    the consistent table, which minimality and the coverage checkers read,
+    is walked once per encoding."""
     names = _spans_names("KERNELS")
     assert set(names) == ENTRY_POINTS
     for name in _spans_names("ENGINE_CALLS") + _spans_names("CHECKERS"):
@@ -156,7 +157,9 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     for direction in Direction:
         for mode in CountMode:
             check_suite(net, direction, mode)
-    assert calls == {"count_completions": 64, "count_distinct_capped": 19,
+    # FULL functional and injective count completions per anchor (4 here);
+    # total, surjective and surjective-in read the consistent table.
+    assert calls == {"count_completions": 4, "count_distinct_capped": 19,
                      "collect_completions": 5, "collect_distinct_reps": 3}
 
 

@@ -11,6 +11,8 @@ import weakref
 import pytest
 
 from oracle import (
+    instances_over,
+    oracle_completions,
     oracle_functional,
     oracle_injective,
     oracle_minimal,
@@ -31,6 +33,7 @@ from semnet import (
     Relation,
     ScopeMismatchError,
     ValueSet,
+    Witness,
     check_functional,
     check_injective,
     check_minimal,
@@ -284,9 +287,10 @@ def test_instances_checked_counts_anchors():
 
 
 def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
-    """Each prepared counter looks the network up in the encode cache once
-    for its whole anchor sweep, and minimality once for its consistent
-    table; only witness calls add a lookup."""
+    """Each prepared counter of functional and injective looks the network
+    up in the encode cache once for its whole anchor sweep; total,
+    surjective, surjective-in and minimality once each for the consistent
+    table. Only witness calls add a lookup."""
     tally = dict.fromkeys(("encode", "counter", "table", "witness"), 0)
 
     def counted(key, fn):
@@ -304,7 +308,7 @@ def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
     for direction in Direction:
         for mode in CountMode:
             check_suite(net, direction, mode)
-    # One lookup per kernel call, 91 here, would mean one per anchor.
+    # One lookup per kernel call, 31 here, would mean one per anchor.
     assert (tally["encode"] == tally["counter"] + tally["table"] + tally["witness"]
             == 45), tally
 
@@ -433,21 +437,79 @@ def test_every_join_entry_point_is_budgeted_by_its_search_nodes():
 def test_a_cheap_search_is_decided_whatever_its_cartesian_space():
     """Each anchor of a 12-set chain of 10-value bijections has 10^11
     candidate completions but one consistent one: the join decides the
-    whole suite at the default budget; brute force, which would walk the
-    candidates, is refused."""
+    whole suite at the default budget. Brute force is refused: functional
+    and injective would walk each anchor's 10^11 candidates, and total,
+    surjective and surjective-in T's 10^12."""
     chain = _chain(12, 10)
     verdicts = check_suite(chain)
     assert [(v.query.kind, v.holds, v.instances_checked) for v in verdicts] == [
         (PropertyKind.FUNCTIONAL, True, 10), (PropertyKind.TOTAL, True, 10),
         (PropertyKind.INJECTIVE, True, 10), (PropertyKind.SURJECTIVE, True, 10),
         (PropertyKind.MINIMAL, True, 1), (PropertyKind.SURJECTIVE_IN, True, 10)]
-    for check in (check_functional, check_total, check_injective, check_surjective):
+    for check, required in ((check_functional, 10**11), (check_total, 10**12),
+                            (check_injective, 10**11), (check_surjective, 10**12)):
         with pytest.raises(LimitExceededError, match="candidate instances") as info:
             check(chain, engine=Engine.BRUTEFORCE)
-        assert (info.value.required, info.value.allowed) == (10**11, Limits().max_enumerated)
+        assert (info.value.required, info.value.allowed) == (required, Limits().max_enumerated)
     with pytest.raises(LimitExceededError) as info:
         check_surjective_in(chain, "S11", engine=Engine.BRUTEFORCE)
-    assert info.value.required == 10**11
+    assert info.value.required == 10**12
+
+
+# --- total, surjective and surjective-in over the consistent table --------
+
+def _oracle_coverage(network, scope):
+    """``(holds, instances_checked, witness anchors)`` of a coverage check
+    over ``scope`` by the oracle: the anchors walked in order up to the
+    first without a completion."""
+    checked = 0
+    for checked, anchor in enumerate(instances_over(network, scope), 1):
+        if not oracle_completions(network, anchor):
+            return False, checked, [Instance(anchor)]
+    return True, checked, []
+
+
+def test_coverage_checkers_walk_anchors_only_to_the_first_gap():
+    """With S0..S7 of the chain as data, total and surjective onto S0..S7
+    have 10^8 anchors, which the anchor gate refused, but T has 10 rows:
+    the join decides both at the default budget, and the first anchor T
+    lacks is the second, (v0, ..., v0, v1). Brute force builds T from all
+    10^12 candidates and is refused."""
+    chain = _chain(12, 10)
+    data = tuple(f"S{k}" for k in range(8))
+    chain8 = Network(chain.name, chain.sets, chain.relations, frozenset(data))
+    gap = Instance({**{sid: "v0" for sid in data[:-1]}, "S7": "v1"})
+    total = lambda **kw: check_total(chain8, **kw)
+    surjective = lambda **kw: check_surjective(chain8, to_scope=data, **kw)
+    for check, note in ((total, "no-outcome"), (surjective, "unreachable")):
+        verdict = check()
+        assert (verdict.holds, verdict.instances_checked) == (False, 2)
+        assert verdict.witnesses == (Witness(gap, (), note),)
+        with pytest.raises(LimitExceededError, match="candidate instances") as info:
+            check(engine=Engine.BRUTEFORCE)
+        assert info.value.required == 10**12
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_coverage_of_an_empty_scope_and_an_empty_table(engine):
+    """The empty scope has one anchor, the empty instance, which T holds
+    when it has rows; an empty relation empties T, so every scope fails at
+    its first anchor. Each verdict equals the oracle's walk."""
+    t2 = build_t2()
+    (f,) = t2.relations
+    blocked = Network("t2-blocked", t2.sets, (Relation(f.id, f.in_sets, f.out_sets, ()),),
+                      t2.data_selection)
+    for net in (t2, blocked):
+        cases = [(check_total(net, (), engine=engine), ()),
+                 (check_surjective(net, to_scope=(), engine=engine), ()),
+                 (check_total(net, engine=engine), ("X",)),
+                 (check_surjective(net, engine=engine), ("Y",)),
+                 *((check_surjective_in(net, p, engine=engine), (p,)) for p in ("X", "Y"))]
+        for verdict, scope in cases:
+            got = (verdict.holds, verdict.instances_checked,
+                   [w.anchor for w in verdict.witnesses])
+            assert got == _oracle_coverage(net, scope), (net.name, verdict.query)
+    assert not check_total(blocked, (), engine=engine).holds
 
 
 def test_minimal_walks_no_anchor_space():
