@@ -19,12 +19,12 @@ anchor count of the functional and injective sweeps. Every backend call
 takes it and raises ``LimitExceededError`` rather than truncate silently.
 Only :func:`enumerate_instances`, which walks a cartesian space itself,
 checks that space here; ``properties`` checks those sweeps' anchor counts.
-``Limits.cap`` is an early-stop for counting: results are then
-``min(true count, cap)``.
+``Limits.cap`` is an early-stop for :func:`count_distinct`, the one reader
+of it: its result is then ``min(true count, cap)``.
 
-:func:`counter` prepares the count for a sweep of anchors over one scope,
-checking the target and the encoding once, and leaves one kernel call per
-anchor; :func:`count_distinct` is a one-anchor call of it.
+:func:`collector` prepares a sweep of anchors over one scope, checking the
+target and the encoding once, and leaves one kernel call per anchor, which
+keeps the anchor's first two completions with distinct outcomes.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ __all__ = [
     "CountMode",
     "Engine",
     "Limits",
+    "collector",
     "completions",
     "consistent_table",
     "count_distinct",
-    "counter",
     "distinct_representatives",
     "enumerate_instances",
     "first_completions",
@@ -184,36 +184,40 @@ def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
     return known[1]
 
 
-def counter(network: Network, scope: Sequence[str], target: Iterable[str],
-            mode: CountMode = CountMode.PROJECTED,
-            limits: Limits = _DEFAULT_LIMITS,
-            engine: Engine = Engine.JOIN) -> Callable[[Sequence[int]], int]:
-    """Prepare :func:`count_distinct` for every anchor over ``scope``.
+def collector(network: Network, scope: Sequence[str], target: Iterable[str],
+              mode: CountMode = CountMode.PROJECTED,
+              limits: Limits = _DEFAULT_LIMITS,
+              engine: Engine = Engine.JOIN) -> Callable[[Sequence[int]], list[tuple[int, ...]]]:
+    """Prepare the search of every anchor over ``scope`` for its first two
+    completions with distinct outcomes over ``target``: distinct outright
+    (FULL) or in their target projection (PROJECTED); two fail a
+    functional or injective anchor.
 
     The returned function maps an anchor's value indices, one per set of
-    ``scope`` in the order given, to its count with one kernel call. The
-    budget bounds each call, as the search nodes the join visits or the
-    candidate space brute force walks, and the caller's sweep of anchors.
+    ``scope`` in the order given, to those completions as value-index rows
+    with one kernel call. The budget bounds each call, as the search nodes
+    the join visits or the candidate space brute force walks, and the
+    caller's sweep of anchors.
     """
     wanted = known_sets(network, target, "target")
     enc = encode(network)
     at = [enc.set_index[sid] for sid in scope]
     base = [0 if i in at else -1 for i in range(enc.n_sets)]
-    cap, budget = limits.cap or 0, limits.max_enumerated
+    budget = limits.max_enumerated
     backend, data = _backend(enc, engine)
     if mode is CountMode.FULL:
-        run = lambda fixed: backend.count_completions(data, fixed, cap, budget)
+        run = lambda fixed: backend.collect_completions(data, fixed, 2, budget)
     else:
         positions = enc.target_positions(wanted)
-        run = lambda fixed: backend.count_distinct_capped(data, fixed, positions,
-                                                          cap, budget)
+        run = lambda fixed: backend.collect_distinct_reps(data, fixed, positions,
+                                                          2, budget)
 
-    def count(values: Sequence[int]) -> int:
+    def collect(values: Sequence[int]) -> list[tuple[int, ...]]:
         fixed = base.copy()
         for i, value in zip(at, values):
             fixed[i] = value
         return run(fixed)
-    return count
+    return collect
 
 
 def count_distinct(network: Network, partial: Instance, target: Iterable[str],
@@ -225,9 +229,12 @@ def count_distinct(network: Network, partial: Instance, target: Iterable[str],
     wanted = known_sets(network, target, "target")
     enc = encode(network)
     fixed = enc.fixed_from(partial)
-    at = [i for i, value in enumerate(fixed) if value >= 0]
-    return counter(network, [enc.set_ids[i] for i in at], wanted, mode, limits,
-                   engine)([fixed[i] for i in at])
+    cap, budget = limits.cap or 0, limits.max_enumerated
+    backend, data = _backend(enc, engine)
+    if mode is CountMode.FULL:
+        return backend.count_completions(data, fixed, cap, budget)
+    return backend.count_distinct_capped(data, fixed, enc.target_positions(wanted),
+                                         cap, budget)
 
 
 def distinct_representatives(network: Network, partial: Instance,

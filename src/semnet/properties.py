@@ -8,12 +8,14 @@ witness content and order: the witness is always the first counterexample
 in lexicographic declaration order; minimality instead names every
 redundant set. Evidence instances are always consistent full instances.
 
-A checker walks its anchors as value-index tuples; only a witness anchor
-becomes an ``Instance``. Functional and injective count each anchor
-through one ``engine.counter`` per sweep, one budgeted search per anchor,
-and the sweep checks its anchor count against the same budget. The other
-four read the consistent table T, which ``engine.consistent_table`` builds
-once per encoding and engine under the budget: total, surjective and
+A checker lays out its anchors from the encoding, which validates the
+network (:func:`_anchors`), and walks them as value-index tuples; only a
+witness anchor becomes an ``Instance``. Functional and injective search
+each anchor once through one ``engine.collector`` per sweep, keeping up
+to two completions with distinct outcomes: two fail the anchor and are
+its evidence. The sweep checks its anchor count against the budget. The
+other four read the consistent table T, which ``engine.consistent_table``
+builds once per encoding and engine under the budget: total, surjective and
 surjective-in project T onto their anchor scope and walk the anchors only
 up to the first one the projection lacks; minimality groups T by instance
 and walks no anchor space.
@@ -22,19 +24,22 @@ and walks no anchor space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter, mul
 from typing import Iterable
 
-# count_distinct stays importable for wrappers of this module's engine calls.
+from .encode import encode
+
+# count_distinct, distinct_representatives and first_completions are not
+# called here; they stay importable for wrappers of this module's engine calls.
 from .engine import (  # noqa: F401
     CountMode,
     Engine,
     Limits,
+    collector,
     consistent_table,
     count_distinct,
-    counter,
     distinct_representatives,
     first_completions,
     known_sets,
@@ -116,33 +121,32 @@ def _query(kind: PropertyKind, network: Network, from_scope: Iterable[str] | Non
                          _scope(network, to_scope, sinks(network)), mode)
 
 
-def _pair_evidence(network: Network, anchor: Instance, target: tuple[str, ...],
-                   mode: CountMode, limits: Limits, engine: Engine) -> tuple[Instance, ...]:
-    """Two completions witnessing a count ≥ 2: distinct outright in FULL
-    mode, distinct in their target projection in PROJECTED mode."""
-    limits = replace(limits, cap=None)
-    if mode is CountMode.FULL:
-        return tuple(first_completions(network, anchor, 2, limits, engine))
-    return tuple(distinct_representatives(network, anchor, target, 2, limits, engine))
+def _anchors(network: Network, scope: tuple[str, ...]) -> tuple:
+    """The anchor layout over ``scope``: the encoding, which validates the
+    network (so every set has values), the scope's columns in T, its
+    value lists, their :func:`mixed_radix` strides and the anchor space."""
+    enc = encode(network)
+    at = [enc.set_index[sid] for sid in scope]
+    values = [network.sets[i].values for i in at]
+    return enc, at, values, *mixed_radix(range(len(values)), values)
 
 
 def _sweep(network: Network, query: PropertyQuery, scope: tuple[str, ...],
            target: tuple[str, ...], note: str, limits: Limits,
            engine: Engine) -> Verdict:
-    """Count each anchor over ``scope`` in order through one counter, once
-    the anchor count is within the budget. An anchor fails when its
+    """Search each anchor over ``scope`` in order through one collector,
+    once the anchor count is within the budget. An anchor fails when its
     completions have two or more outcomes over ``target`` in the query's
-    mode; the first failing anchor is the witness, and two of those
-    completions its evidence."""
-    values = [network.value_set(sid).values for sid in scope]
+    mode; the first failing anchor is the witness, and the first two
+    completions with distinct outcomes its evidence."""
+    enc, _, values, _, _ = _anchors(network, scope)
     within_budget(values, limits)
-    if not all(values):
-        return Verdict(query, True, (), 0)
-    count = counter(network, scope, target, query.mode, replace(limits, cap=2), engine)
+    collect = collector(network, scope, target, query.mode, limits, engine)
     for checked, key in enumerate(itertools.product(*map(range, map(len, values))), 1):
-        if count(key) > 1:
+        rows = collect(key)
+        if len(rows) > 1:
             anchor = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
-            evidence = _pair_evidence(network, anchor, target, query.mode, limits, engine)
+            evidence = tuple(map(enc.instance_from_row, rows))
             return Verdict(query, False, (Witness(anchor, evidence, note),), checked)
     return Verdict(query, True, (), checked)
 
@@ -154,12 +158,8 @@ def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
     holds when it fills the anchor space, else the witness is the first
     anchor in order that it lacks, at most |projection| + 1 steps in.
     Only T's build is budgeted."""
-    values = [network.value_set(sid).values for sid in scope]
-    if not all(values):  # no anchors, so T is not built
-        return Verdict(query, True, (), 0)
+    _, at, values, strides, space = _anchors(network, scope)
     rows = consistent_table(network, limits, engine)
-    strides, space = mixed_radix(range(len(values)), values)
-    at = _positions(network, scope)
     # itemgetter yields the value itself for one position, so a one-set
     # anchor is an int; the empty scope's one anchor is in T when T has rows.
     present = set(map(itemgetter(*at), rows)) if at else {() for _ in rows[:1]}
@@ -173,12 +173,6 @@ def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
     anchor = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
     return Verdict(query, False, (Witness(anchor, (), note),),
                    sum(map(mul, key, strides)) + 1)
-
-
-def _positions(network: Network, scope: Iterable[str]) -> list[int]:
-    """The declaration positions of ``scope``'s sets: their columns in T."""
-    position = {vs.id: i for i, vs in enumerate(network.sets)}
-    return [position[sid] for sid in scope]
 
 
 def check_functional(network: Network, from_scope: Iterable[str] | None = None,
@@ -267,14 +261,11 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     a_scope, b_scope = query.from_scope, query.to_scope
     if not a_scope:
         raise ScopeMismatchError("minimality requires a nonempty from scope")
-    values = [network.value_set(sid).values for sid in a_scope]
-    strides, space = mixed_radix(range(len(values)), values)
-    at = _positions(network, a_scope)
+    enc, at, values, strides, space = _anchors(network, a_scope)
     k = len(at)
-    outcome = (list(range(len(network.sets))) if mode is CountMode.FULL
-               else _positions(network, b_scope))
-    # Without anchors nothing is counted, so T is not built.
-    rows = consistent_table(network, limits, engine) if all(values) else ()
+    outcome = (list(range(enc.n_sets)) if mode is CountMode.FULL
+               else [enc.set_index[sid] for sid in b_scope])
+    rows = consistent_table(network, limits, engine)
     # Each anchor's distinct outcomes in T: its rows (FULL) or their target
     # projections (PROJECTED); an anchor's count is their number.
     groups: dict[tuple[int, ...], list] = {}

@@ -29,6 +29,8 @@ each set's values keeps every ``holds`` and redundant set, and renaming
 sets and values maps every verdict one to one. Adding a set that no
 relation touches, with the original scopes passed explicitly, keeps every
 PROJECTED verdict, its evidence extended by the new set's first value.
+Adding a relation that every consistent full instance satisfies, with
+1-3 in-sets and no out-set, keeps every PROJECTED verdict whole.
 
 The same comparisons run on nets drawn by a hypothesis strategy of the
 small nets' shapes, so that a failing net shrinks to a minimal one.
@@ -532,6 +534,48 @@ def test_an_untouched_set_keeps_every_projected_verdict():
                     Instance({**e.as_dict(), "U": first}) for e in w.evidence))
                     for w in verdict.witnesses)
                 assert again == replace(verdict, witnesses=witnesses), (net.name, query)
+                verdicts += 1
+    assert verdicts >= 5000
+
+
+def _with_implied_relation(net, rng):
+    """``net`` with one more relation, declared at a random position, that
+    T, the consistent full instances, satisfies: its in-scope is 1-3
+    random sets and its out-scope is empty, so it closes no cycle, and its
+    rows are T's projection onto that scope and random other combinations."""
+    scope = rng.sample([vs.id for vs in net.sets], rng.randint(1, min(3, len(net.sets))))
+    projected = {tuple(full[sid] for sid in scope) for full in oracle_completions(net, {})}
+    rows = [row for row in itertools.product(*(net.value_set(sid).values for sid in scope))
+            if row in projected or rng.random() < 0.3]
+    rng.shuffle(rows)
+    at = rng.randint(0, len(net.relations))
+    implied = Relation("implied", tuple(scope), (), tuple(rows))
+    return Network(net.name, net.sets, net.relations[:at] + (implied,) + net.relations[at:],
+                   net.data_selection)
+
+
+def test_a_relation_that_t_satisfies_keeps_every_verdict():
+    """Adding a relation that every consistent full instance satisfies
+    leaves T as it is, so with each query's scopes passed explicitly
+    (the relation may change the sinks) every PROJECTED verdict of both
+    directions' suites stays equal as a whole: ``holds``, witnesses,
+    evidence and ``instances_checked``."""
+    rng = random.Random(SEED + 3)
+    verdicts = 0
+    for net in _nets():
+        if not net.sets:
+            continue
+        stricter = _with_implied_relation(net, rng)
+        for direction in Direction:
+            for verdict in check_suite(net, direction, CountMode.PROJECTED):
+                query = verdict.query
+                if query.param is None:
+                    again = _CHECKS[query.kind](stricter, query.from_scope,
+                                                query.to_scope, query.mode)
+                else:
+                    again = check_surjective_in(stricter, query.param, query.from_scope,
+                                                query.to_scope, query.mode)
+                assert again == verdict, (net.name, query)
                 verdicts += 1
     assert verdicts >= 5000
 

@@ -157,10 +157,11 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     for direction in Direction:
         for mode in CountMode:
             check_suite(net, direction, mode)
-    # FULL functional and injective count completions per anchor (4 here);
-    # total, surjective and surjective-in read the consistent table.
-    assert calls == {"count_completions": 4, "count_distinct_capped": 19,
-                     "collect_completions": 5, "collect_distinct_reps": 3}
+    # Functional and injective collect up to two completions per anchor,
+    # FULL (4 here, and T's one walk) or PROJECTED (19); total, surjective
+    # and surjective-in read the consistent table.
+    assert calls == {"count_completions": 0, "count_distinct_capped": 0,
+                     "collect_completions": 5, "collect_distinct_reps": 19}
 
 
 def test_bench_kernels_ends_with_one_json_record():

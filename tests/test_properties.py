@@ -7,6 +7,7 @@ import gc
 import itertools
 import random
 import weakref
+from functools import partial
 
 import pytest
 
@@ -25,6 +26,7 @@ from semnet import (
     Direction,
     Engine,
     Instance,
+    InvalidNetworkError,
     LimitExceededError,
     Limits,
     Network,
@@ -286,31 +288,53 @@ def test_instances_checked_counts_anchors():
                          CountMode.PROJECTED).instances_checked == 2
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_checker_refuses_an_invalid_network(engine):
+    """A data set without values is an EMPTY_SET validation error, so every
+    checker refuses the network rather than give a verdict over no
+    anchors."""
+    net = Network("empty-data", (ValueSet("A", ()), ValueSet("B", ("b1", "b2"))),
+                  (Relation("r", ("A",), ("B",), ()),), frozenset({"A"}))
+    calls = [partial(check, net) for check in (check_functional, check_total, check_injective,
+                                               check_surjective, check_minimal)]
+    calls += [partial(check_surjective_in, net, "B")]
+    calls += [partial(check_suite, net, direction) for direction in Direction]
+    for call, mode in itertools.product(calls, CountMode):
+        with pytest.raises(InvalidNetworkError, match="EMPTY_SET"):
+            call(mode=mode, engine=engine)
+
+
 def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
-    """Each prepared counter of functional and injective looks the network
-    up in the encode cache once for its whole anchor sweep; total,
+    """Every verdict lays its anchors out from one encoding lookup of its
+    own; besides that, each prepared collector of functional and injective
+    looks the network up once for its whole anchor sweep, and total,
     surjective, surjective-in and minimality once each for the consistent
-    table. Only witness calls add a lookup."""
-    tally = dict.fromkeys(("encode", "counter", "table", "witness"), 0)
+    table. The witness adds no lookup: its evidence is the rows its
+    anchor's search kept."""
+    tally = dict.fromkeys(("layout", "encode", "collector", "table", "witness"), 0)
 
     def counted(key, fn):
         def call(*args, **kwargs):
             tally[key] += 1
             return fn(*args, **kwargs)
         return call
+    monkeypatch.setattr(properties, "encode", counted("layout", properties.encode))
     monkeypatch.setattr(engine, "encode", counted("encode", engine.encode))
-    monkeypatch.setattr(properties, "counter", counted("counter", properties.counter))
+    monkeypatch.setattr(properties, "collector",
+                        counted("collector", properties.collector))
     monkeypatch.setattr(properties, "consistent_table",
                         counted("table", properties.consistent_table))
     for name in ("first_completions", "distinct_representatives"):
         monkeypatch.setattr(properties, name, counted("witness", getattr(properties, name)))
     net = all_networks()["fig1-mini"]
+    verdicts = 0
     for direction in Direction:
         for mode in CountMode:
-            check_suite(net, direction, mode)
-    # One lookup per kernel call, 31 here, would mean one per anchor.
-    assert (tally["encode"] == tally["counter"] + tally["table"] + tally["witness"]
-            == 45), tally
+            verdicts += len(check_suite(net, direction, mode))
+    # One lookup per kernel call, 24 here, would mean one per anchor.
+    assert tally["layout"] == verdicts == 38, tally
+    assert tally["witness"] == 0, tally
+    assert tally["encode"] == tally["collector"] + tally["table"] == 8 + 30, tally
 
 
 # --- minimality over the consistent table: budget and lifetime -------------
