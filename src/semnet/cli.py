@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="N", help="work budget of each search (the"
                          " join's search nodes, brute force's candidate space),"
                          " the consistent table's build among them, and of the"
-                         " functional and injective sweeps' anchor counts")
+                         " injective sweep's anchor count")
     p_check.add_argument("--json", action="store_true",
                          help="emit the machine-readable report")
     return parser

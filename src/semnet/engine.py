@@ -15,10 +15,10 @@ Enumeration order everywhere is lexicographic in (set declaration order,
 value declaration order). ``Limits.max_enumerated`` bounds the work of
 each search, as the search nodes the join visits or the candidate space
 brute force walks, :func:`consistent_table`'s build among them, and the
-anchor count of the functional and injective sweeps. Every backend call
-takes it and raises ``LimitExceededError`` rather than truncate silently.
-Only :func:`enumerate_instances`, which walks a cartesian space itself,
-checks that space here; ``properties`` checks those sweeps' anchor counts.
+anchor count of the injective sweep. Every backend call takes it and
+raises ``LimitExceededError`` rather than truncate silently. Only
+:func:`enumerate_instances`, which walks a cartesian space itself, checks
+that space here; ``properties`` checks the sweep's anchor count.
 ``Limits.cap`` is an early-stop for :func:`count_distinct`, the one reader
 of it: its result is then ``min(true count, cap)``.
 
@@ -190,8 +190,8 @@ def collector(network: Network, scope: Sequence[str], target: Iterable[str],
               engine: Engine = Engine.JOIN) -> Callable[[Sequence[int]], list[tuple[int, ...]]]:
     """Prepare the search of every anchor over ``scope`` for its first two
     completions with distinct outcomes over ``target``: distinct outright
-    (FULL) or in their target projection (PROJECTED); two fail a
-    functional or injective anchor.
+    (FULL) or in their target projection (PROJECTED); two fail an
+    injective anchor.
 
     The returned function maps an anchor's value indices, one per set of
     ``scope`` in the order given, to those completions as value-index rows

@@ -31,8 +31,8 @@ indices per set, -1 where the partial leaves the set free; a ``cap`` of 0
 or less means no cap. Each takes a trailing ``budget``,
 ``Limits.max_enumerated``, which bounds the work of each search, as the
 search nodes the join visits or the candidate space brute force walks, and
-the anchor count of the functional and injective sweeps; the build of the
-consistent table is one such search. This walk raises ``LimitExceededError``
+the anchor count of the injective sweep; the build of the consistent
+table is one such search. This walk raises ``LimitExceededError``
 once it has visited more than ``budget`` search nodes (value assignments at
 any level), however large its cartesian space. ``bruteforce`` exports the
 same four names with the same arguments and results, so the engine calls

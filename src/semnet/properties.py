@@ -10,12 +10,14 @@ redundant set. Evidence instances are always consistent full instances.
 
 A checker lays out its anchors from the encoding, which validates the
 network (:func:`_anchors`), and walks them as value-index tuples; only a
-witness anchor becomes an ``Instance``. Functional and injective search
-each anchor once through one ``engine.collector`` per sweep, keeping up
-to two completions with distinct outcomes: two fail the anchor and are
-its evidence. The sweep checks its anchor count against the budget. The
-other four read the consistent table T, which ``engine.consistent_table``
-builds once per encoding and engine under the budget: total, surjective and
+witness anchor becomes an ``Instance``. An anchor fails functional or
+injective when its completions have two distinct outcomes, and the first
+two are its evidence. Injective searches each anchor once through one
+``engine.collector`` per sweep and checks its anchor count against the
+budget. The other five read the consistent table T, which
+``engine.consistent_table`` builds once per encoding and engine under the
+budget: functional keeps each anchor's first row of T in one ordered pass
+and fails it at its first row with another outcome; total, surjective and
 surjective-in project T onto their anchor scope and walk the anchors only
 up to the first one the projection lacks; minimality groups T by instance
 and walks no anchor space.
@@ -108,17 +110,18 @@ class Verdict:
     instances_checked: int
 
 
-def _scope(network: Network, scope: Iterable[str] | None,
-           default: Iterable[str]) -> tuple[str, ...]:
-    """Normalise a scope to declaration order, defaulting when omitted."""
-    return network.set_order(known_sets(network, default if scope is None else scope, "scope"))
+def _scope(network: Network, scope: Iterable[str]) -> tuple[str, ...]:
+    """Normalise a scope to declaration order."""
+    return network.set_order(known_sets(network, scope, "scope"))
 
 
 def _query(kind: PropertyKind, network: Network, from_scope: Iterable[str] | None,
            to_scope: Iterable[str] | None, mode: CountMode) -> PropertyQuery:
-    """A query from the data selection to the sinks unless scopes are given."""
-    return PropertyQuery(kind, _scope(network, from_scope, network.data_selection),
-                         _scope(network, to_scope, sinks(network)), mode)
+    """A query from the data selection to the sinks unless scopes are given;
+    each default is computed only when its scope is omitted."""
+    return PropertyQuery(
+        kind, _scope(network, network.data_selection if from_scope is None else from_scope),
+        _scope(network, sinks(network) if to_scope is None else to_scope), mode)
 
 
 def _anchors(network: Network, scope: tuple[str, ...]) -> tuple:
@@ -149,6 +152,38 @@ def _sweep(network: Network, query: PropertyQuery, scope: tuple[str, ...],
             evidence = tuple(map(enc.instance_from_row, rows))
             return Verdict(query, False, (Witness(anchor, evidence, note),), checked)
     return Verdict(query, True, (), checked)
+
+
+def _distinct(network: Network, query: PropertyQuery, scope: tuple[str, ...],
+              target: tuple[str, ...], note: str, limits: Limits,
+              engine: Engine) -> Verdict:
+    """What :func:`_sweep` decides, from one ordered pass over T. Each
+    anchor over ``scope`` keeps its first row, and fails at its first later
+    row with another outcome: any row (FULL) or one with another projection
+    onto ``target`` (PROJECTED). T is in lexicographic order, so those two
+    rows are the first two completions with distinct outcomes that the
+    anchor's search would keep. The witness is the least failing anchor.
+    Only T's build is budgeted."""
+    enc, at, values, strides, space = _anchors(network, scope)
+    full = query.mode is CountMode.FULL
+    if not full:
+        outcome = _columns(enc.target_positions(known_sets(network, target, "target")))
+    anchor = _columns(at)
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    failed: dict[tuple[int, ...], tuple] = {}
+    for row in consistent_table(network, limits, engine):
+        key = anchor(row)
+        kept = first.setdefault(key, row)
+        # T's rows are distinct, so ``kept is row`` only at the anchor's first row.
+        if kept is not row and key not in failed and (full or outcome(row) != outcome(kept)):
+            failed[key] = (kept, row)
+    if not failed:
+        return Verdict(query, True, (), space)
+    key = min(failed)
+    witness = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
+    evidence = tuple(map(enc.instance_from_row, failed[key]))
+    return Verdict(query, False, (Witness(witness, evidence, note),),
+                   sum(map(mul, key, strides)) + 1)
 
 
 def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
@@ -182,8 +217,8 @@ def check_functional(network: Network, from_scope: Iterable[str] | None = None,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every from-instance leads to at most one outcome."""
     query = _query(PropertyKind.FUNCTIONAL, network, from_scope, to_scope, mode)
-    return _sweep(network, query, query.from_scope, query.to_scope,
-                  "multiple-outcomes", limits, engine)
+    return _distinct(network, query, query.from_scope, query.to_scope,
+                     "multiple-outcomes", limits, engine)
 
 
 def check_total(network: Network, from_scope: Iterable[str] | None = None,
@@ -228,8 +263,8 @@ def check_surjective_in(network: Network, param: str,
                         limits: Limits = _DEFAULT_LIMITS,
                         engine: Engine = Engine.JOIN) -> Verdict:
     """Every value of the parameter set occurs in some consistent instance."""
-    a_scope = _scope(network, from_scope, network.data_selection)
-    b_scope = _scope(network, to_scope, (param,))
+    a_scope = _scope(network, network.data_selection if from_scope is None else from_scope)
+    b_scope = _scope(network, (param,) if to_scope is None else to_scope)
     if param not in b_scope:
         raise ScopeMismatchError(f"param {param!r} must belong to the to scope")
     query = PropertyQuery(PropertyKind.SURJECTIVE_IN, a_scope, b_scope, mode, param)
@@ -308,8 +343,10 @@ def _first_separating(ordered: list[tuple[int, ...]], groups: dict, qi: int,
 
 
 def _columns(positions: list[int]):
-    """The function from a row of T to its values at ``positions`` (at
-    least one), as a tuple."""
+    """The function from a row of T to its values at ``positions``, as a
+    tuple."""
+    if not positions:
+        return lambda row: ()
     if len(positions) == 1:
         return lambda row, i=positions[0]: (row[i],)
     return itemgetter(*positions)
@@ -344,8 +381,8 @@ def check_suite(network: Network, direction: Direction = Direction.FORWARD,
     if from_scope is None and not network.data_selection:
         raise ScopeMismatchError(
             "check requires a nonempty data selection or an explicit from scope")
-    default_to = sinks(network) if direction is Direction.FORWARD else sources(network)
-    b_scope = _scope(network, to_scope, default_to)
+    boundary = sinks if direction is Direction.FORWARD else sources
+    b_scope = _scope(network, boundary(network) if to_scope is None else to_scope)
     wanted = tuple(kinds) if kinds is not None else (
         PropertyKind.FUNCTIONAL, PropertyKind.TOTAL, PropertyKind.INJECTIVE,
         PropertyKind.SURJECTIVE, PropertyKind.MINIMAL, PropertyKind.SURJECTIVE_IN)

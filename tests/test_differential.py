@@ -18,7 +18,10 @@ the oracle: ``holds`` with the matching ``oracle_*`` function, and the
 witness and ``instances_checked`` with the first failing anchor found by
 walking the anchors in the oracle's order. Join and brute force share the
 property checkers, so only this comparison catches an anchor sweep that
-skips or reorders anchors.
+skips or reorders anchors. Functional is decided in one pass over T while
+injective keeps the per-anchor sweep, so on every net, drawn ones too, the
+sweep is also the reference for functional's report, in both directions,
+modes and engines.
 
 On the same nets the duality laws hold over the scope pairs (data,
 sinks), (sources, sinks) and (data, sources) in both modes: injective(A, B)
@@ -48,6 +51,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -82,6 +86,7 @@ from semnet import (
     encode,
     first_completions,
     parse,
+    properties,
     render_json,
     serialize,
     validate,
@@ -325,6 +330,36 @@ def test_join_bruteforce_and_oracle_agree_on_random_nets(memo_oracle):
     assert unread_data_nets >= 150  # 60 of them from the isolated-set nets
     assert empty_targets >= 150
     assert oracle_verdicts >= 8000
+
+
+def _functional_against_the_sweep(net):
+    """Assert that ``check_functional``, one ordered pass over T, reports
+    what the per-anchor sweep that injective keeps reports for the same
+    query, witness anchor, evidence order and ``instances_checked``
+    included: in both directions, modes and engines. The number of
+    failing verdicts."""
+    failing = 0
+    for direction, mode, engine in itertools.product(Direction, CountMode, Engine):
+        (verdict,) = check_suite(net, direction, mode, engine=engine,
+                                 kinds=[PropertyKind.FUNCTIONAL])
+        query = verdict.query
+        swept = properties._sweep(net, query, query.from_scope, query.to_scope,
+                                  "multiple-outcomes", Limits(), engine)
+        report = partial(render_json, net.name, direction.value, mode.value)
+        assert report((verdict,)) == report((swept,)), (net.name, direction, mode, engine)
+        failing += not verdict.holds
+    return failing
+
+
+def test_functional_over_t_equals_the_anchor_sweep():
+    """On every net with sets, functional over T equals the anchor sweep."""
+    nets = failing = 0
+    for net in _nets():
+        if net.sets:
+            failing += _functional_against_the_sweep(net)
+            nets += 1
+    assert nets == SMALL_NETS + LOOSE_NETS + ISOLATED_NETS
+    assert failing >= 800, failing
 
 
 def _load_path(net):
@@ -635,9 +670,11 @@ def drawn_nets(draw):
 def test_join_bruteforce_and_oracle_agree_on_drawn_nets(memo_oracle, net):
     """On every drawn net both engines give equal verdicts for all six
     checkers, in both directions and modes, and each verdict's ``holds``,
-    witnesses and ``instances_checked`` equal the oracle's walk."""
+    witnesses and ``instances_checked`` equal the oracle's walk; functional
+    over T equals the anchor sweep."""
     for direction in Direction:
         for mode in CountMode:
             join = check_suite(net, direction, mode)
             assert check_suite(net, direction, mode, engine=Engine.BRUTEFORCE) == join
             _check_against_oracle(net, join)
+    _functional_against_the_sweep(net)

@@ -306,11 +306,11 @@ def test_every_checker_refuses_an_invalid_network(engine):
 
 def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
     """Every verdict lays its anchors out from one encoding lookup of its
-    own; besides that, each prepared collector of functional and injective
-    looks the network up once for its whole anchor sweep, and total,
-    surjective, surjective-in and minimality once each for the consistent
-    table. The witness adds no lookup: its evidence is the rows its
-    anchor's search kept."""
+    own; besides that, each prepared collector of injective looks the
+    network up once for its whole anchor sweep, and the other five
+    checkers once each for the consistent table. The witness adds no
+    lookup: its evidence is the rows its anchor's search or T's pass
+    kept."""
     tally = dict.fromkeys(("layout", "encode", "collector", "table", "witness"), 0)
 
     def counted(key, fn):
@@ -331,10 +331,11 @@ def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
     for direction in Direction:
         for mode in CountMode:
             verdicts += len(check_suite(net, direction, mode))
-    # One lookup per kernel call, 24 here, would mean one per anchor.
+    # One lookup per kernel call, 20 here, would mean one per anchor.
     assert tally["layout"] == verdicts == 38, tally
     assert tally["witness"] == 0, tally
-    assert tally["encode"] == tally["collector"] + tally["table"] == 8 + 30, tally
+    assert (tally["collector"], tally["table"]) == (4, 34), tally
+    assert tally["encode"] == tally["collector"] + tally["table"], tally
 
 
 # --- minimality over the consistent table: budget and lifetime -------------
@@ -461,8 +462,8 @@ def test_every_join_entry_point_is_budgeted_by_its_search_nodes():
 def test_a_cheap_search_is_decided_whatever_its_cartesian_space():
     """Each anchor of a 12-set chain of 10-value bijections has 10^11
     candidate completions but one consistent one: the join decides the
-    whole suite at the default budget. Brute force is refused: functional
-    and injective would walk each anchor's 10^11 candidates, and total,
+    whole suite at the default budget. Brute force is refused: injective
+    would walk each anchor's 10^11 candidates, and functional, total,
     surjective and surjective-in T's 10^12."""
     chain = _chain(12, 10)
     verdicts = check_suite(chain)
@@ -470,7 +471,7 @@ def test_a_cheap_search_is_decided_whatever_its_cartesian_space():
         (PropertyKind.FUNCTIONAL, True, 10), (PropertyKind.TOTAL, True, 10),
         (PropertyKind.INJECTIVE, True, 10), (PropertyKind.SURJECTIVE, True, 10),
         (PropertyKind.MINIMAL, True, 1), (PropertyKind.SURJECTIVE_IN, True, 10)]
-    for check, required in ((check_functional, 10**11), (check_total, 10**12),
+    for check, required in ((check_functional, 10**12), (check_total, 10**12),
                             (check_injective, 10**11), (check_surjective, 10**12)):
         with pytest.raises(LimitExceededError, match="candidate instances") as info:
             check(chain, engine=Engine.BRUTEFORCE)
@@ -511,6 +512,22 @@ def test_coverage_checkers_walk_anchors_only_to_the_first_gap():
         assert verdict.witnesses == (Witness(gap, (), note),)
         with pytest.raises(LimitExceededError, match="candidate instances") as info:
             check(engine=Engine.BRUTEFORCE)
+        assert info.value.required == 10**12
+
+
+def test_functional_is_admitted_by_t_not_by_its_anchor_count():
+    """With S0..S7 of the chain as data, functional has 10^8 anchors, which
+    the anchor gate refused, but T has 10 rows: the join decides it in both
+    modes at the default budget, and every anchor has at most one outcome.
+    Brute force builds T from all 10^12 candidates and is refused."""
+    chain = _chain(12, 10)
+    chain8 = Network(chain.name, chain.sets, chain.relations,
+                     frozenset(f"S{k}" for k in range(8)))
+    for mode in CountMode:
+        verdict = check_functional(chain8, mode=mode)
+        assert (verdict.holds, verdict.instances_checked) == (True, 10**8), mode
+        with pytest.raises(LimitExceededError, match="candidate instances") as info:
+            check_functional(chain8, mode=mode, engine=Engine.BRUTEFORCE)
         assert info.value.required == 10**12
 
 
