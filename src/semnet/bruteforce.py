@@ -19,9 +19,9 @@ the first ``keep`` counted as tuples of value indices, and stops once
 ``cap`` are counted (no cap when ``cap`` is 0 or less). Every entry point
 takes a trailing ``budget``, ``Limits.max_enumerated``, which bounds the
 work of each search, as the search nodes the join visits or the candidate
-space brute force walks, and the anchor count of the injective sweep;
-the build of the consistent table is one such search. A
-candidate space larger than the budget is refused before the walk.
+space brute force walks; the build of the consistent table is one such
+search. A candidate space larger than the budget is refused before the
+walk.
 """
 
 from __future__ import annotations

@@ -66,8 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-instances", dest="max_instances", type=int,
                          metavar="N", help="work budget of each search (the"
                          " join's search nodes, brute force's candidate space),"
-                         " the consistent table's build among them, and of the"
-                         " injective sweep's anchor count")
+                         " the consistent table's build among them")
     p_check.add_argument("--json", action="store_true",
                          help="emit the machine-readable report")
     return parser

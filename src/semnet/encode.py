@@ -10,8 +10,9 @@ same strides), so encoding only sorts them. Each engine builds its own
 index from these tuples on its first search of a network and keeps it on
 the encoding: the join search's per-relation dicts
 (``kernels.build_index``) and brute force's key arrays
-(``bruteforce.build_index``). The consistent table T each engine walks for
-minimality is kept there too, so it is freed with its cache entry. What
+(``bruteforce.build_index``). The consistent table T that each engine
+builds for the property checkers is kept there too, so it is freed with
+its cache entry. What
 the engine prepares per call (fixed value indices, target positions)
 stays in plain Python ints.
 """

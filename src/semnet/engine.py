@@ -14,17 +14,12 @@ instance.
 Enumeration order everywhere is lexicographic in (set declaration order,
 value declaration order). ``Limits.max_enumerated`` bounds the work of
 each search, as the search nodes the join visits or the candidate space
-brute force walks, :func:`consistent_table`'s build among them, and the
-anchor count of the injective sweep. Every backend call takes it and
-raises ``LimitExceededError`` rather than truncate silently. Only
-:func:`enumerate_instances`, which walks a cartesian space itself, checks
-that space here; ``properties`` checks the sweep's anchor count.
-``Limits.cap`` is an early-stop for :func:`count_distinct`, the one reader
-of it: its result is then ``min(true count, cap)``.
-
-:func:`collector` prepares a sweep of anchors over one scope, checking the
-target and the encoding once, and leaves one kernel call per anchor, which
-keeps the anchor's first two completions with distinct outcomes.
+brute force walks, :func:`consistent_table`'s build among them. Every
+backend call takes it and raises ``LimitExceededError`` rather than
+truncate silently. Only :func:`enumerate_instances`, which walks a
+cartesian space itself, checks that space here. ``Limits.cap`` is an
+early-stop for :func:`count_distinct`, the one reader of it: its result is
+then ``min(true count, cap)``.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import kernels
 from .encode import EncodedNetwork, encode
@@ -44,7 +39,6 @@ __all__ = [
     "CountMode",
     "Engine",
     "Limits",
-    "collector",
     "completions",
     "consistent_table",
     "count_distinct",
@@ -116,19 +110,14 @@ def known_sets(network: Network, ids: Iterable[str], what: str) -> frozenset[str
     return wanted
 
 
-def within_budget(values: Sequence[Sequence], limits: Limits) -> None:
-    """Refuse a walk of the cartesian product of ``values`` beyond the budget."""
-    space = math.prod(map(len, values))
-    if space > limits.max_enumerated:
-        raise LimitExceededError(space, limits.max_enumerated)
-
-
 def enumerate_instances(network: Network, scope: Iterable[str],
                         limits: Limits = _DEFAULT_LIMITS) -> Iterator[Instance]:
     """All instances over the scope, in lexicographic declaration order."""
     ordered = network.set_order(known_sets(network, scope, "scope"))
     values = [network.value_set(sid).values for sid in ordered]
-    within_budget(values, limits)
+    space = math.prod(map(len, values))
+    if space > limits.max_enumerated:
+        raise LimitExceededError(space, limits.max_enumerated)
     return (Instance(zip(ordered, combo)) for combo in itertools.product(*values))
 
 
@@ -182,42 +171,6 @@ def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
         known = enc.tables[backend] = (budget, backend.collect_completions(
             data, [-1] * enc.n_sets, full_space_size(network), budget))
     return known[1]
-
-
-def collector(network: Network, scope: Sequence[str], target: Iterable[str],
-              mode: CountMode = CountMode.PROJECTED,
-              limits: Limits = _DEFAULT_LIMITS,
-              engine: Engine = Engine.JOIN) -> Callable[[Sequence[int]], list[tuple[int, ...]]]:
-    """Prepare the search of every anchor over ``scope`` for its first two
-    completions with distinct outcomes over ``target``: distinct outright
-    (FULL) or in their target projection (PROJECTED); two fail an
-    injective anchor.
-
-    The returned function maps an anchor's value indices, one per set of
-    ``scope`` in the order given, to those completions as value-index rows
-    with one kernel call. The budget bounds each call, as the search nodes
-    the join visits or the candidate space brute force walks, and the
-    caller's sweep of anchors.
-    """
-    wanted = known_sets(network, target, "target")
-    enc = encode(network)
-    at = [enc.set_index[sid] for sid in scope]
-    base = [0 if i in at else -1 for i in range(enc.n_sets)]
-    budget = limits.max_enumerated
-    backend, data = _backend(enc, engine)
-    if mode is CountMode.FULL:
-        run = lambda fixed: backend.collect_completions(data, fixed, 2, budget)
-    else:
-        positions = enc.target_positions(wanted)
-        run = lambda fixed: backend.collect_distinct_reps(data, fixed, positions,
-                                                          2, budget)
-
-    def collect(values: Sequence[int]) -> list[tuple[int, ...]]:
-        fixed = base.copy()
-        for i, value in zip(at, values):
-            fixed[i] = value
-        return run(fixed)
-    return collect
 
 
 def count_distinct(network: Network, partial: Instance, target: Iterable[str],

@@ -30,14 +30,16 @@ behaviour through ``target`` and ``keep``. ``fixed`` is a list of value
 indices per set, -1 where the partial leaves the set free; a ``cap`` of 0
 or less means no cap. Each takes a trailing ``budget``,
 ``Limits.max_enumerated``, which bounds the work of each search, as the
-search nodes the join visits or the candidate space brute force walks, and
-the anchor count of the injective sweep; the build of the consistent
-table is one such search. This walk raises ``LimitExceededError``
-once it has visited more than ``budget`` search nodes (value assignments at
-any level), however large its cartesian space. ``bruteforce`` exports the
-same four names with the same arguments and results, so the engine calls
-either through one contract. The walk needs at least one set; the engine
-sends a network without sets to brute force.
+search nodes the join visits or the candidate space brute force walks.
+The property checkers make one search, the uncapped
+``collect_completions`` that builds the consistent table; the other entry
+points serve the engine's public calls. This walk raises
+``LimitExceededError`` once it has visited more than ``budget`` search
+nodes (value assignments at any level), however large its cartesian
+space. ``bruteforce`` exports the same four names with the same
+arguments and results, so the engine calls either through one contract.
+The walk needs at least one set; the engine sends a network without sets
+to brute force.
 """
 
 from __future__ import annotations

@@ -10,14 +10,11 @@ redundant set. Evidence instances are always consistent full instances.
 
 A checker lays out its anchors from the encoding, which validates the
 network (:func:`_anchors`), and walks them as value-index tuples; only a
-witness anchor becomes an ``Instance``. An anchor fails functional or
-injective when its completions have two distinct outcomes, and the first
-two are its evidence. Injective searches each anchor once through one
-``engine.collector`` per sweep and checks its anchor count against the
-budget. The other five read the consistent table T, which
-``engine.consistent_table`` builds once per encoding and engine under the
-budget: functional keeps each anchor's first row of T in one ordered pass
-and fails it at its first row with another outcome; total, surjective and
+witness anchor becomes an ``Instance``. Every checker reads the consistent
+table T, which ``engine.consistent_table`` builds once per encoding and
+engine under the budget. Functional and injective keep each anchor's
+first row of T in one ordered pass and fail it at its first row with
+another outcome; those two rows are its evidence. Total, surjective and
 surjective-in project T onto their anchor scope and walk the anchors only
 up to the first one the projection lacks; minimality groups T by instance
 and walks no anchor space.
@@ -39,13 +36,11 @@ from .engine import (  # noqa: F401
     CountMode,
     Engine,
     Limits,
-    collector,
     consistent_table,
     count_distinct,
     distinct_representatives,
     first_completions,
     known_sets,
-    within_budget,
 )
 from .errors import ScopeMismatchError
 from .model import Instance, Network, mixed_radix, sinks, sources
@@ -134,36 +129,16 @@ def _anchors(network: Network, scope: tuple[str, ...]) -> tuple:
     return enc, at, values, *mixed_radix(range(len(values)), values)
 
 
-def _sweep(network: Network, query: PropertyQuery, scope: tuple[str, ...],
-           target: tuple[str, ...], note: str, limits: Limits,
-           engine: Engine) -> Verdict:
-    """Search each anchor over ``scope`` in order through one collector,
-    once the anchor count is within the budget. An anchor fails when its
-    completions have two or more outcomes over ``target`` in the query's
-    mode; the first failing anchor is the witness, and the first two
-    completions with distinct outcomes its evidence."""
-    enc, _, values, _, _ = _anchors(network, scope)
-    within_budget(values, limits)
-    collect = collector(network, scope, target, query.mode, limits, engine)
-    for checked, key in enumerate(itertools.product(*map(range, map(len, values))), 1):
-        rows = collect(key)
-        if len(rows) > 1:
-            anchor = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
-            evidence = tuple(map(enc.instance_from_row, rows))
-            return Verdict(query, False, (Witness(anchor, evidence, note),), checked)
-    return Verdict(query, True, (), checked)
-
-
 def _distinct(network: Network, query: PropertyQuery, scope: tuple[str, ...],
               target: tuple[str, ...], note: str, limits: Limits,
               engine: Engine) -> Verdict:
-    """What :func:`_sweep` decides, from one ordered pass over T. Each
-    anchor over ``scope`` keeps its first row, and fails at its first later
-    row with another outcome: any row (FULL) or one with another projection
-    onto ``target`` (PROJECTED). T is in lexicographic order, so those two
-    rows are the first two completions with distinct outcomes that the
-    anchor's search would keep. The witness is the least failing anchor.
-    Only T's build is budgeted."""
+    """Whether every anchor over ``scope`` has at most one outcome over
+    ``target``, from one ordered pass over T. Each anchor keeps its first
+    row, and fails at its first later row with another outcome: any row
+    (FULL) or one with another projection onto ``target`` (PROJECTED). T is
+    in lexicographic order, so those two rows are the anchor's first two
+    completions with distinct outcomes, its evidence. The witness is the
+    least failing anchor. Only T's build is budgeted."""
     enc, at, values, strides, space = _anchors(network, scope)
     full = query.mode is CountMode.FULL
     if not full:
@@ -242,8 +217,8 @@ def check_injective(network: Network, from_scope: Iterable[str] | None = None,
                     engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is produced by at most one from-instance."""
     query = _query(PropertyKind.INJECTIVE, network, from_scope, to_scope, mode)
-    return _sweep(network, query, query.to_scope, query.from_scope,
-                  "multiple-preimages", limits, engine)
+    return _distinct(network, query, query.to_scope, query.from_scope,
+                     "multiple-preimages", limits, engine)
 
 
 def check_surjective(network: Network, from_scope: Iterable[str] | None = None,

@@ -134,8 +134,8 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     ``semnet.properties``), and perfbench/harness.py reads ``JIT_ENABLED``;
     every name must exist, and a check must still reach the kernels
     through them, as often as before. The encode cache is cleared first:
-    the consistent table, which every checker but injective reads, is
-    walked once per encoding."""
+    the consistent table, which every checker reads, is walked once per
+    encoding."""
     names = _spans_names("KERNELS")
     assert set(names) == ENTRY_POINTS
     for name in _spans_names("ENGINE_CALLS") + _spans_names("CHECKERS"):
@@ -157,11 +157,9 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     for direction in Direction:
         for mode in CountMode:
             check_suite(net, direction, mode)
-    # Injective collects up to two completions per anchor, FULL (2 here,
-    # and T's one walk) or PROJECTED (17); the other five checkers read the
-    # consistent table.
+    # T's one walk is the only kernel call: every checker reads T.
     assert calls == {"count_completions": 0, "count_distinct_capped": 0,
-                     "collect_completions": 3, "collect_distinct_reps": 17}
+                     "collect_completions": 1, "collect_distinct_reps": 0}
 
 
 def test_bench_kernels_ends_with_one_json_record():

@@ -304,14 +304,11 @@ def test_every_checker_refuses_an_invalid_network(engine):
             call(mode=mode, engine=engine)
 
 
-def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
+def test_checkers_look_up_the_encoding_once_per_verdict_and_table(monkeypatch):
     """Every verdict lays its anchors out from one encoding lookup of its
-    own; besides that, each prepared collector of injective looks the
-    network up once for its whole anchor sweep, and the other five
-    checkers once each for the consistent table. The witness adds no
-    lookup: its evidence is the rows its anchor's search or T's pass
-    kept."""
-    tally = dict.fromkeys(("layout", "encode", "collector", "table", "witness"), 0)
+    own, and looks the network up once more for the consistent table. The
+    witness adds no lookup: its evidence is the rows T's pass kept."""
+    tally = dict.fromkeys(("layout", "encode", "table", "witness"), 0)
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -320,8 +317,6 @@ def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
         return call
     monkeypatch.setattr(properties, "encode", counted("layout", properties.encode))
     monkeypatch.setattr(engine, "encode", counted("encode", engine.encode))
-    monkeypatch.setattr(properties, "collector",
-                        counted("collector", properties.collector))
     monkeypatch.setattr(properties, "consistent_table",
                         counted("table", properties.consistent_table))
     for name in ("first_completions", "distinct_representatives"):
@@ -331,11 +326,9 @@ def test_checkers_look_up_the_encoding_once_per_sweep(monkeypatch):
     for direction in Direction:
         for mode in CountMode:
             verdicts += len(check_suite(net, direction, mode))
-    # One lookup per kernel call, 20 here, would mean one per anchor.
-    assert tally["layout"] == verdicts == 38, tally
+    # One lookup per kernel call would mean one per anchor.
+    assert tally["layout"] == tally["table"] == tally["encode"] == verdicts == 38, tally
     assert tally["witness"] == 0, tally
-    assert (tally["collector"], tally["table"]) == (4, 34), tally
-    assert tally["encode"] == tally["collector"] + tally["table"], tally
 
 
 # --- minimality over the consistent table: budget and lifetime -------------
@@ -462,23 +455,19 @@ def test_every_join_entry_point_is_budgeted_by_its_search_nodes():
 def test_a_cheap_search_is_decided_whatever_its_cartesian_space():
     """Each anchor of a 12-set chain of 10-value bijections has 10^11
     candidate completions but one consistent one: the join decides the
-    whole suite at the default budget. Brute force is refused: injective
-    would walk each anchor's 10^11 candidates, and functional, total,
-    surjective and surjective-in T's 10^12."""
+    whole suite at the default budget. Brute force is refused: every
+    checker builds T from all 10^12 candidates."""
     chain = _chain(12, 10)
     verdicts = check_suite(chain)
     assert [(v.query.kind, v.holds, v.instances_checked) for v in verdicts] == [
         (PropertyKind.FUNCTIONAL, True, 10), (PropertyKind.TOTAL, True, 10),
         (PropertyKind.INJECTIVE, True, 10), (PropertyKind.SURJECTIVE, True, 10),
         (PropertyKind.MINIMAL, True, 1), (PropertyKind.SURJECTIVE_IN, True, 10)]
-    for check, required in ((check_functional, 10**12), (check_total, 10**12),
-                            (check_injective, 10**11), (check_surjective, 10**12)):
+    for check in (check_functional, check_total, check_injective, check_surjective,
+                  partial(check_surjective_in, param="S11")):
         with pytest.raises(LimitExceededError, match="candidate instances") as info:
             check(chain, engine=Engine.BRUTEFORCE)
-        assert (info.value.required, info.value.allowed) == (required, Limits().max_enumerated)
-    with pytest.raises(LimitExceededError) as info:
-        check_surjective_in(chain, "S11", engine=Engine.BRUTEFORCE)
-    assert info.value.required == 10**12
+        assert (info.value.required, info.value.allowed) == (10**12, Limits().max_enumerated)
 
 
 # --- total, surjective and surjective-in over the consistent table --------
@@ -516,18 +505,21 @@ def test_coverage_checkers_walk_anchors_only_to_the_first_gap():
 
 
 def test_functional_is_admitted_by_t_not_by_its_anchor_count():
-    """With S0..S7 of the chain as data, functional has 10^8 anchors, which
-    the anchor gate refused, but T has 10 rows: the join decides it in both
-    modes at the default budget, and every anchor has at most one outcome.
-    Brute force builds T from all 10^12 candidates and is refused."""
+    """Functional from S0..S7 of the chain and injective from S0 to
+    S4..S11 each have 10^8 anchors, which the anchor gate refused, but T
+    has 10 rows: the join decides both in both modes at the default
+    budget, and every anchor has at most one outcome. Brute force builds T
+    from all 10^12 candidates and is refused."""
     chain = _chain(12, 10)
     chain8 = Network(chain.name, chain.sets, chain.relations,
                      frozenset(f"S{k}" for k in range(8)))
-    for mode in CountMode:
-        verdict = check_functional(chain8, mode=mode)
-        assert (verdict.holds, verdict.instances_checked) == (True, 10**8), mode
+    checks = (partial(check_functional, chain8),
+              partial(check_injective, chain, {"S0"}, {f"S{k}" for k in range(4, 12)}))
+    for check, mode in itertools.product(checks, CountMode):
+        verdict = check(mode=mode)
+        assert (verdict.holds, verdict.instances_checked) == (True, 10**8), (verdict.query, mode)
         with pytest.raises(LimitExceededError, match="candidate instances") as info:
-            check_functional(chain8, mode=mode, engine=Engine.BRUTEFORCE)
+            check(mode=mode, engine=Engine.BRUTEFORCE)
         assert info.value.required == 10**12
 
 
