@@ -14,12 +14,13 @@ usual notation arithmetic over deliberately small domains:
                      notation is recoverable from the execution parameters.
 
 ``write_corpus`` serialises every net and regenerates the golden reports;
-run ``python -m semnet.corpus <dir>`` after changing anything here.
+run ``python -m semnet.corpus [DIR]`` (default ``corpus``) after changing
+anything here.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 from pathlib import Path
 
 from .engine import CountMode, Engine
@@ -258,4 +259,8 @@ def write_corpus(root: Path) -> None:
 
 
 if __name__ == "__main__":
-    write_corpus(Path(sys.argv[1]) if len(sys.argv) > 1 else Path("corpus"))
+    parser = argparse.ArgumentParser(prog="python -m semnet.corpus",
+                                     description="Write the corpus and its golden reports.")
+    parser.add_argument("directory", nargs="?", default="corpus", type=Path,
+                        help="output directory (default: corpus)")
+    write_corpus(parser.parse_args().directory)

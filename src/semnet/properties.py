@@ -12,12 +12,14 @@ A checker lays out its anchors from the encoding, which validates the
 network (:func:`_anchors`), and walks them as value-index tuples; only a
 witness anchor becomes an ``Instance``. Every checker reads the consistent
 table T, which ``engine.consistent_table`` builds once per encoding and
-engine under the budget. Functional and injective keep each anchor's
-first row of T in one ordered pass and fail it at its first row with
-another outcome; those two rows are its evidence. Total, surjective and
-surjective-in project T onto their anchor scope and walk the anchors only
-up to the first one the projection lacks; minimality groups T by instance
-and walks no anchor space.
+engine under the budget, grouped by its anchor scope (:func:`_groups`),
+which is built once per encoding, engine and scope and shared by every
+checker over that scope. Functional and injective walk the anchors with
+two or more rows in order and fail the first whose group has another
+outcome; its first row and that one are its evidence. Total, surjective
+and surjective-in walk the anchors only up to the first one the grouping
+lacks; minimality counts each anchor's outcomes from its group and walks
+no anchor space.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from enum import Enum
 from operator import itemgetter, mul
 from typing import Iterable
 
-from .encode import encode
+from .encode import EncodedNetwork, encode
 
 # count_distinct, distinct_representatives and first_completions are not
 # called here; they stay importable for wrappers of this module's engine calls.
@@ -36,6 +38,7 @@ from .engine import (  # noqa: F401
     CountMode,
     Engine,
     Limits,
+    _backend,
     consistent_table,
     count_distinct,
     distinct_representatives,
@@ -129,57 +132,65 @@ def _anchors(network: Network, scope: tuple[str, ...]) -> tuple:
     return enc, at, values, *mixed_radix(range(len(values)), values)
 
 
+def _groups(network: Network, enc: EncodedNetwork, at: list[int], limits: Limits,
+            engine: Engine) -> tuple[dict, list]:
+    """The consistent table T (:func:`consistent_table`, so under the
+    budget) grouped by its values at columns ``at``, each group in T's
+    order, and the anchors with two or more rows, in order. Kept on the
+    encoding per backend and columns, so it is freed with T."""
+    rows = consistent_table(network, limits, engine)
+    key = (_backend(enc, engine)[0], tuple(at))
+    known = enc.groups.get(key)
+    if known is None:
+        anchor = _columns(at)
+        groups: dict[tuple[int, ...], list] = {}
+        for row in rows:
+            groups.setdefault(anchor(row), []).append(row)
+        known = enc.groups[key] = (groups, sorted(k for k, g in groups.items() if len(g) > 1))
+    return known
+
+
 def _distinct(network: Network, query: PropertyQuery, scope: tuple[str, ...],
               target: tuple[str, ...], note: str, limits: Limits,
               engine: Engine) -> Verdict:
     """Whether every anchor over ``scope`` has at most one outcome over
-    ``target``, from one ordered pass over T. Each anchor keeps its first
-    row, and fails at its first later row with another outcome: any row
-    (FULL) or one with another projection onto ``target`` (PROJECTED). T is
-    in lexicographic order, so those two rows are the anchor's first two
-    completions with distinct outcomes, its evidence. The witness is the
-    least failing anchor. Only T's build is budgeted."""
+    ``target``, from T grouped by anchor (:func:`_groups`). Only an anchor
+    with two or more rows can fail, so those are walked in order up to the
+    first whose group has a row with another outcome than its first: the
+    row itself (FULL; T's rows are distinct) or its projection onto
+    ``target`` (PROJECTED). Each group is in lexicographic order, so that
+    row and the first are the anchor's first two completions with distinct
+    outcomes, its evidence. Only T's build is budgeted."""
     enc, at, values, strides, space = _anchors(network, scope)
-    full = query.mode is CountMode.FULL
-    if not full:
-        outcome = _columns(enc.target_positions(known_sets(network, target, "target")))
-    anchor = _columns(at)
-    first: dict[tuple[int, ...], tuple[int, ...]] = {}
-    failed: dict[tuple[int, ...], tuple] = {}
-    for row in consistent_table(network, limits, engine):
-        key = anchor(row)
-        kept = first.setdefault(key, row)
-        # T's rows are distinct, so ``kept is row`` only at the anchor's first row.
-        if kept is not row and key not in failed and (full or outcome(row) != outcome(kept)):
-            failed[key] = (kept, row)
-    if not failed:
-        return Verdict(query, True, (), space)
-    key = min(failed)
-    witness = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
-    evidence = tuple(map(enc.instance_from_row, failed[key]))
-    return Verdict(query, False, (Witness(witness, evidence, note),),
-                   sum(map(mul, key, strides)) + 1)
+    groups, multi = _groups(network, enc, at, limits, engine)
+    outcome = (_columns(enc.target_positions(known_sets(network, target, "target")))
+               if query.mode is CountMode.PROJECTED else lambda row: row)
+    for key in multi:
+        group = groups[key]
+        first = outcome(group[0])
+        other = next((row for row in itertools.islice(group, 1, None)
+                      if outcome(row) != first), None)
+        if other is not None:
+            witness = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
+            evidence = (enc.instance_from_row(group[0]), enc.instance_from_row(other))
+            return Verdict(query, False, (Witness(witness, evidence, note),),
+                           sum(map(mul, key, strides)) + 1)
+    return Verdict(query, True, (), space)
 
 
 def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
              note: str, limits: Limits, engine: Engine) -> Verdict:
     """Whether every anchor over ``scope`` has a consistent completion.
-    The anchors that have one are T's projection onto ``scope``: the check
-    holds when it fills the anchor space, else the witness is the first
-    anchor in order that it lacks, at most |projection| + 1 steps in.
-    Only T's build is budgeted."""
-    _, at, values, strides, space = _anchors(network, scope)
-    rows = consistent_table(network, limits, engine)
-    # itemgetter yields the value itself for one position, so a one-set
-    # anchor is an int; the empty scope's one anchor is in T when T has rows.
-    present = set(map(itemgetter(*at), rows)) if at else {() for _ in rows[:1]}
+    The anchors that have one are the keys of T's grouping over ``scope``
+    (:func:`_groups`): the check holds when they fill the anchor space,
+    else the witness is the first anchor in order that they lack, at most
+    |keys| + 1 steps in. Only T's build is budgeted."""
+    enc, at, values, strides, space = _anchors(network, scope)
+    present, _ = _groups(network, enc, at, limits, engine)
     if len(present) == space:
         return Verdict(query, True, (), space)
-    if len(at) == 1:
-        key = (next(i for i in range(space) if i not in present),)
-    else:
-        key = next(key for key in itertools.product(*map(range, map(len, values)))
-                   if key not in present)
+    key = next(key for key in itertools.product(*map(range, map(len, values)))
+               if key not in present)
     anchor = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
     return Verdict(query, False, (Witness(anchor, (), note),),
                    sum(map(mul, key, strides)) + 1)
@@ -272,22 +283,22 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     if not a_scope:
         raise ScopeMismatchError("minimality requires a nonempty from scope")
     enc, at, values, strides, space = _anchors(network, a_scope)
-    k = len(at)
-    outcome = (list(range(enc.n_sets)) if mode is CountMode.FULL
-               else [enc.set_index[sid] for sid in b_scope])
-    rows = consistent_table(network, limits, engine)
+    full = mode is CountMode.FULL
+    targets = [enc.set_index[sid] for sid in b_scope]
+    groups, _ = _groups(network, enc, at, limits, engine)
     # Each anchor's distinct outcomes in T: its rows (FULL) or their target
     # projections (PROJECTED); an anchor's count is their number.
-    groups: dict[tuple[int, ...], list] = {}
-    for pair in set(map(_columns(at + outcome), rows)):
-        groups.setdefault(pair[:k], []).append(pair[k:])
+    if not full:
+        outcome = _columns(targets)
+        groups = {key: set(map(outcome, group)) for key, group in groups.items()}
     ordered = sorted(groups)
     checked = 0
     redundant: list[str] = []
     for qi, q in enumerate(a_scope):
         # Outcomes that hold Q's value (every FULL row does) differ between
         # the instances a restriction covers, so their counts add (``adds``).
-        first = _first_separating(ordered, groups, qi, len(values[qi]), at[qi] in outcome)
+        first = _first_separating(ordered, groups, qi, len(values[qi]),
+                                  full or at[qi] in targets)
         if first is None:
             redundant.append(q)
         checked += space if first is None else sum(map(mul, first, strides)) + 1

@@ -3,8 +3,14 @@ and the variant nets show the behaviours they exist for."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import semnet
 from semnet import (
     CountMode,
     Direction,
@@ -43,6 +49,20 @@ def test_write_corpus_regenerates_identically(tmp_path):
     assert generated == shipped
     for rel in generated:
         assert (tmp_path / rel).read_bytes() == (CORPUS / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("option, code", [("--help", 0), ("--no-such-option", 2)])
+def test_module_entry_point_writes_nothing_for_an_option(tmp_path, option, code):
+    """``python -m semnet.corpus`` takes options as options, not as the
+    output directory: help exits 0, an unknown option exits 2, and
+    neither writes into the working directory."""
+    path = (str(Path(semnet.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-m", "semnet.corpus", option], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == code, run.stderr
+    assert "usage: python -m semnet.corpus" in run.stdout + run.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pitch_net_shapes():

@@ -36,6 +36,7 @@ from semnet import (
     ScopeMismatchError,
     ValueSet,
     Witness,
+    bruteforce,
     check_functional,
     check_injective,
     check_minimal,
@@ -595,14 +596,53 @@ def test_minimal_budget_refuses_a_cached_table(monkeypatch):
 
 
 def test_consistent_table_is_freed_with_its_encoding():
+    """T and its groupings live on the encoding, one per backend, and go
+    with it; a new encoding starts with neither."""
     fig = all_networks()["fig1-mini"]
     encode.cache_clear()
     for eng in ENGINES:
         check_minimal(fig, engine=eng)
     enc = encode(fig)
     assert len(enc.tables) == 2
+    assert [backend for backend, _ in enc.groups] == [kernels, bruteforce]
     ref = weakref.ref(enc)
     del enc
     encode.cache_clear()
     gc.collect()
     assert ref() is None
+    assert not encode(fig).tables and not encode(fig).groups
+
+
+def _anchor_scope(query):
+    """The scope a checker groups T by."""
+    if query.kind is PropertyKind.SURJECTIVE_IN:
+        return (query.param,)
+    if query.kind in (PropertyKind.INJECTIVE, PropertyKind.SURJECTIVE):
+        return query.to_scope
+    return query.from_scope
+
+
+def test_checkers_share_one_grouping_per_backend_and_anchor_columns():
+    """A full suite over both directions and modes groups T once per
+    anchor scope it reads, and every checker over that scope reuses the
+    grouping; join and brute force, whose T are equal on a net with sets,
+    each hold their own."""
+    fig = all_networks()["fig1-mini"]
+    encode.cache_clear()
+    enc = encode(fig)
+    built = []
+
+    class Tally(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+    object.__setattr__(enc, "groups", Tally())
+    want, verdicts = set(), 0
+    for (backend, eng), direction, mode in itertools.product(
+            ((kernels, Engine.JOIN), (bruteforce, Engine.BRUTEFORCE)), Direction, CountMode):
+        for verdict in check_suite(fig, direction, mode, engine=eng):
+            scope = _anchor_scope(verdict.query)
+            want.add((backend, tuple(enc.set_index[sid] for sid in scope)))
+            verdicts += 1
+    assert (verdicts, len(want)) == (2 * 38, 2 * 12)
+    assert sorted(built, key=repr) == sorted(want, key=repr)
