@@ -45,7 +45,7 @@ class EncodedNetwork:
     # consistent table T, and T (``engine.consistent_table``).
     tables: dict = field(default_factory=dict, compare=False, repr=False)
     # Per (engine module, anchor columns): T's rows grouped by anchor and
-    # the anchors with two or more rows (``properties._groups``).
+    # the anchors with two or more rows (``properties._layout``).
     groups: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property

@@ -376,31 +376,26 @@ def _find_cycle(network: Network) -> list[str] | None:
             edges.setdefault(f"set:{sid}", []).append(rnode)
         edges.setdefault(rnode, []).extend(f"set:{sid}" for sid in rel.out_sets)
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    stack_path: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GRAY
-        stack_path.append(node)
-        for nxt in edges.get(node, ()):
-            c = color.get(nxt, WHITE)
-            if c == GRAY:
-                i = stack_path.index(nxt)
-                return stack_path[i:] + [nxt]
-            if c == WHITE:
-                found = visit(nxt)
-                if found is not None:
-                    return found
-        stack_path.pop()
-        color[node] = BLACK
-        return None
-
-    for node in list(edges):
-        if color.get(node, WHITE) == WHITE:
-            found = visit(node)
-            if found is not None:
-                return [n.split(":", 1)[1] for n in found]
+    # Depth-first with an explicit path and one edge iterator per path node,
+    # so a long chain does not recurse. A node is True on the path, False
+    # once done.
+    on_path: dict[str, bool] = {}
+    for root in edges:
+        if root in on_path:
+            continue
+        path, todo = [root], [iter(edges[root])]
+        on_path[root] = True
+        while todo:
+            nxt = next(todo[-1], None)
+            if nxt is None:
+                on_path[path.pop()] = False
+                todo.pop()
+            elif on_path.get(nxt):
+                return [n.split(":", 1)[1] for n in path[path.index(nxt):] + [nxt]]
+            elif nxt not in on_path:
+                on_path[nxt] = True
+                path.append(nxt)
+                todo.append(iter(edges.get(nxt, ())))
     return None
 
 

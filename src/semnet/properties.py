@@ -8,18 +8,19 @@ witness content and order: the witness is always the first counterexample
 in lexicographic declaration order; minimality instead names every
 redundant set. Evidence instances are always consistent full instances.
 
-A checker lays out its anchors from the encoding, which validates the
-network (:func:`_anchors`), and walks them as value-index tuples; only a
-witness anchor becomes an ``Instance``. Every checker reads the consistent
-table T, which ``engine.consistent_table`` builds once per encoding and
-engine under the budget, grouped by its anchor scope (:func:`_groups`),
-which is built once per encoding, engine and scope and shared by every
-checker over that scope. Functional and injective walk the anchors with
-two or more rows in order and fail the first whose group has another
-outcome; its first row and that one are its evidence. Total, surjective
-and surjective-in walk the anchors only up to the first one the grouping
-lacks; minimality counts each anchor's outcomes from its group and walks
-no anchor space.
+A checker resolves its scopes once, in :func:`_query`, and takes one
+layout per verdict from :func:`_layout`: the encoding, whose lookup
+validates the network, the anchor scope's value space, and the consistent
+table T grouped by anchor. T is built once per encoding and engine under
+the budget (``engine.consistent_table``), its grouping once per encoding,
+engine and scope, shared by every checker over that scope. Anchors are
+value-index tuples; only a witness anchor becomes an ``Instance``.
+Functional and injective fail the first anchor with two or more rows
+whose group has another outcome; its first row and that one are its
+evidence. Total, surjective and surjective-in walk the anchors only up to
+the first one the grouping lacks; minimality counts each anchor's
+outcomes from its group. Outcomes are tuples of T's columns, so no target
+is refused for the size of its space.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from enum import Enum
 from operator import itemgetter, mul
 from typing import Iterable
 
-from .encode import EncodedNetwork, encode
+from .encode import encode
 
 # count_distinct, distinct_representatives and first_completions are not
 # called here; they stay importable for wrappers of this module's engine calls.
@@ -114,30 +115,31 @@ def _scope(network: Network, scope: Iterable[str]) -> tuple[str, ...]:
 
 
 def _query(kind: PropertyKind, network: Network, from_scope: Iterable[str] | None,
-           to_scope: Iterable[str] | None, mode: CountMode) -> PropertyQuery:
-    """A query from the data selection to the sinks unless scopes are given;
-    each default is computed only when its scope is omitted."""
+           to_scope: Iterable[str] | None, mode: CountMode,
+           param: str | None = None) -> PropertyQuery:
+    """A query from the data selection to the sinks, or to ``(param,)``
+    for surjective-in, unless scopes are given; each default is computed
+    only when its scope is omitted."""
+    if to_scope is None:
+        to_scope = sinks(network) if param is None else (param,)
     return PropertyQuery(
         kind, _scope(network, network.data_selection if from_scope is None else from_scope),
-        _scope(network, sinks(network) if to_scope is None else to_scope), mode)
+        _scope(network, to_scope), mode, param)
 
 
-def _anchors(network: Network, scope: tuple[str, ...]) -> tuple:
-    """The anchor layout over ``scope``: the encoding, which validates the
-    network (so every set has values), the scope's columns in T, its
-    value lists, their :func:`mixed_radix` strides and the anchor space."""
+def _layout(network: Network, scope: tuple[str, ...], limits: Limits,
+            engine: Engine) -> tuple:
+    """One verdict's layout over the anchor ``scope``: the encoding, which
+    validates the network (so every set has values), the scope's value
+    lists, their :func:`mixed_radix` strides and the anchor space; then the
+    consistent table T (:func:`consistent_table`, so under the budget)
+    grouped by its values at the scope's columns, each group in T's order,
+    and the anchors with two or more rows, in order. The grouping is kept
+    on the encoding per backend and columns, so it is freed with T."""
     enc = encode(network)
     at = [enc.set_index[sid] for sid in scope]
     values = [network.sets[i].values for i in at]
-    return enc, at, values, *mixed_radix(range(len(values)), values)
-
-
-def _groups(network: Network, enc: EncodedNetwork, at: list[int], limits: Limits,
-            engine: Engine) -> tuple[dict, list]:
-    """The consistent table T (:func:`consistent_table`, so under the
-    budget) grouped by its values at columns ``at``, each group in T's
-    order, and the anchors with two or more rows, in order. Kept on the
-    encoding per backend and columns, so it is freed with T."""
+    strides, space = mixed_radix(range(len(values)), values)
     rows = consistent_table(network, limits, engine)
     key = (_backend(enc, engine)[0], tuple(at))
     known = enc.groups.get(key)
@@ -147,23 +149,22 @@ def _groups(network: Network, enc: EncodedNetwork, at: list[int], limits: Limits
         for row in rows:
             groups.setdefault(anchor(row), []).append(row)
         known = enc.groups[key] = (groups, sorted(k for k, g in groups.items() if len(g) > 1))
-    return known
+    return enc, values, strides, space, *known
 
 
 def _distinct(network: Network, query: PropertyQuery, scope: tuple[str, ...],
               target: tuple[str, ...], note: str, limits: Limits,
               engine: Engine) -> Verdict:
     """Whether every anchor over ``scope`` has at most one outcome over
-    ``target``, from T grouped by anchor (:func:`_groups`). Only an anchor
+    ``target``, from T grouped by anchor (:func:`_layout`). Only an anchor
     with two or more rows can fail, so those are walked in order up to the
     first whose group has a row with another outcome than its first: the
-    row itself (FULL; T's rows are distinct) or its projection onto
-    ``target`` (PROJECTED). Each group is in lexicographic order, so that
+    row itself (FULL; T's rows are distinct) or its values at ``target``'s
+    columns (PROJECTED). Each group is in lexicographic order, so that
     row and the first are the anchor's first two completions with distinct
     outcomes, its evidence. Only T's build is budgeted."""
-    enc, at, values, strides, space = _anchors(network, scope)
-    groups, multi = _groups(network, enc, at, limits, engine)
-    outcome = (_columns(enc.target_positions(known_sets(network, target, "target")))
+    enc, values, strides, space, groups, multi = _layout(network, scope, limits, engine)
+    outcome = (_columns([enc.set_index[sid] for sid in target])
                if query.mode is CountMode.PROJECTED else lambda row: row)
     for key in multi:
         group = groups[key]
@@ -182,11 +183,10 @@ def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
              note: str, limits: Limits, engine: Engine) -> Verdict:
     """Whether every anchor over ``scope`` has a consistent completion.
     The anchors that have one are the keys of T's grouping over ``scope``
-    (:func:`_groups`): the check holds when they fill the anchor space,
+    (:func:`_layout`): the check holds when they fill the anchor space,
     else the witness is the first anchor in order that they lack, at most
     |keys| + 1 steps in. Only T's build is budgeted."""
-    enc, at, values, strides, space = _anchors(network, scope)
-    present, _ = _groups(network, enc, at, limits, engine)
+    _, values, strides, space, present, _ = _layout(network, scope, limits, engine)
     if len(present) == space:
         return Verdict(query, True, (), space)
     key = next(key for key in itertools.product(*map(range, map(len, values)))
@@ -249,11 +249,9 @@ def check_surjective_in(network: Network, param: str,
                         limits: Limits = _DEFAULT_LIMITS,
                         engine: Engine = Engine.JOIN) -> Verdict:
     """Every value of the parameter set occurs in some consistent instance."""
-    a_scope = _scope(network, network.data_selection if from_scope is None else from_scope)
-    b_scope = _scope(network, (param,) if to_scope is None else to_scope)
-    if param not in b_scope:
+    query = _query(PropertyKind.SURJECTIVE_IN, network, from_scope, to_scope, mode, param)
+    if param not in query.to_scope:
         raise ScopeMismatchError(f"param {param!r} must belong to the to scope")
-    query = PropertyQuery(PropertyKind.SURJECTIVE_IN, a_scope, b_scope, mode, param)
     return _covered(network, query, (param,), "unrealizable-value", limits, engine)
 
 
@@ -282,14 +280,12 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     a_scope, b_scope = query.from_scope, query.to_scope
     if not a_scope:
         raise ScopeMismatchError("minimality requires a nonempty from scope")
-    enc, at, values, strides, space = _anchors(network, a_scope)
+    enc, values, strides, space, groups, _ = _layout(network, a_scope, limits, engine)
     full = mode is CountMode.FULL
-    targets = [enc.set_index[sid] for sid in b_scope]
-    groups, _ = _groups(network, enc, at, limits, engine)
     # Each anchor's distinct outcomes in T: its rows (FULL) or their target
     # projections (PROJECTED); an anchor's count is their number.
     if not full:
-        outcome = _columns(targets)
+        outcome = _columns([enc.set_index[sid] for sid in b_scope])
         groups = {key: set(map(outcome, group)) for key, group in groups.items()}
     ordered = sorted(groups)
     checked = 0
@@ -298,7 +294,7 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
         # Outcomes that hold Q's value (every FULL row does) differ between
         # the instances a restriction covers, so their counts add (``adds``).
         first = _first_separating(ordered, groups, qi, len(values[qi]),
-                                  full or at[qi] in targets)
+                                  full or q in b_scope)
         if first is None:
             redundant.append(q)
         checked += space if first is None else sum(map(mul, first, strides)) + 1

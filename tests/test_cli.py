@@ -144,6 +144,26 @@ def test_key_overflow_is_exit_4_not_usage(capsys, tmp_path):
     assert "2^62 key limit" in err
 
 
+def test_checkers_decide_targets_past_the_key_space(capsys, tmp_path):
+    # One ten-valued data set tied to twenty ten-valued sinks: T has 10 rows,
+    # while the default target, the sinks, spans 10**20 > 2**62 values.
+    values = " ".join(f"v{i}" for i in range(10))
+    lines = ["net wide", f"set D = {values}", *(f"set P{k} = {values}" for k in range(20))]
+    for k in range(20):
+        lines += [f"rel to{k} in D out P{k}", *(f"row v{i} v{i}" for i in range(10)), "end"]
+    path = tmp_path / "wide.semnet"
+    path.write_text("\n".join([*lines, "data D"]) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "check", str(path))
+    assert code == 1
+    assert err == ""
+    verdicts = [(line.split()[0], line.split()[-1])
+                for line in out.splitlines() if " : " in line]
+    assert verdicts[:5] == [("FUNCTIONAL", "HOLDS"), ("TOTAL", "HOLDS"),
+                            ("INJECTIVE", "HOLDS"), ("SURJECTIVE", "FAILS"),
+                            ("MINIMAL", "HOLDS")]
+    assert verdicts[5:] == [(f"SURJECTIVE_IN(P{k})", "HOLDS") for k in range(20)]
+
+
 def test_check_json_matches_golden(capsys):
     for name in ("t2", "t4b", "fig1-mini"):
         for direction in ("forward", "backward"):

@@ -113,6 +113,36 @@ def test_cycle_detection_and_path():
     assert not flags.is_acyclic
 
 
+def _ring(n_relations, closed):
+    """Relations r0..r{n-1}, each a bijection of two values from S{k} to
+    S{k+1}; ``closed`` makes the last one write S0 in place of a new set."""
+    values = ("a", "b")
+    n_sets = n_relations if closed else n_relations + 1
+    sets = tuple(ValueSet(f"S{k}", values) for k in range(n_sets))
+    relations = tuple(Relation(f"r{k}", (f"S{k}",), (f"S{(k + 1) % n_sets}",),
+                               tuple((v, v) for v in values))
+                      for k in range(n_relations))
+    return Network("ring" if closed else "chain", sets, relations, frozenset({"S0"}))
+
+
+def test_a_long_chain_validates_without_recursion():
+    """The cycle search walks with an explicit stack: 700 relations are
+    past what a recursion of two frames per relation could reach."""
+    chain = _ring(700, closed=False)
+    report = validate(chain)
+    assert report.ok, report.errors
+    assert structural_flags(chain).is_acyclic
+
+
+def test_a_long_ring_reports_its_closed_cycle():
+    report = validate(_ring(700, closed=True))
+    assert [i.code for i in report.errors] == ["CYCLE"]
+    path = report.errors[0].message.split(": ")[1].split(" -> ")
+    assert path[0] == path[-1] == "S0"
+    assert path[1:-1:2] == [f"r{k}" for k in range(700)]
+    assert path[2:-1:2] == [f"S{k}" for k in range(1, 700)]
+
+
 def test_empty_relation_is_warning_not_error():
     net = Network("n", (ValueSet("A", ("a",)), ValueSet("B", ("b",))),
                   (Relation("f", ("A",), ("B",), ()),), {"A"})

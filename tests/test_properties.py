@@ -471,6 +471,33 @@ def test_a_cheap_search_is_decided_whatever_its_cartesian_space():
         assert (info.value.required, info.value.allowed) == (10**12, Limits().max_enumerated)
 
 
+def _wide_sinks(n_sinks, n_values):
+    """A data set D tied to sinks P0.. by bijections: T has one row per
+    value of D, while the sinks span n_values ** n_sinks values."""
+    values = tuple(f"v{i}" for i in range(n_values))
+    params = tuple(ValueSet(f"P{k}", values) for k in range(n_sinks))
+    relations = tuple(Relation(f"to-{vs.id}", ("D",), (vs.id,), tuple(zip(values, values)))
+                      for vs in params)
+    return Network("wide-sinks", (ValueSet("D", values),) + params, relations,
+                   frozenset({"D"}))
+
+
+def test_projected_checkers_decide_targets_past_the_key_space():
+    """Twenty ten-valued sinks span 10^20 > 2^62 values, yet T has 10
+    rows. No checker builds a projection key, so PROJECTED decides every
+    forward verdict as FULL does: functional, total, injective, minimal
+    and each surjective-in hold, and surjective fails at its second
+    anchor."""
+    net = _wide_sinks(20, 10)
+    full, projected = (
+        [(v.query.kind, v.query.param, v.holds, v.witnesses, v.instances_checked)
+         for v in check_suite(net, Direction.FORWARD, mode)] for mode in CountMode)
+    assert full == projected
+    failing = [(kind, checked) for kind, _, holds, _, checked in projected if not holds]
+    assert failing == [(PropertyKind.SURJECTIVE, 2)]
+    assert len(projected) == 5 + 20
+
+
 # --- total, surjective and surjective-in over the consistent table --------
 
 def _oracle_coverage(network, scope):
