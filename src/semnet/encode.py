@@ -11,10 +11,10 @@ index from these tuples on its first search of a network and keeps it on
 the encoding: the join search's per-relation dicts
 (``kernels.build_index``) and brute force's key arrays
 (``bruteforce.build_index``). The consistent table T that each engine
-builds for the property checkers is kept there too, and so is T grouped
-by each anchor scope a checker reads, so both are freed with the cache
-entry. What the engine prepares per call (fixed value indices, target
-positions) stays in plain Python ints.
+builds for the property checkers is kept there too, and so is T's
+layout by each anchor scope a checker reads, so both are freed with the
+cache entry. What the engine prepares per call (fixed value indices,
+target positions) stays in plain Python ints.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class EncodedNetwork:
     # Per engine module: the smallest budget known to admit the walk of the
     # consistent table T, and T (``engine.consistent_table``).
     tables: dict = field(default_factory=dict, compare=False, repr=False)
-    # Per (engine module, anchor columns): T's rows grouped by anchor and
-    # the anchors with two or more rows (``properties._layout``).
+    # Per (engine module, anchor columns): T's whole layout by that anchor
+    # scope, with each group's outcomes per target columns once a checker
+    # reads them (``properties._Layout``); it refers to no encoding.
     groups: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property

@@ -17,11 +17,13 @@ class KeyOverflowError(SemnetError):
 
 class LimitExceededError(SemnetError):
     """A search or enumeration would exceed the configured work budget;
-    ``unit`` names what was counted."""
+    ``unit`` names what was counted. ``required`` and ``allowed`` stay
+    exact; the message writes a count past 2^62 as its power of two."""
 
     def __init__(self, required: int, allowed: int,
                  unit: str = "candidate instances") -> None:
-        super().__init__(f"walking {required} {unit} exceeds the budget of {allowed}")
+        super().__init__(f"walking {_magnitude(required)} {unit} exceeds the budget "
+                         f"of {_magnitude(allowed)}")
         self.required = required
         self.allowed = allowed
 
@@ -33,3 +35,12 @@ class InvalidNetworkError(SemnetError):
         lines = "; ".join(f"{e.code} at {e.location}: {e.message}" for e in errors)
         super().__init__(f"network failed validation: {lines}")
         self.errors = list(errors)
+
+
+def _magnitude(count: int) -> str:
+    """``count`` in digits up to 2^62, else as the power of two it reaches:
+    the digits of a huge int say no more and, past 4,300 of them, cannot
+    even be written."""
+    if count <= 2**62:
+        return str(count)
+    return f"at least 2^{count.bit_length() - 1}"

@@ -10,13 +10,13 @@ the role of stored data when properties are checked.
 
 All types are immutable and hashable; all operations are pure. A
 ``Network`` memoises per instance, on first use, its hash (the same value
-as the hash of its fields), its :func:`validate` report and its
+as the hash of its fields), its :func:`validate` report, its
 relations' row keys (:func:`row_keys`; ``netdef.parse`` hands over the
-keys it computed). It never pickles or copies the memos, since str
-hashes differ between processes. Constructors accept structurally broken
-input (dangling references, cycles, duplicate rows): :func:`validate`
-reports such defects instead of raising, so parsed files can be diagnosed
-in full.
+keys it computed) and the checkers' resolved scopes. It never pickles or
+copies the memos, since str hashes differ between processes. Constructors
+accept structurally broken input (dangling references, cycles, duplicate
+rows): :func:`validate` reports such defects instead of raising, so parsed
+files can be diagnosed in full.
 """
 
 from __future__ import annotations
@@ -120,10 +120,16 @@ class Network:
         return tuple(row_keys(rel.rows, scope_weights(rel.scope, values, memo))
                      if values.keys() >= set(rel.scope) else None for rel in self.relations)
 
+    @cached_property
+    def _scopes(self) -> dict[frozenset[str], tuple[str, ...]]:
+        """Scopes resolved by ``properties._scope``, in declaration order,
+        keyed by their set ids; only resolutions that succeeded."""
+        return {}
+
     def __getstate__(self) -> dict:
         # Pickles and copies carry the fields only, never the memos.
         state = dict(self.__dict__)
-        for memo in ("_validation", "_hash", "_row_keys"):
+        for memo in ("_validation", "_hash", "_row_keys", "_scopes"):
             state.pop(memo, None)
         return state
 

@@ -8,19 +8,23 @@ witness content and order: the witness is always the first counterexample
 in lexicographic declaration order; minimality instead names every
 redundant set. Evidence instances are always consistent full instances.
 
-A checker resolves its scopes once, in :func:`_query`, and takes one
-layout per verdict from :func:`_layout`: the encoding, whose lookup
-validates the network, the anchor scope's value space, and the consistent
-table T grouped by anchor. T is built once per encoding and engine under
-the budget (``engine.consistent_table``), its grouping once per encoding,
-engine and scope, shared by every checker over that scope. Anchors are
-value-index tuples; only a witness anchor becomes an ``Instance``.
-Functional and injective fail the first anchor with two or more rows
-whose group has another outcome; its first row and that one are its
-evidence. Total, surjective and surjective-in walk the anchors only up to
-the first one the grouping lacks; minimality counts each anchor's
-outcomes from its group. Outcomes are tuples of T's columns, so no target
-is refused for the size of its space.
+A checker resolves its scopes once, in :func:`_query`, through
+:func:`_scope`, which keeps each resolution on the network. Its verdict
+then follows one plan per encoding: :func:`_layout` looks the encoding up,
+which validates the network, asks for the consistent table T, built once
+per encoding and engine under the budget (``engine.consistent_table``),
+and returns T's layout by the anchor scope, built once per encoding,
+engine and scope and shared by every checker over that scope: the
+scope's value space and T grouped by anchor. The layout also keeps, per
+target, each group's distinct target values, shared by PROJECTED
+functional, injective and minimality. Anchors are value-index tuples;
+only a witness anchor becomes an ``Instance``. Functional and injective
+fail the first anchor with two or more distinct outcomes; its first row
+and the first with another outcome are its evidence. Total, surjective
+and surjective-in walk the anchors only up to the first one the grouping
+lacks; minimality counts each anchor's outcomes from its group. Outcomes
+are tuples of T's columns, so no target is refused for the size of its
+space.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter, mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .encode import encode
+from .encode import EncodedNetwork, encode
 
 # count_distinct, distinct_representatives and first_completions are not
 # called here; they stay importable for wrappers of this module's engine calls.
@@ -110,8 +114,14 @@ class Verdict:
 
 
 def _scope(network: Network, scope: Iterable[str]) -> tuple[str, ...]:
-    """Normalise a scope to declaration order."""
-    return network.set_order(known_sets(network, scope, "scope"))
+    """Normalise a scope to declaration order. The network keeps each
+    resolution by its set ids, so only a scope naming an unknown set is
+    resolved, and refused, again."""
+    ids = frozenset(scope)
+    known = network._scopes.get(ids)
+    if known is None:
+        known = network._scopes[ids] = network.set_order(known_sets(network, ids, "scope"))
+    return known
 
 
 def _query(kind: PropertyKind, network: Network, from_scope: Iterable[str] | None,
@@ -127,56 +137,86 @@ def _query(kind: PropertyKind, network: Network, from_scope: Iterable[str] | Non
         _scope(network, to_scope), mode, param)
 
 
+class _Layout(NamedTuple):
+    """T laid out by one anchor scope: the scope's value lists, their
+    :func:`mixed_radix` strides and the anchor space; T's rows grouped by
+    anchor, each group in T's order and the groups in anchor order; the
+    anchors with two or more rows, in order; and per target columns, each
+    group's distinct values there (:func:`_outcomes`), built on first use."""
+
+    values: list
+    strides: list[int]
+    space: int
+    groups: dict[tuple[int, ...], list]
+    multi: list[tuple[int, ...]]
+    outcomes: dict[tuple[int, ...], dict]
+
+
 def _layout(network: Network, scope: tuple[str, ...], limits: Limits,
-            engine: Engine) -> tuple:
-    """One verdict's layout over the anchor ``scope``: the encoding, which
-    validates the network (so every set has values), the scope's value
-    lists, their :func:`mixed_radix` strides and the anchor space; then the
-    consistent table T (:func:`consistent_table`, so under the budget)
-    grouped by its values at the scope's columns, each group in T's order,
-    and the anchors with two or more rows, in order. The grouping is kept
-    on the encoding per backend and columns, so it is freed with T."""
+            engine: Engine) -> tuple[EncodedNetwork, _Layout]:
+    """The encoding, whose lookup validates the network (so every set has
+    values), and T's :class:`_Layout` over the anchor ``scope``. The
+    consistent table T is asked for on every call (:func:`consistent_table`,
+    so a smaller budget is walked again); the layout is kept on the
+    encoding per backend and anchor columns, so it is freed with T. It
+    holds no reference to the encoding, so it needs no collector to go."""
     enc = encode(network)
-    at = [enc.set_index[sid] for sid in scope]
-    values = [network.sets[i].values for i in at]
-    strides, space = mixed_radix(range(len(values)), values)
     rows = consistent_table(network, limits, engine)
-    key = (_backend(enc, engine)[0], tuple(at))
-    known = enc.groups.get(key)
-    if known is None:
+    at = tuple(enc.set_index[sid] for sid in scope)
+    key = (_backend(enc, engine)[0], at)
+    layout = enc.groups.get(key)
+    if layout is None:
+        values = [network.sets[i].values for i in at]
         anchor = _columns(at)
         groups: dict[tuple[int, ...], list] = {}
         for row in rows:
             groups.setdefault(anchor(row), []).append(row)
-        known = enc.groups[key] = (groups, sorted(k for k, g in groups.items() if len(g) > 1))
-    return enc, values, strides, space, *known
+        groups = dict(sorted(groups.items()))
+        layout = enc.groups[key] = _Layout(
+            values, *mixed_radix(range(len(values)), values), groups,
+            [k for k, group in groups.items() if len(group) > 1], {})
+    return enc, layout
+
+
+def _outcomes(layout: _Layout, columns: tuple[int, ...]) -> dict:
+    """Per anchor of ``layout``, the distinct values of its rows at
+    ``columns``: its PROJECTED outcomes, kept in the layout."""
+    known = layout.outcomes.get(columns)
+    if known is None:
+        outcome = _columns(columns)
+        known = layout.outcomes[columns] = {
+            key: set(map(outcome, group)) for key, group in layout.groups.items()}
+    return known
 
 
 def _distinct(network: Network, query: PropertyQuery, scope: tuple[str, ...],
               target: tuple[str, ...], note: str, limits: Limits,
               engine: Engine) -> Verdict:
     """Whether every anchor over ``scope`` has at most one outcome over
-    ``target``, from T grouped by anchor (:func:`_layout`). Only an anchor
-    with two or more rows can fail, so those are walked in order up to the
-    first whose group has a row with another outcome than its first: the
-    row itself (FULL; T's rows are distinct) or its values at ``target``'s
-    columns (PROJECTED). Each group is in lexicographic order, so that
-    row and the first are the anchor's first two completions with distinct
-    outcomes, its evidence. Only T's build is budgeted."""
-    enc, values, strides, space, groups, multi = _layout(network, scope, limits, engine)
-    outcome = (_columns([enc.set_index[sid] for sid in target])
-               if query.mode is CountMode.PROJECTED else lambda row: row)
-    for key in multi:
-        group = groups[key]
-        first = outcome(group[0])
-        other = next((row for row in itertools.islice(group, 1, None)
-                      if outcome(row) != first), None)
-        if other is not None:
-            witness = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
-            evidence = (enc.instance_from_row(group[0]), enc.instance_from_row(other))
-            return Verdict(query, False, (Witness(witness, evidence, note),),
-                           sum(map(mul, key, strides)) + 1)
-    return Verdict(query, True, (), space)
+    ``target``, from T's layout by anchor (:func:`_layout`). Only an
+    anchor with two or more rows can fail, so those are walked in order up
+    to the first with two or more distinct outcomes: its rows (FULL; T's
+    rows are distinct) or their values at ``target``'s columns (PROJECTED,
+    :func:`_outcomes`). That anchor's group is scanned for the first row
+    with another outcome than its first; each group is in lexicographic
+    order, so those two rows are the anchor's first two completions with
+    distinct outcomes, its evidence. Only T's build is budgeted."""
+    enc, layout = _layout(network, scope, limits, engine)
+    if query.mode is CountMode.PROJECTED:
+        columns = tuple(enc.set_index[sid] for sid in target)
+        outcomes, outcome = _outcomes(layout, columns), _columns(columns)
+    else:
+        outcomes, outcome = layout.groups, lambda row: row
+    key = next((key for key in layout.multi if len(outcomes[key]) > 1), None)
+    if key is None:
+        return Verdict(query, True, (), layout.space)
+    group = layout.groups[key]
+    first = outcome(group[0])
+    other = next(row for row in itertools.islice(group, 1, None) if outcome(row) != first)
+    witness = Instance(zip(scope, (vs[i] for vs, i in zip(layout.values, key))))
+    evidence = (enc.instance_from_row(group[0]), enc.instance_from_row(other))
+    return Verdict(query, False, (Witness(witness, evidence, note),),
+                   sum(map(mul, key, layout.strides)) + 1)
 
 
 def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
@@ -186,14 +226,15 @@ def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
     (:func:`_layout`): the check holds when they fill the anchor space,
     else the witness is the first anchor in order that they lack, at most
     |keys| + 1 steps in. Only T's build is budgeted."""
-    _, values, strides, space, present, _ = _layout(network, scope, limits, engine)
-    if len(present) == space:
-        return Verdict(query, True, (), space)
+    layout = _layout(network, scope, limits, engine)[1]
+    values, present = layout.values, layout.groups
+    if len(present) == layout.space:
+        return Verdict(query, True, (), layout.space)
     key = next(key for key in itertools.product(*map(range, map(len, values)))
                if key not in present)
     anchor = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
     return Verdict(query, False, (Witness(anchor, (), note),),
-                   sum(map(mul, key, strides)) + 1)
+                   sum(map(mul, key, layout.strides)) + 1)
 
 
 def check_functional(network: Network, from_scope: Iterable[str] | None = None,
@@ -280,36 +321,35 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     a_scope, b_scope = query.from_scope, query.to_scope
     if not a_scope:
         raise ScopeMismatchError("minimality requires a nonempty from scope")
-    enc, values, strides, space, groups, _ = _layout(network, a_scope, limits, engine)
+    enc, layout = _layout(network, a_scope, limits, engine)
     full = mode is CountMode.FULL
     # Each anchor's distinct outcomes in T: its rows (FULL) or their target
     # projections (PROJECTED); an anchor's count is their number.
-    if not full:
-        outcome = _columns([enc.set_index[sid] for sid in b_scope])
-        groups = {key: set(map(outcome, group)) for key, group in groups.items()}
-    ordered = sorted(groups)
+    groups = layout.groups if full else _outcomes(
+        layout, tuple(enc.set_index[sid] for sid in b_scope))
     checked = 0
     redundant: list[str] = []
     for qi, q in enumerate(a_scope):
         # Outcomes that hold Q's value (every FULL row does) differ between
         # the instances a restriction covers, so their counts add (``adds``).
-        first = _first_separating(ordered, groups, qi, len(values[qi]),
-                                  full or q in b_scope)
+        first = _first_separating(groups, qi, len(layout.values[qi]), full or q in b_scope)
         if first is None:
             redundant.append(q)
-        checked += space if first is None else sum(map(mul, first, strides)) + 1
+        checked += (layout.space if first is None
+                    else sum(map(mul, first, layout.strides)) + 1)
     witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
     return Verdict(query, not redundant, witnesses, checked)
 
 
-def _first_separating(ordered: list[tuple[int, ...]], groups: dict, qi: int,
-                      size: int, adds: bool) -> tuple[int, ...] | None:
-    """The lex-first instance whose count in ``groups`` differs from its
-    restriction's without position ``qi`` (``size`` values), or None. Only
-    instances whose restriction has rows can differ, so only those are
-    walked: per head (before ``qi``) of the ``ordered`` keys, each value
-    with every tail in order. ``adds`` as in :func:`check_minimal`."""
-    for head, block in itertools.groupby(ordered, lambda key: key[:qi]):
+def _first_separating(groups: dict, qi: int, size: int,
+                      adds: bool) -> tuple[int, ...] | None:
+    """The lex-first instance whose count in ``groups`` (keyed in order)
+    differs from its restriction's without position ``qi`` (``size``
+    values), or None. Only instances whose restriction has rows can
+    differ, so only those are walked: per head (before ``qi``) of the
+    keys, each value with every tail in order. ``adds`` as in
+    :func:`check_minimal`."""
+    for head, block in itertools.groupby(groups, lambda key: key[:qi]):
         tails = sorted({key[qi + 1:] for key in block})
         dropped: dict[tuple, int] = {}  # per tail, the restriction's count
         for v in range(size):

@@ -670,3 +670,25 @@ def test_join_bruteforce_and_oracle_agree_on_drawn_nets(memo_oracle, net):
             join = check_suite(net, direction, mode)
             assert check_suite(net, direction, mode, engine=Engine.BRUTEFORCE) == join
             _check_against_oracle(net, join)
+
+
+@seed(SEED)
+@settings(max_examples=100, deadline=None, database=None)
+@given(net=drawn_nets())
+def test_a_warm_suite_equals_a_cold_one_on_drawn_nets(net):
+    """The scopes the checkers keep on a network and the layouts and
+    outcome sets they keep on its encoding change no verdict: under both
+    engines, in both directions and modes, a suite on a warm encoding
+    equals the one on a fresh equal network after ``encode.cache_clear()``."""
+    runs = list(itertools.product(Engine, Direction, CountMode))
+    encode.cache_clear()
+    for engine, direction, mode in runs:
+        check_suite(net, direction, mode, engine=engine)
+    warm = [check_suite(net, direction, mode, engine=engine)
+            for engine, direction, mode in runs]
+    cold = []
+    for engine, direction, mode in runs:
+        encode.cache_clear()
+        fresh = Network(net.name, net.sets, net.relations, net.data_selection)
+        cold.append(check_suite(fresh, direction, mode, engine=engine))
+    assert warm == cold

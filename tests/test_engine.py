@@ -254,6 +254,36 @@ def test_limit_exceeded():
     completions(fig, partial, Limits(max_enumerated=10**6), Engine.BRUTEFORCE)
 
 
+def test_a_refusal_past_the_key_space_names_its_power_of_two():
+    """A count past 2^62 is written as the power of two it reaches, never
+    in digits: past 4,300 digits Python refuses to write an int at all.
+    The error keeps the exact count. Brute force on a chain of 700
+    two-valued bijections is refused for its 2^701 candidates."""
+    huge = 2**14301
+    error = LimitExceededError(huge, 10**7)
+    assert str(error) == ("walking at least 2^14301 candidate instances "
+                          "exceeds the budget of 10000000")
+    assert (error.required, error.allowed) == (huge, 10**7)
+    assert "at least 2^700 search nodes" in str(LimitExceededError(3 * 2**699, 1, "search nodes"))
+    assert "at least 2^62 " in str(LimitExceededError(2**62 + 1, 1))
+    sets = tuple(ValueSet(f"S{k}", ("a", "b")) for k in range(701))
+    chain = Network("chain", sets, tuple(
+        Relation(f"r{k}", (f"S{k}",), (f"S{k + 1}",), (("a", "a"), ("b", "b")))
+        for k in range(700)), frozenset({"S0"}))
+    with pytest.raises(LimitExceededError) as info:
+        completions(chain, Instance(), engine=Engine.BRUTEFORCE)
+    assert str(info.value) == ("walking at least 2^701 candidate instances "
+                               "exceeds the budget of 10000000")
+    assert info.value.required == 2**701
+
+
+def test_a_refusal_within_the_key_space_keeps_its_digits():
+    assert (str(LimitExceededError(10_000_200, 10**7, "search nodes"))
+            == "walking 10000200 search nodes exceeds the budget of 10000000")
+    assert (str(LimitExceededError(2**62, 2**62 - 1))
+            == f"walking {2**62} candidate instances exceeds the budget of {2**62 - 1}")
+
+
 def test_limits_validation():
     with pytest.raises(ValueError):
         Limits(max_enumerated=0)

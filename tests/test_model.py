@@ -20,6 +20,7 @@ from semnet import (
     ValueSet,
     sinks,
     sources,
+    check_suite,
     encode,
     parse,
     structural_flags,
@@ -262,6 +263,12 @@ def test_validation_memo_leaves_equality_hash_and_pickle_alone():
     assert net == twin and twin == net
     assert hash(net) == hash(twin) == digest
     assert pickle.dumps(net) == pickled
+    # Nor the scopes the checkers resolved on it.
+    check_suite(net)
+    assert "_scopes" in net.__dict__
+    assert pickle.dumps(net) == pickled
+    for duplicate in (pickle.loads(pickled), copy.copy(net), copy.deepcopy(net)):
+        assert duplicate == net and "_scopes" not in duplicate.__dict__
     restored = pickle.loads(pickle.dumps(net))
     assert restored == net and hash(restored) == digest
     # The copy does not carry the memo: it is validated afresh.

@@ -623,8 +623,9 @@ def test_minimal_budget_refuses_a_cached_table(monkeypatch):
 
 
 def test_consistent_table_is_freed_with_its_encoding():
-    """T and its groupings live on the encoding, one per backend, and go
-    with it; a new encoding starts with neither."""
+    """T and its layouts live on the encoding, one per backend, and go
+    with it; a new encoding starts with neither. Nothing kept there
+    refers back to the encoding, so it goes without the cycle collector."""
     fig = all_networks()["fig1-mini"]
     encode.cache_clear()
     for eng in ENGINES:
@@ -632,11 +633,17 @@ def test_consistent_table_is_freed_with_its_encoding():
     enc = encode(fig)
     assert len(enc.tables) == 2
     assert [backend for backend, _ in enc.groups] == [kernels, bruteforce]
+    assert all(layout.outcomes for layout in enc.groups.values())
     ref = weakref.ref(enc)
     del enc
-    encode.cache_clear()
-    gc.collect()
-    assert ref() is None
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        encode.cache_clear()
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
     assert not encode(fig).tables and not encode(fig).groups
 
 
@@ -673,3 +680,87 @@ def test_checkers_share_one_grouping_per_backend_and_anchor_columns():
             verdicts += 1
     assert (verdicts, len(want)) == (2 * 38, 2 * 12)
     assert sorted(built, key=repr) == sorted(want, key=repr)
+
+
+def test_checkers_build_each_outcome_set_once(monkeypatch):
+    """PROJECTED functional, injective and minimality share each anchor's
+    distinct target values: over both engines' suites in both directions
+    and modes, every (backend, anchor columns, target columns) set is
+    built once, inside the layout of its anchor columns."""
+    fig = all_networks()["fig1-mini"]
+    encode.cache_clear()
+    enc = encode(fig)
+
+    class Outcomes(dict):
+        def __init__(self):
+            super().__init__()
+            self.built = []
+
+        def __setitem__(self, columns, sets):
+            self.built.append(columns)
+            super().__setitem__(columns, sets)
+    monkeypatch.setattr(properties, "_Layout",
+                        lambda *fields, _real=properties._Layout: _real(*fields[:-1], Outcomes()))
+    want = set()
+    for (backend, eng), direction, mode in itertools.product(
+            ((kernels, Engine.JOIN), (bruteforce, Engine.BRUTEFORCE)), Direction, CountMode):
+        for verdict in check_suite(fig, direction, mode, engine=eng):
+            query = verdict.query
+            if mode is CountMode.PROJECTED and query.kind in (
+                    PropertyKind.FUNCTIONAL, PropertyKind.INJECTIVE, PropertyKind.MINIMAL):
+                scopes = (query.from_scope, query.to_scope)
+                if query.kind is PropertyKind.INJECTIVE:
+                    scopes = scopes[::-1]
+                want.add((backend, *(tuple(enc.set_index[sid] for sid in scope)
+                                     for scope in scopes)))
+    built = [(backend, at, columns) for (backend, at), layout in enc.groups.items()
+             for columns in layout.outcomes.built]
+    assert len(built) == len(set(built))
+    assert set(built) == want and len(want) >= 4
+
+
+def test_a_warm_projected_verdict_projects_no_row(monkeypatch):
+    """A cold PROJECTED functional over the wide net projects each row of
+    T twice, onto its anchor and onto its target; a warm one reads the
+    kept outcome sets and projects none."""
+    net = wide_net(4, 3, 2, 25)
+    projected = []
+
+    def counting(positions, _real=properties._columns):
+        project = _real(positions)
+        return lambda row: projected.append(row) or project(row)
+    monkeypatch.setattr(properties, "_columns", counting)
+    encode.cache_clear()
+    cold = check_functional(net, to_scope={"Y"})
+    rows = properties.consistent_table(net)
+    assert cold.holds and len(rows) == 81 * 25**2
+    assert len(projected) == 2 * len(rows)
+    projected.clear()
+    assert check_functional(net, to_scope={"Y"}) == cold
+    assert projected == []
+
+
+def test_functional_budget_refuses_a_cached_layout():
+    """A PROJECTED functional whose layout and outcome sets are kept on
+    the encoding is still refused one budget below fig1-mini's 87-node
+    walk of T, and gives the kept verdict at 87."""
+    fig = all_networks()["fig1-mini"]
+    encode.cache_clear()
+    verdict = check_functional(fig)
+    assert any(layout.outcomes for layout in encode(fig).groups.values())
+    with pytest.raises(LimitExceededError) as info:
+        check_functional(fig, limits=Limits(max_enumerated=86))
+    assert (info.value.required, info.value.allowed) == (87, 86)
+    assert check_functional(fig, limits=Limits(max_enumerated=87)) == verdict
+
+
+def test_an_unknown_set_is_refused_on_every_call():
+    """Resolved scopes are kept on the network, but a refused one is not:
+    an unknown set is refused on the second call too."""
+    fig = all_networks()["fig1-mini"]
+    check_suite(fig)
+    for _ in range(2):
+        with pytest.raises(ScopeMismatchError, match="unknown sets"):
+            check_functional(fig, to_scope={"nowhere"})
+        with pytest.raises(ScopeMismatchError, match="unknown sets"):
+            check_suite(fig, from_scope={"nowhere"})
