@@ -77,21 +77,28 @@ def build_index(sizes: Sequence[int], relations) -> JoinIndex:
     network's ``(scope, strides, row keys)`` per relation."""
     checks: list[list] = [[] for _ in sizes]
     for scope, strides, keys in relations:
-        admits: dict[int, list[int]] = {}
         if scope:
             level = max(scope)
             stride = strides[scope.index(level)]
-            # Keys ascend, so within one bound key the values ascend too.
+            # Keys ascend, so within one bound key the values ascend too. A
+            # key's first value makes its tuple; only a key with more values
+            # gets a list, so a function of the bound sets builds none.
+            admits: dict[int, tuple[int, ...]] = {}
+            more: dict[int, list[int]] = {}
             for key in keys:
                 value = key // stride % sizes[level]
-                admits.setdefault(key - value * stride, []).append(value)
+                bound_key = key - value * stride
+                if bound_key in admits:
+                    more.setdefault(bound_key, []).append(value)
+                else:
+                    admits[bound_key] = (value,)
+            for bound_key, values in more.items():
+                admits[bound_key] += tuple(values)
         else:
             level = 0
-            if keys:
-                admits[0] = list(range(sizes[0]))
+            admits = {0: tuple(range(sizes[0]))} if keys else {}
         bound = tuple((s, st) for s, st in zip(scope, strides) if s != level)
-        checks[level].append(
-            ({key: tuple(values) for key, values in admits.items()}, bound))
+        checks[level].append((admits, bound))
     return (tuple(tuple(range(size)) for size in sizes),
             tuple(tuple(level_checks) for level_checks in checks),
             sum(accumulate(sizes, mul)))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 
 __all__ = [
     "ValueSet",
@@ -117,7 +118,8 @@ class Network:
         set is undeclared; computed on first use unless ``parse`` set it."""
         values = {vs.id: vs.values for vs in reversed(self.sets)}  # first declaration wins
         memo: dict = {}
-        return tuple(row_keys(rel.rows, scope_weights(rel.scope, values, memo))
+        return tuple(row_keys(row_columns(rel.rows, len(rel.scope)),
+                              scope_weights(rel.scope, values, memo), len(rel.rows))
                      if values.keys() >= set(rel.scope) else None for rel in self.relations)
 
     @cached_property
@@ -332,26 +334,40 @@ def scope_weights(scope, values, memo) -> list[dict[str, int]]:
     for sid, stride in zip(scope, mixed_radix(scope, values)[0]):
         weight = memo.get((sid, stride))
         if weight is None:
-            weight = memo[sid, stride] = {v: i * stride for i, v in enumerate(values[sid])}
+            domain = values[sid]
+            weight = memo[sid, stride] = dict(zip(domain, range(0, len(domain) * stride, stride)))
         weights.append(weight)
     return weights
 
 
-def row_keys(rows, weights) -> tuple[int, ...] | None:
-    """Each row's key, the sum of its values' :func:`scope_weights`, or None
-    if a row has the wrong arity, a value outside its column's set, or a
-    repeat, which shows as a repeated key. The walk is C-level, so a clean
-    relation costs no per-row Python work; :func:`validate` and
-    ``netdef.parse`` walk the rows of a None one by one, to report each
-    defect in order."""
-    if set(map(len, rows)) - {len(weights)}:
+def row_columns(rows, arity) -> list | None:
+    """``rows`` as ``arity`` columns, each holding one scope set's values in
+    row order, or None if a row has another arity."""
+    if set(map(len, rows)) - {arity}:
         return None
-    try:
-        keys = (tuple(map(sum, zip(*[map(w.__getitem__, column)
-                                     for w, column in zip(weights, zip(*rows))])))
-                if weights else (0,) * len(rows))
-    except KeyError:
+    return list(zip(*rows)) or [()] * arity
+
+
+def row_keys(columns, weights, count) -> tuple[int, ...] | None:
+    """The key of each of ``count`` rows given as :func:`row_columns`: the
+    sum of its values' :func:`scope_weights`. None if ``columns`` is None
+    (a row of the wrong arity), a value is outside its column's set, or a
+    row repeats, which shows as a repeated key. The walk is C-level, one
+    ``map`` per column, so a clean relation costs no per-row Python work;
+    :func:`validate` and ``netdef.parse`` walk the rows of a None one by
+    one, to report each defect in order."""
+    if columns is None:
         return None
+    if weights:
+        key = map(weights[0].__getitem__, columns[0])
+        for weight, column in zip(weights[1:], columns[1:]):
+            key = map(add, key, map(weight.__getitem__, column))
+        try:
+            keys = tuple(key)
+        except KeyError:
+            return None
+    else:
+        keys = (0,) * count
     return keys if len(set(keys)) == len(keys) else None
 
 
@@ -362,6 +378,8 @@ def with_row_keys(network: Network, keys) -> Network:
 
 
 def _first_duplicate(items) -> str | None:
+    if len(set(items)) == len(items):
+        return None
     seen: set[str] = set()
     for it in items:
         if it in seen:
@@ -375,61 +393,111 @@ def _find_cycle(network: Network) -> list[str] | None:
 
     Edges run set -> relation for inputs and relation -> set for outputs.
     """
-    edges: dict[str, list[str]] = {}
+    # No relation reading a set that it or a later one writes proves the
+    # declaration order topological, so there is no cycle; a repeated
+    # relation id joins two relations into one node, which that misses.
+    written: set[str] = set()
+    for rel in reversed(network.relations):
+        written.update(rel.out_sets)
+        if not written.isdisjoint(rel.in_sets):
+            break
+    else:
+        if len({rel.id for rel in network.relations}) == len(network.relations):
+            return None
+
+    # Nodes are ints: one per relation id and one per set id, numbered as
+    # first met. ``roots`` lists the nodes with out-edges in the order they
+    # got their first, the order the walk starts from.
+    names: list[str] = []
+    edges: list[list[int]] = []
+    rels: dict[str, int] = {}
+    sets: dict[str, int] = {}
+    roots: dict[int, None] = {}
     for rel in network.relations:
-        rnode = f"rel:{rel.id}"
+        r = rels.get(rel.id)
+        if r is None:
+            r = rels[rel.id] = len(names)
+            names.append(rel.id)
+            edges.append([])
+        for sid in rel.scope:
+            s = sets.get(sid)
+            if s is None:
+                s = sets[sid] = len(names)
+                names.append(sid)
+                edges.append([])
         for sid in rel.in_sets:
-            edges.setdefault(f"set:{sid}", []).append(rnode)
-        edges.setdefault(rnode, []).extend(f"set:{sid}" for sid in rel.out_sets)
+            edges[sets[sid]].append(r)
+            roots[sets[sid]] = None
+        roots[r] = None
+        edges[r] += map(sets.__getitem__, rel.out_sets)
 
     # Depth-first with an explicit path and one edge iterator per path node,
-    # so a long chain does not recurse. A node is True on the path, False
-    # once done.
-    on_path: dict[str, bool] = {}
-    for root in edges:
-        if root in on_path:
+    # so a long chain does not recurse. A node's state is 1 on the path,
+    # 2 once done.
+    state = bytearray(len(names))
+    for root in roots:
+        if state[root]:
             continue
         path, todo = [root], [iter(edges[root])]
-        on_path[root] = True
+        state[root] = 1
         while todo:
             nxt = next(todo[-1], None)
             if nxt is None:
-                on_path[path.pop()] = False
+                state[path.pop()] = 2
                 todo.pop()
-            elif on_path.get(nxt):
-                return [n.split(":", 1)[1] for n in path[path.index(nxt):] + [nxt]]
-            elif nxt not in on_path:
-                on_path[nxt] = True
+            elif state[nxt] == 1:
+                return [names[n] for n in path[path.index(nxt):] + [nxt]]
+            elif not state[nxt]:
+                state[nxt] = 1
                 path.append(nxt)
-                todo.append(iter(edges.get(nxt, ())))
+                todo.append(iter(edges[nxt]))
     return None
 
 
 def _is_contiguous(network: Network) -> bool:
     """Weak connectivity; isolated sets count only if selected as data."""
-    in_relation = {sid for rel in network.relations for sid in rel.scope}
-    nodes: set[str] = {f"rel:{rel.id}" for rel in network.relations}
-    for vs in network.sets:
-        if vs.id in in_relation or vs.id in network.data_selection:
-            nodes.add(f"set:{vs.id}")
-    if len(nodes) <= 1:
-        return True
+    declared = {vs.id for vs in network.sets}
+    # Each relation sharing a set with those before it proves them all one
+    # component; the walk below decides the rest.
+    reached: set[str] = set()
+    for i, rel in enumerate(network.relations):
+        scope = declared.intersection(rel.scope)
+        if i and reached.isdisjoint(scope):
+            break
+        reached |= scope
+    else:
+        if network.relations:
+            return network.data_selection & declared <= reached
 
-    neigh: dict[str, set[str]] = {n: set() for n in nodes}
+    # Nodes are ints: one per relation id and one per declared set in a
+    # relation's scope, each set joined to the relations that hold it.
+    neighbours: list[list[int]] = []
+    rels: dict[str, int] = {}
+    sets: dict[str, int] = {}
     for rel in network.relations:
-        rnode = f"rel:{rel.id}"
+        r = rels.get(rel.id)
+        if r is None:
+            r = rels[rel.id] = len(neighbours)
+            neighbours.append([])
         for sid in rel.scope:
-            snode = f"set:{sid}"
-            if snode in neigh:
-                neigh[rnode].add(snode)
-                neigh[snode].add(rnode)
-
-    start = next(iter(sorted(nodes)))
-    seen = {start}
-    todo = [start]
+            if sid in declared:
+                s = sets.get(sid)
+                if s is None:
+                    s = sets[sid] = len(neighbours)
+                    neighbours.append([])
+                neighbours[r].append(s)
+                neighbours[s].append(r)
+    isolated = len(network.data_selection & declared - sets.keys())
+    if len(neighbours) + isolated <= 1:
+        return True
+    if isolated:
+        return False
+    seen = bytearray(len(neighbours))
+    seen[0] = 1
+    todo = [0]
     while todo:
-        for nxt in neigh[todo.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
+        for nxt in neighbours[todo.pop()]:
+            if not seen[nxt]:
+                seen[nxt] = 1
                 todo.append(nxt)
-    return len(seen) == len(nodes)
+    return all(seen)

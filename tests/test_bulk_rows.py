@@ -224,7 +224,8 @@ def _relation_rows(draw):
 @example((("A", "C"), [("a1",), ("a2", "c1")]))
 def test_row_keys_agree_with_the_column_check(case):
     scope, rows = case
-    keys = model.row_keys(rows, model.scope_weights(scope, SETS, {}))
+    keys = model.row_keys(model.row_columns(rows, len(scope)),
+                          model.scope_weights(scope, SETS, {}), len(rows))
     if not rows_conform(rows, [frozenset(SETS[sid]) for sid in scope]):
         assert keys is None
         return
@@ -238,8 +239,8 @@ def test_row_keys_agree_with_the_column_check(case):
 # --- the bulk path stays in use ----------------------------------------------
 
 def test_clean_table_takes_the_bulk_path(monkeypatch):
-    """A clean 1,000-row table tokenizes only its non-row lines and matches
-    no line on its own."""
+    """A clean 1,000-row table tokenizes no line and matches no line on its
+    own: its statement lines are split, its rows taken as one block."""
     rows = tuple((f"a{i // 100}", f"b{i // 10 % 10}", f"c{i % 10}", f"d{i % 7}")
                  for i in range(1000))
     net = Network("big", (ValueSet("A", tuple(f"a{i}" for i in range(10))),
@@ -266,12 +267,13 @@ def test_clean_table_takes_the_bulk_path(monkeypatch):
     monkeypatch.setattr(netdef, "_BARE_ROW_RE", CountingRowMatch())
     assert parse(text).network == net
     # The block's "end" line closes the relation without the tokenizer.
-    assert calls == {"tokenize": non_row_lines - 1, "row match": 0}
+    assert calls == {"tokenize": 0, "row match": 0}
 
-    # One quoted value sends the block down the per-line path.
+    # One quoted value sends the block down the per-line path, and its line
+    # alone through the tokenizer.
     calls.update({"tokenize": 0, "row match": 0})
     assert parse(text.replace("row a0 b0 c0 d0", 'row a0 b0 c0 "d0"')).network == net
-    assert calls == {"tokenize": non_row_lines + 1, "row match": 1001}
+    assert calls == {"tokenize": 1, "row match": 1001}
 
 
 # Lines of bare rows, mostly; the rest break one rule of _bare_block.
@@ -291,6 +293,8 @@ _BLOCK_LINES = st.lists(
 @example(["row a b", "row c d"], 2)
 @example(["row\ta\tb  ", "row c\t d"], 2)
 @example(["row a b row", "row c"], 2)   # a value "row" shifts the line starts
+@example(["row a row"], 2)              # a value "row" at the right arity
+@example(["row arrow b"], 2)            # "row" inside a value only
 @example(["row a", "b row c d"], 2)     # a line that does not start with row
 @example(["row a", "row b c d"], 2)     # uneven lines, even word count
 @example(["rowa b", "row c"], 1)
@@ -304,17 +308,19 @@ _BLOCK_LINES = st.lists(
 def test_bare_block_takes_exactly_the_lines_of_bare_rows(block, arity):
     """_bare_block splits a block exactly when every line is a row that
     _BARE_ROW_RE matches, with ``row`` at its very start, no comment,
-    ``arity`` (at least one) values and no value ``row``; it then gives the
-    rows the line-by-line match gives."""
+    ``arity`` (at least one) values and no value ``row``; it then gives,
+    column by column, the rows the line-by-line match gives. It decides
+    alike whether the whole text was found plain or not."""
     matches = [netdef._BARE_ROW_RE.fullmatch(line) for line in block]
     bulk = arity > 0 and all(
         m is not None and line.startswith(("row ", "row\t")) and "#" not in line
         and len(m[1].split()) == arity and "row" not in m[1].split()
         for m, line in zip(matches, block))
-    rows = netdef._bare_block(block, arity)
-    assert (rows is not None) == bulk
-    if bulk:
-        assert rows == [tuple(m[1].split()) for m in matches]
+    for plain in {False, netdef._plain("\n".join(block))}:
+        columns = netdef._bare_block(block, arity, plain)
+        assert (columns is not None) == bulk
+        if bulk:
+            assert list(zip(*columns)) == [tuple(m[1].split()) for m in matches]
 
 
 def test_clean_table_gets_row_keys_once_per_relation(monkeypatch):
@@ -328,9 +334,9 @@ def test_clean_table_gets_row_keys_once_per_relation(monkeypatch):
     text = serialize(net)
     calls = []
 
-    def row_keys(rows, weights, _real=model.row_keys):
-        calls.append(len(rows))
-        return _real(rows, weights)
+    def row_keys(columns, weights, count, _real=model.row_keys):
+        calls.append(count)
+        return _real(columns, weights, count)
 
     monkeypatch.setattr(model, "row_keys", row_keys)
     monkeypatch.setattr(netdef, "row_keys", row_keys)

@@ -17,6 +17,7 @@ from semnet import (
     InvalidNetworkError,
     Network,
     Relation,
+    StructuralFlags,
     ValueSet,
     sinks,
     sources,
@@ -162,6 +163,28 @@ def test_not_contiguous_warning():
     assert report.ok
     assert "NOT_CONTIGUOUS" in [i.code for i in report.warnings]
     assert not structural_flags(net).is_contiguous
+
+
+def _loose(*relations):
+    """A network of one-value sets A..E and empty relations given as
+    (id, in-sets, out-sets), each side a string of one-letter set ids."""
+    return Network("n", tuple(ValueSet(sid, ("a",)) for sid in "ABCDE"),
+                   tuple(Relation(rid, ins, outs, ()) for rid, ins, outs in relations),
+                   frozenset({"A"}))
+
+
+@pytest.mark.parametrize("net, cycle, contiguous", [
+    # Declared against the data flow: no proof from the order, still acyclic.
+    (_loose(("g", "B", "C"), ("f", "A", "B")), None, True),
+    # One relation id twice is one node, which closes a cycle through B.
+    (_loose(("f", "A", "B"), ("f", "B", "C")), "f -> B -> f", True),
+    # g shares no set with f; only h, declared last, joins them.
+    (_loose(("f", "A", "B"), ("g", "C", "D"), ("h", "BC", "E")), None, True),
+])
+def test_structure_past_what_the_declaration_order_proves(net, cycle, contiguous):
+    errors = [i.message for i in validate(net).errors if i.code == "CYCLE"]
+    assert errors == ([f"cyclic dependency: {cycle}"] if cycle else [])
+    assert structural_flags(net) == StructuralFlags(cycle is None, contiguous)
 
 
 def test_sources_and_sinks():

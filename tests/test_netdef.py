@@ -8,7 +8,7 @@ import string
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from semnet import Instance, ParseFailure, parse, serialize
@@ -328,3 +328,73 @@ def test_bare_row_match_agrees_with_tokenizer(line):
     assert (match is not None) == tokenized_bare_row
     if match is not None:
         assert [t.text for t in tokens] == ["row", *match[1].split()]
+
+
+# --- statement lines: plain lines are split, the rest tokenized ------------
+
+# Words that are identifiers, keywords, bare values, quoted values, or
+# neither: "a\xa0b" and "a\x1fb" are one token to the tokenizer and two
+# words to str.split.
+_STATEMENT_WORDS = st.sampled_from(
+    ["A", "B", "C", "A", "B", "a", "b", "row", "out", "in", "=", "end", "x.y", "1x",
+     '"a b"', '"out"', '"="', "a\xa0b", "a\x1fb"])
+_BLANKS = st.sampled_from([" ", " ", "  ", "\t", " \t"])
+
+
+@st.composite
+def _statement_texts(draw):
+    """A text of statement lines, mostly well formed, as a list of lines;
+    the index of the line to comment; and the line ending."""
+    lines = ["net n"] if draw(st.integers(0, 4)) else []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["net", "set", "set", "rel", "rel", "data", "row", "end"]))
+        words = draw(st.lists(_STATEMENT_WORDS, max_size=4))
+        if kind == "set":
+            words = [draw(_STATEMENT_WORDS), "=", *words]
+        elif kind == "rel":
+            outs = draw(st.lists(_STATEMENT_WORDS, max_size=2))
+            words = [draw(_STATEMENT_WORDS), "in", *words, "out", *outs]
+        elif kind == "net":
+            words = words[:draw(st.integers(0, 2))]
+        if words and draw(st.integers(0, 5)) == 0:  # drop a word
+            del words[draw(st.integers(0, len(words) - 1))]
+        line = draw(st.sampled_from(["", "", " ", "\t"])) + kind
+        for word in words:
+            line += draw(_BLANKS) + word
+        lines.append(line + draw(st.sampled_from(["", "", "", " ", "\t"])))
+    commented = draw(st.integers(0, len(lines) - 1))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return lines, commented, newline
+
+
+def _outcome(text):
+    try:
+        doc = parse(text)
+    except ParseFailure as failure:
+        return [(e.code, e.message, e.line, e.column) for e in failure.errors]
+    return doc.network, doc.network._row_keys, doc.source_spans
+
+
+@seed(20241023)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_statement_texts())
+@example((["net n", "set A = a\xa0b c", "data A"], 2, "\n"))
+@example((["net n", "set A = a\x1fb c", "data A"], 2, "\n"))
+@example((["net n", "set A = a\xa0b c", "data A"], 1, "\r\n"))
+@example((["net n", "set\tA  =\ta b", "rel r in A out B", "row a b", "end", "data A"], 3, "\n"))
+def test_commenting_a_line_changes_neither_network_nor_errors(case):
+    """A comment sends its line through the tokenizer, and every other line
+    of the text through a check of its own; the outcome must not change."""
+    lines, commented, newline = case
+    text = newline.join(lines) + newline
+    lines = list(lines)
+    lines[commented] += " # c"
+    assert _outcome(text) == _outcome(newline.join(lines) + newline)
+
+
+@pytest.mark.parametrize("blank", ["\xa0", "\x1f"])
+def test_a_blank_split_does_not_see_is_inside_a_token(blank):
+    """str.split splits at U+00A0 and \\x1f; the tokenizer does not."""
+    _, errors = _codes(f"net x\nset A = a{blank}b c\n")
+    assert [(e.code, e.message, e.line, e.column) for e in errors] == [
+        ("BAD_VALUE", f"{'a' + blank + 'b'!r} is not a bare value; quote it", 2, 9)]
