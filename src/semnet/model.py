@@ -378,8 +378,6 @@ def with_row_keys(network: Network, keys) -> Network:
 
 
 def _first_duplicate(items) -> str | None:
-    if len(set(items)) == len(items):
-        return None
     seen: set[str] = set()
     for it in items:
         if it in seen:
@@ -393,18 +391,6 @@ def _find_cycle(network: Network) -> list[str] | None:
 
     Edges run set -> relation for inputs and relation -> set for outputs.
     """
-    # No relation reading a set that it or a later one writes proves the
-    # declaration order topological, so there is no cycle; a repeated
-    # relation id joins two relations into one node, which that misses.
-    written: set[str] = set()
-    for rel in reversed(network.relations):
-        written.update(rel.out_sets)
-        if not written.isdisjoint(rel.in_sets):
-            break
-    else:
-        if len({rel.id for rel in network.relations}) == len(network.relations):
-            return None
-
     # Nodes are ints: one per relation id and one per set id, numbered as
     # first met. ``roots`` lists the nodes with out-edges in the order they
     # got their first, the order the walk starts from.
@@ -419,17 +405,24 @@ def _find_cycle(network: Network) -> list[str] | None:
             r = rels[rel.id] = len(names)
             names.append(rel.id)
             edges.append([])
-        for sid in rel.scope:
+        for sid in rel.in_sets:
+            s = sets.get(sid)
+            if s is None:
+                s = sets[sid] = len(names)
+                names.append(sid)
+                edges.append([r])
+            else:
+                edges[s].append(r)
+            roots[s] = None
+        roots[r] = None
+        out = edges[r]
+        for sid in rel.out_sets:
             s = sets.get(sid)
             if s is None:
                 s = sets[sid] = len(names)
                 names.append(sid)
                 edges.append([])
-        for sid in rel.in_sets:
-            edges[sets[sid]].append(r)
-            roots[sets[sid]] = None
-        roots[r] = None
-        edges[r] += map(sets.__getitem__, rel.out_sets)
+            out.append(s)
 
     # Depth-first with an explicit path and one edge iterator per path node,
     # so a long chain does not recurse. A node's state is 1 on the path,
@@ -457,18 +450,6 @@ def _find_cycle(network: Network) -> list[str] | None:
 def _is_contiguous(network: Network) -> bool:
     """Weak connectivity; isolated sets count only if selected as data."""
     declared = {vs.id for vs in network.sets}
-    # Each relation sharing a set with those before it proves them all one
-    # component; the walk below decides the rest.
-    reached: set[str] = set()
-    for i, rel in enumerate(network.relations):
-        scope = declared.intersection(rel.scope)
-        if i and reached.isdisjoint(scope):
-            break
-        reached |= scope
-    else:
-        if network.relations:
-            return network.data_selection & declared <= reached
-
     # Nodes are ints: one per relation id and one per declared set in a
     # relation's scope, each set joined to the relations that hold it.
     neighbours: list[list[int]] = []

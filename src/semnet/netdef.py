@@ -523,8 +523,7 @@ def _bare_block(block: list[str], arity: int, plain: bool) -> list[list[str]] | 
     one string: its characters at once (of a plain text, only for ``=``),
     then its words. Each line starts with the word ``row``, and ``row`` is
     every (arity + 1)-th word and no other, so each line holds exactly one
-    row. The words are counted one by one only when ``row`` also shows
-    inside a line, as a value or within one.
+    row.
     """
     text = "\n".join(block)
     if not arity or "=" in text or not (plain or _plain(text)):
@@ -533,8 +532,8 @@ def _bare_block(block: list[str], arity: int, plain: bool) -> list[list[str]] | 
     words = text.split()
     if (text.startswith(("row ", "row\t")) + text.count("\nrow ") + text.count("\nrow\t") != rows
             or len(words) != rows * (arity + 1)
-            or words[::arity + 1].count("row") != rows
-            or text.count("row") != rows and words.count("row") != rows):
+            or words.count("row") != rows
+            or words[::arity + 1].count("row") != rows):
         return None
     return [words[i::arity + 1] for i in range(1, arity + 1)]
 

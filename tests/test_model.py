@@ -174,14 +174,16 @@ def _loose(*relations):
 
 
 @pytest.mark.parametrize("net, cycle, contiguous", [
-    # Declared against the data flow: no proof from the order, still acyclic.
+    # Declared against the data flow, still acyclic.
     (_loose(("g", "B", "C"), ("f", "A", "B")), None, True),
     # One relation id twice is one node, which closes a cycle through B.
     (_loose(("f", "A", "B"), ("f", "B", "C")), "f -> B -> f", True),
     # g shares no set with f; only h, declared last, joins them.
     (_loose(("f", "A", "B"), ("g", "C", "D"), ("h", "BC", "E")), None, True),
+    # Nothing joins g to f, and data set A is not isolated.
+    (_loose(("f", "A", "B"), ("g", "C", "D")), None, False),
 ])
-def test_structure_past_what_the_declaration_order_proves(net, cycle, contiguous):
+def test_structure_walks_follow_ids_not_declaration_order(net, cycle, contiguous):
     errors = [i.message for i in validate(net).errors if i.code == "CYCLE"]
     assert errors == ([f"cyclic dependency: {cycle}"] if cycle else [])
     assert structural_flags(net) == StructuralFlags(cycle is None, contiguous)
