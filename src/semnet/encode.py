@@ -44,9 +44,9 @@ class EncodedNetwork:
     # Per engine module: the smallest budget known to admit the walk of the
     # consistent table T, and T (``engine.consistent_table``).
     tables: dict = field(default_factory=dict, compare=False, repr=False)
-    # Per (engine module, anchor columns): T's whole layout by that anchor
-    # scope, with each group's outcomes per target columns once a checker
-    # reads them (``properties._Layout``); it refers to no encoding.
+    # Per (engine module, anchor scope): T's whole layout by that scope,
+    # with each group's outcomes per target columns once a checker reads
+    # them (``properties._Layout``); it refers to no encoding.
     groups: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property

@@ -124,51 +124,56 @@ def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
         project = lambda cur: ()  # every completion projects alike
     cap = cap if cap > 0 else float("inf")
     count = nodes = 0
-
-    def walk(level: int) -> bool:
-        nonlocal count, nodes
-        domain = domains[level]
-        cands = domain if fixed[level] < 0 else (fixed[level],)
-        for admits, bound in checks[level]:
+    # Per level above the last, the candidates it has not tried yet. The
+    # walk is a loop over this stack, not a recursion, so the number of
+    # sets is not bounded by Python's recursion limit.
+    pending: list = [None] * last
+    level, below = -1, 0  # the deepest level holding a value, and the next
+    while True:
+        # The candidates at ``below``, given the values above it.
+        domain = domains[below]
+        cands = domain if fixed[below] < 0 else (fixed[below],)
+        for admits, bound in checks[below]:
             key = 0
             for s, stride in bound:
                 key += cur[s] * stride
             allowed = admits.get(key)
             if allowed is None:
-                return False
+                cands = ()
+                break
             cands = allowed if cands is domain else [v for v in cands if v in allowed]
         if counting:
             nodes += len(cands)
             if nodes > budget:
                 raise LimitExceededError(nodes, budget, "search nodes")
-        if level < last:
+        if below < last:
+            level = below
+            pending[level] = iter(cands)
+        else:
             for v in cands:
+                cur[below] = v
+                if project is not None:
+                    key = project(cur)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                if len(rows) < keep:
+                    rows.append(tuple(cur))
+                count += 1
+                if count >= cap:
+                    return count, rows
+        # Take the next candidate of the deepest level that has one.
+        while level >= 0:
+            for v in pending[level]:
                 cur[level] = v
-                if walk(level + 1):
-                    return True
-            return False
-        for v in cands:
-            cur[level] = v
-            if project is not None:
-                key = project(cur)
-                if key in seen:
-                    continue
-                seen.add(key)
-            if len(rows) < keep:
-                rows.append(tuple(cur))
-            count += 1
-            if count >= cap:
-                return True
-        return False
-
-    try:
-        walk(0)
-    finally:
-        # ``walk`` reaches itself through its closure. Clearing the name frees
-        # the call's state now; left to the cycle collector, it piles up and
-        # fragments memory.
-        walk = None  # noqa: F841
-    return count, rows
+                break
+            else:
+                level -= 1
+                continue
+            break
+        else:
+            return count, rows
+        below = level + 1
 
 
 def count_completions(index: JoinIndex, fixed: list[int], cap: int,

@@ -8,15 +8,19 @@ witness content and order: the witness is always the first counterexample
 in lexicographic declaration order; minimality instead names every
 redundant set. Evidence instances are always consistent full instances.
 
-A checker resolves its scopes once, in :func:`_query`, through
-:func:`_scope`, which keeps each resolution on the network. Its verdict
-then follows one plan per encoding: :func:`_layout` looks the encoding up,
-which validates the network, asks for the consistent table T, built once
-per encoding and engine under the budget (``engine.consistent_table``),
-and returns T's layout by the anchor scope, built once per encoding,
-engine and scope and shared by every checker over that scope: the
-scope's value space and T grouped by anchor. The layout also keeps, per
-target, each group's distinct target values, shared by PROJECTED
+A public checker resolves its scopes in :func:`_query`, through
+:func:`_scope`, which keeps each resolution on the network; ``check_suite``
+resolves its from and to scopes once and builds every query itself. Each
+verdict then reads one :class:`_Plan`: the encoding, whose lookup
+validates the network; the consistent table T, built once per encoding
+and engine under the budget (``engine.consistent_table``); and the engine
+module that built T. A public checker asks for the plan of its one
+verdict, and ``check_suite`` asks once, at its first verdict, and hands
+that plan to every verdict through the same verdict functions
+(:data:`_VERDICTS`). :func:`_layout` lays T out by the anchor scope, once
+per encoding, engine and scope, shared by every checker over that scope:
+the scope's value space and T grouped by anchor. The layout also keeps,
+per target, each group's distinct target values, shared by PROJECTED
 functional, injective and minimality. Anchors are value-index tuples;
 only a witness anchor becomes an ``Instance``. Functional and injective
 fail the first anchor with two or more distinct outcomes; its first row
@@ -137,6 +141,23 @@ def _query(kind: PropertyKind, network: Network, from_scope: Iterable[str] | Non
         _scope(network, to_scope), mode, param)
 
 
+class _Plan(NamedTuple):
+    """What every verdict of one check reads: the encoding, whose lookup
+    validated the network, so every set has values; T under the check's
+    budget; and the engine module that built T, which keys T's layouts."""
+
+    enc: EncodedNetwork
+    table: list[tuple[int, ...]]
+    backend: object
+
+
+def _plan(network: Network, limits: Limits, engine: Engine) -> _Plan:
+    """The plan of a check. T is asked for on every call
+    (:func:`consistent_table`), so a smaller budget is walked again."""
+    enc = encode(network)
+    return _Plan(enc, consistent_table(network, limits, engine), _backend(enc, engine)[0])
+
+
 class _Layout(NamedTuple):
     """T laid out by one anchor scope: the scope's value lists, their
     :func:`mixed_radix` strides and the anchor space; T's rows grouped by
@@ -152,30 +173,27 @@ class _Layout(NamedTuple):
     outcomes: dict[tuple[int, ...], dict]
 
 
-def _layout(network: Network, scope: tuple[str, ...], limits: Limits,
-            engine: Engine) -> tuple[EncodedNetwork, _Layout]:
-    """The encoding, whose lookup validates the network (so every set has
-    values), and T's :class:`_Layout` over the anchor ``scope``. The
-    consistent table T is asked for on every call (:func:`consistent_table`,
-    so a smaller budget is walked again); the layout is kept on the
-    encoding per backend and anchor columns, so it is freed with T. It
-    holds no reference to the encoding, so it needs no collector to go."""
-    enc = encode(network)
-    rows = consistent_table(network, limits, engine)
-    at = tuple(enc.set_index[sid] for sid in scope)
-    key = (_backend(enc, engine)[0], at)
+def _layout(network: Network, plan: _Plan, scope: tuple[str, ...]) -> _Layout:
+    """T's :class:`_Layout` over the anchor ``scope``, kept on the
+    encoding per backend and anchor scope, so it is freed with T. A scope
+    is in declaration order, so it names one tuple of T's columns, which
+    only a new layout looks up. The layout holds no reference to the
+    encoding, so it needs no collector to go."""
+    enc = plan.enc
+    key = (plan.backend, scope)
     layout = enc.groups.get(key)
     if layout is None:
+        at = tuple(enc.set_index[sid] for sid in scope)
         values = [network.sets[i].values for i in at]
         anchor = _columns(at)
         groups: dict[tuple[int, ...], list] = {}
-        for row in rows:
+        for row in plan.table:
             groups.setdefault(anchor(row), []).append(row)
         groups = dict(sorted(groups.items()))
         layout = enc.groups[key] = _Layout(
             values, *mixed_radix(range(len(values)), values), groups,
             [k for k, group in groups.items() if len(group) > 1], {})
-    return enc, layout
+    return layout
 
 
 def _outcomes(layout: _Layout, columns: tuple[int, ...]) -> dict:
@@ -189,9 +207,8 @@ def _outcomes(layout: _Layout, columns: tuple[int, ...]) -> dict:
     return known
 
 
-def _distinct(network: Network, query: PropertyQuery, scope: tuple[str, ...],
-              target: tuple[str, ...], note: str, limits: Limits,
-              engine: Engine) -> Verdict:
+def _distinct(network: Network, plan: _Plan, query: PropertyQuery,
+              scope: tuple[str, ...], target: tuple[str, ...], note: str) -> Verdict:
     """Whether every anchor over ``scope`` has at most one outcome over
     ``target``, from T's layout by anchor (:func:`_layout`). Only an
     anchor with two or more rows can fail, so those are walked in order up
@@ -200,8 +217,8 @@ def _distinct(network: Network, query: PropertyQuery, scope: tuple[str, ...],
     :func:`_outcomes`). That anchor's group is scanned for the first row
     with another outcome than its first; each group is in lexicographic
     order, so those two rows are the anchor's first two completions with
-    distinct outcomes, its evidence. Only T's build is budgeted."""
-    enc, layout = _layout(network, scope, limits, engine)
+    distinct outcomes, its evidence."""
+    enc, layout = plan.enc, _layout(network, plan, scope)
     if query.mode is CountMode.PROJECTED:
         columns = tuple(enc.set_index[sid] for sid in target)
         outcomes, outcome = _outcomes(layout, columns), _columns(columns)
@@ -219,14 +236,14 @@ def _distinct(network: Network, query: PropertyQuery, scope: tuple[str, ...],
                    sum(map(mul, key, layout.strides)) + 1)
 
 
-def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
-             note: str, limits: Limits, engine: Engine) -> Verdict:
+def _covered(network: Network, plan: _Plan, query: PropertyQuery,
+             scope: tuple[str, ...], note: str) -> Verdict:
     """Whether every anchor over ``scope`` has a consistent completion.
     The anchors that have one are the keys of T's grouping over ``scope``
     (:func:`_layout`): the check holds when they fill the anchor space,
     else the witness is the first anchor in order that they lack, at most
-    |keys| + 1 steps in. Only T's build is budgeted."""
-    layout = _layout(network, scope, limits, engine)[1]
+    |keys| + 1 steps in."""
+    layout = _layout(network, plan, scope)
     values, present = layout.values, layout.groups
     if len(present) == layout.space:
         return Verdict(query, True, (), layout.space)
@@ -237,15 +254,63 @@ def _covered(network: Network, query: PropertyQuery, scope: tuple[str, ...],
                    sum(map(mul, key, layout.strides)) + 1)
 
 
+def _minimal(network: Network, plan: _Plan, query: PropertyQuery) -> Verdict:
+    """Minimality over a nonempty from scope; see :func:`check_minimal`."""
+    a_scope = query.from_scope
+    layout = _layout(network, plan, a_scope)
+    full = query.mode is CountMode.FULL
+    # Each anchor's distinct outcomes in T: its rows (FULL) or their target
+    # projections (PROJECTED); an anchor's count is their number.
+    groups = layout.groups if full else _outcomes(
+        layout, tuple(plan.enc.set_index[sid] for sid in query.to_scope))
+    checked = 0
+    redundant: list[str] = []
+    for qi, q in enumerate(a_scope):
+        # Outcomes that hold Q's value (every FULL row does) differ between
+        # the instances a restriction covers, so their counts add (``adds``).
+        first = _first_separating(groups, qi, len(layout.values[qi]),
+                                  full or q in query.to_scope)
+        if first is None:
+            redundant.append(q)
+        checked += (layout.space if first is None
+                    else sum(map(mul, first, layout.strides)) + 1)
+    witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
+    return Verdict(query, not redundant, witnesses, checked)
+
+
+# Per kind, its verdict from a plan: the anchor scope T is grouped by, and
+# the note of a failure's witness. Only T's build is budgeted.
+_VERDICTS = {
+    PropertyKind.FUNCTIONAL: lambda network, plan, query: _distinct(
+        network, plan, query, query.from_scope, query.to_scope, "multiple-outcomes"),
+    PropertyKind.TOTAL: lambda network, plan, query: _covered(
+        network, plan, query, query.from_scope, "no-outcome"),
+    PropertyKind.INJECTIVE: lambda network, plan, query: _distinct(
+        network, plan, query, query.to_scope, query.from_scope, "multiple-preimages"),
+    PropertyKind.SURJECTIVE: lambda network, plan, query: _covered(
+        network, plan, query, query.to_scope, "unreachable"),
+    PropertyKind.SURJECTIVE_IN: lambda network, plan, query: _covered(
+        network, plan, query, (query.param,), "unrealizable-value"),
+    PropertyKind.MINIMAL: _minimal,
+}
+
+_EMPTY_FROM = "minimality requires a nonempty from scope"
+
+
+def _check(network: Network, query: PropertyQuery, limits: Limits,
+           engine: Engine) -> Verdict:
+    """One public checker's verdict, from a plan of its own."""
+    return _VERDICTS[query.kind](network, _plan(network, limits, engine), query)
+
+
 def check_functional(network: Network, from_scope: Iterable[str] | None = None,
                      to_scope: Iterable[str] | None = None,
                      mode: CountMode = CountMode.PROJECTED,
                      limits: Limits = _DEFAULT_LIMITS,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every from-instance leads to at most one outcome."""
-    query = _query(PropertyKind.FUNCTIONAL, network, from_scope, to_scope, mode)
-    return _distinct(network, query, query.from_scope, query.to_scope,
-                     "multiple-outcomes", limits, engine)
+    return _check(network, _query(PropertyKind.FUNCTIONAL, network, from_scope, to_scope, mode),
+                  limits, engine)
 
 
 def check_total(network: Network, from_scope: Iterable[str] | None = None,
@@ -258,8 +323,8 @@ def check_total(network: Network, from_scope: Iterable[str] | None = None,
     The result is mode-independent (a completion exists iff a projection
     does); the mode is recorded for symmetry with the other checkers.
     """
-    query = _query(PropertyKind.TOTAL, network, from_scope, to_scope, mode)
-    return _covered(network, query, query.from_scope, "no-outcome", limits, engine)
+    return _check(network, _query(PropertyKind.TOTAL, network, from_scope, to_scope, mode),
+                  limits, engine)
 
 
 def check_injective(network: Network, from_scope: Iterable[str] | None = None,
@@ -268,9 +333,8 @@ def check_injective(network: Network, from_scope: Iterable[str] | None = None,
                     limits: Limits = _DEFAULT_LIMITS,
                     engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is produced by at most one from-instance."""
-    query = _query(PropertyKind.INJECTIVE, network, from_scope, to_scope, mode)
-    return _distinct(network, query, query.to_scope, query.from_scope,
-                     "multiple-preimages", limits, engine)
+    return _check(network, _query(PropertyKind.INJECTIVE, network, from_scope, to_scope, mode),
+                  limits, engine)
 
 
 def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
@@ -279,8 +343,8 @@ def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
                      limits: Limits = _DEFAULT_LIMITS,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is reachable from some consistent full instance."""
-    query = _query(PropertyKind.SURJECTIVE, network, from_scope, to_scope, mode)
-    return _covered(network, query, query.to_scope, "unreachable", limits, engine)
+    return _check(network, _query(PropertyKind.SURJECTIVE, network, from_scope, to_scope, mode),
+                  limits, engine)
 
 
 def check_surjective_in(network: Network, param: str,
@@ -293,7 +357,7 @@ def check_surjective_in(network: Network, param: str,
     query = _query(PropertyKind.SURJECTIVE_IN, network, from_scope, to_scope, mode, param)
     if param not in query.to_scope:
         raise ScopeMismatchError(f"param {param!r} must belong to the to scope")
-    return _covered(network, query, (param,), "unrealizable-value", limits, engine)
+    return _check(network, query, limits, engine)
 
 
 def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
@@ -318,27 +382,9 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     space is walked.
     """
     query = _query(PropertyKind.MINIMAL, network, from_scope, to_scope, mode)
-    a_scope, b_scope = query.from_scope, query.to_scope
-    if not a_scope:
-        raise ScopeMismatchError("minimality requires a nonempty from scope")
-    enc, layout = _layout(network, a_scope, limits, engine)
-    full = mode is CountMode.FULL
-    # Each anchor's distinct outcomes in T: its rows (FULL) or their target
-    # projections (PROJECTED); an anchor's count is their number.
-    groups = layout.groups if full else _outcomes(
-        layout, tuple(enc.set_index[sid] for sid in b_scope))
-    checked = 0
-    redundant: list[str] = []
-    for qi, q in enumerate(a_scope):
-        # Outcomes that hold Q's value (every FULL row does) differ between
-        # the instances a restriction covers, so their counts add (``adds``).
-        first = _first_separating(groups, qi, len(layout.values[qi]), full or q in b_scope)
-        if first is None:
-            redundant.append(q)
-        checked += (layout.space if first is None
-                    else sum(map(mul, first, layout.strides)) + 1)
-    witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
-    return Verdict(query, not redundant, witnesses, checked)
+    if not query.from_scope:
+        raise ScopeMismatchError(_EMPTY_FROM)
+    return _check(network, query, limits, engine)
 
 
 def _first_separating(groups: dict, qi: int, size: int,
@@ -374,6 +420,8 @@ def _columns(positions: list[int]):
     return itemgetter(*positions)
 
 
+# check_suite does not dispatch through this table; it stays for wrappers
+# of the named checkers (perfbench/spans.py patches it in traced runs).
 _CHECKERS = {
     PropertyKind.FUNCTIONAL: check_functional,
     PropertyKind.TOTAL: check_total,
@@ -408,21 +456,26 @@ def check_suite(network: Network, direction: Direction = Direction.FORWARD,
     wanted = tuple(kinds) if kinds is not None else (
         PropertyKind.FUNCTIONAL, PropertyKind.TOTAL, PropertyKind.INJECTIVE,
         PropertyKind.SURJECTIVE, PropertyKind.MINIMAL, PropertyKind.SURJECTIVE_IN)
+    # The from scope and the plan are resolved for the first verdict that
+    # reads them, so they are refused where each checker alone would be.
+    a_scope = plan = None
     verdicts: list[Verdict] = []
     for kind in wanted:
-        if kind is PropertyKind.SURJECTIVE_IN:
-            for param in b_scope:
-                verdicts.append(check_surjective_in(
-                    network, param, from_scope=from_scope, to_scope=b_scope,
-                    mode=mode, limits=limits, engine=engine))
-            continue
+        decide = _VERDICTS[kind]
         if (kind is PropertyKind.INJECTIVE and direction is Direction.BACKWARD
                 and from_scope is None and to_scope is None):
-            verdicts.append(check_injective(
-                network, from_scope=sources(network), to_scope=sinks(network),
-                mode=mode, limits=limits, engine=engine))
-            continue
-        verdicts.append(_CHECKERS[kind](
-            network, from_scope=from_scope, to_scope=b_scope,
-            mode=mode, limits=limits, engine=engine))
+            queries = [PropertyQuery(kind, _scope(network, sources(network)),
+                                     _scope(network, sinks(network)), mode)]
+        else:
+            params = b_scope if kind is PropertyKind.SURJECTIVE_IN else (None,)
+            if params and a_scope is None:
+                a_scope = _scope(network, network.data_selection
+                                 if from_scope is None else from_scope)
+            queries = [PropertyQuery(kind, a_scope, b_scope, mode, param) for param in params]
+        for query in queries:
+            if kind is PropertyKind.MINIMAL and not query.from_scope:
+                raise ScopeMismatchError(_EMPTY_FROM)
+            if plan is None:
+                plan = _plan(network, limits, engine)
+            verdicts.append(decide(network, plan, query))
     return tuple(verdicts)

@@ -11,10 +11,12 @@ directly and escapes every string with ``json.encoder``'s C
 does not call ``json.dumps(doc, sort_keys=True, indent=2)``: with an
 indent, CPython drops its C encoder and walks every dict, list and key in
 Python generators, which take over three times as long as this writer.
-The output equals that call's plus a trailing newline. The call lives on
-as ``oracle_render_json`` in ``tests/oracle.py``; ``tests/test_report.py``
-compares the two on generated verdicts and fails if rendering enters
-json's Python encoder.
+The verdicts of one document share a few from and to scopes, so each
+scope's array is rendered once per document, and a verdict without
+witnesses writes its empty list as is. The output equals that call's plus
+a trailing newline. The call lives on as ``oracle_render_json`` in
+``tests/oracle.py``; ``tests/test_report.py`` compares the two on
+generated verdicts and fails if rendering enters json's Python encoder.
 """
 
 from __future__ import annotations
@@ -113,21 +115,32 @@ def _witness(witness: Witness) -> str:
         _string(witness.note))
 
 
-def _verdict(verdict: Verdict) -> str:
+def _scope(scope: tuple[str, ...], scopes: dict[tuple[str, ...], str]) -> str:
+    """The array of a scope's set ids. The verdicts of one document share
+    a few scopes, so ``scopes`` keeps each one's array for the document."""
+    block = scopes.get(scope)
+    if block is None:
+        block = scopes[scope] = _block([_string(s) for s in scope], 3, "[]")
+    return block
+
+
+def _verdict(verdict: Verdict, scopes: dict[tuple[str, ...], str]) -> str:
     q = verdict.query
     return _VERDICT % (
-        _block([_string(s) for s in q.from_scope], 3, "[]"),
+        _scope(q.from_scope, scopes),
         "true" if verdict.holds else "false",
         int.__repr__(verdict.instances_checked),
         "null" if q.param is None else _string(q.param),
         _string(q.kind.value),
-        _block([_string(s) for s in q.to_scope], 3, "[]"),
-        _block([_witness(w) for w in verdict.witnesses], 3, "[]"))
+        _scope(q.to_scope, scopes),
+        _block([_witness(w) for w in verdict.witnesses], 3, "[]")
+        if verdict.witnesses else "[]")
 
 
 def render_json(network_name: str, direction: str, mode: str,
                 verdicts: Iterable[Verdict]) -> str:
     """The machine-readable report document as a JSON string."""
+    scopes: dict[tuple[str, ...], str] = {}
     return _DOCUMENT % (
         _string(direction), _string(mode), _string(network_name),
-        _block([_verdict(v) for v in verdicts], 1, "[]"))
+        _block([_verdict(v, scopes) for v in verdicts], 1, "[]"))

@@ -65,11 +65,13 @@ from semnet import (
     Engine,
     Instance,
     InvalidNetworkError,
+    LimitExceededError,
     Limits,
     Network,
     PropertyKind,
     Relation,
     ScopeMismatchError,
+    SemnetError,
     ValueSet,
     Witness,
     check_functional,
@@ -89,6 +91,8 @@ from semnet import (
     serialize,
     validate,
 )
+from semnet.corpus import all_networks
+from semnet.engine import known_sets
 from semnet.model import sinks, sources
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -692,3 +696,135 @@ def test_a_warm_suite_equals_a_cold_one_on_drawn_nets(net):
         fresh = Network(net.name, net.sets, net.relations, net.data_selection)
         cold.append(check_suite(fresh, direction, mode, engine=engine))
     assert warm == cold
+
+
+# --- the suite's one plan against one public checker call per verdict -------
+
+_SUITE_KINDS = (PropertyKind.FUNCTIONAL, PropertyKind.TOTAL, PropertyKind.INJECTIVE,
+                PropertyKind.SURJECTIVE, PropertyKind.MINIMAL, PropertyKind.SURJECTIVE_IN)
+
+
+def _suite_by_checkers(network, direction=Direction.FORWARD, mode=CountMode.PROJECTED,
+                       limits=Limits(), engine=Engine.JOIN, from_scope=None,
+                       to_scope=None, kinds=None):
+    """``check_suite`` as one public checker call per verdict, with the
+    scopes passed as keyword arguments: the reference for the suite's one
+    plan, in its verdicts and in the first error it raises."""
+    if from_scope is None and not network.data_selection:
+        raise ScopeMismatchError(
+            "check requires a nonempty data selection or an explicit from scope")
+    boundary = sinks if direction is Direction.FORWARD else sources
+    b_scope = network.set_order(known_sets(
+        network, boundary(network) if to_scope is None else to_scope, "scope"))
+    common = dict(mode=mode, limits=limits, engine=engine)
+    verdicts = []
+    for kind in _SUITE_KINDS if kinds is None else kinds:
+        if kind is PropertyKind.SURJECTIVE_IN:
+            verdicts += [check_surjective_in(network, param, from_scope=from_scope,
+                                             to_scope=b_scope, **common)
+                         for param in b_scope]
+        elif (kind is PropertyKind.INJECTIVE and direction is Direction.BACKWARD
+              and from_scope is None and to_scope is None):
+            verdicts.append(check_injective(network, from_scope=sources(network),
+                                            to_scope=sinks(network), **common))
+        else:
+            verdicts.append(_CHECKS[kind](network, from_scope=from_scope,
+                                          to_scope=b_scope, **common))
+    return tuple(verdicts)
+
+
+def _suite_matches_checkers(net, **kwargs):
+    """Assert that ``check_suite(net, **kwargs)`` equals the checkers'
+    verdicts one for one, or raises the error they raise first, of the
+    same type and message; the error's type, or None."""
+    try:
+        want = _suite_by_checkers(net, **kwargs)
+    except SemnetError as error:
+        with pytest.raises(SemnetError) as raised:
+            check_suite(net, **kwargs)
+        assert (type(raised.value), str(raised.value)) == (type(error), str(error)), kwargs
+        return type(error)
+    assert check_suite(net, **kwargs) == want, kwargs
+    return None
+
+
+def _scope_cases(pick):
+    """(from, to) scope pairs: the defaults, each side explicit alone,
+    both explicit, and an empty from scope; ``pick()`` draws a scope."""
+    return [(None, None), (pick(), None), (None, pick()), (pick(), pick()), ((), None)]
+
+
+def test_the_suite_gives_the_checkers_verdicts_on_corpus_nets():
+    """On the corpus nets, under both engines, in both directions and
+    modes, with default and explicit scopes and with every kind or a
+    shuffled subset of kinds, ``check_suite`` gives what one public
+    checker call per verdict gives."""
+    rng = random.Random(SEED + 4)
+    outcomes = []
+    for net in all_networks().values():
+        ids = [vs.id for vs in net.sets]
+
+        def pick():
+            return rng.sample(ids, rng.randint(0, min(3, len(ids))))
+        for engine, direction, mode in itertools.product(Engine, Direction, CountMode):
+            for from_scope, to_scope in _scope_cases(pick):
+                for kinds in (None, rng.sample(_SUITE_KINDS, rng.randint(1, 6))):
+                    outcomes.append(_suite_matches_checkers(
+                        net, direction=direction, mode=mode, engine=engine,
+                        from_scope=from_scope, to_scope=to_scope, kinds=kinds))
+    assert outcomes.count(None) >= 400 and ScopeMismatchError in outcomes
+
+
+@seed(SEED)
+@settings(max_examples=100, deadline=None, database=None)
+@given(net=drawn_nets(), data=st.data())
+def test_the_suite_gives_the_checkers_verdicts_on_drawn_nets(net, data):
+    """As on the corpus nets, on drawn nets with drawn scopes and kinds."""
+    ids = [vs.id for vs in net.sets]
+    scope = st.lists(st.sampled_from(ids), unique=True, max_size=3)
+    kinds = st.none() | st.lists(st.sampled_from(_SUITE_KINDS), max_size=4)
+    for engine, direction, mode in itertools.product(Engine, Direction, CountMode):
+        for from_scope, to_scope in _scope_cases(lambda: data.draw(scope)):
+            _suite_matches_checkers(net, direction=direction, mode=mode, engine=engine,
+                                    from_scope=from_scope, to_scope=to_scope,
+                                    kinds=data.draw(kinds))
+
+
+def test_the_suite_raises_the_checkers_first_error():
+    """Where a suite is refused, it raises the error its first refused
+    verdict raises alone: an unknown set in either scope, an invalid
+    network, a budget below T's walk, minimality over an empty from
+    scope. With no kinds it gives no verdict and encodes nothing."""
+    fig = all_networks()["fig1-mini"]
+    invalid = Network("empty-data", (ValueSet("A", ()), ValueSet("B", ("b1", "b2"))),
+                      (Relation("r", ("A",), ("B",), ()),), frozenset({"A"}))
+    minimal = (PropertyKind.MINIMAL,)
+    cases = [
+        (fig, dict(to_scope={"nowhere"}), ScopeMismatchError),
+        (fig, dict(from_scope={"nowhere"}), ScopeMismatchError),
+        (fig, dict(from_scope={"nowhere"}, to_scope={"elsewhere"}), ScopeMismatchError),
+        (fig, dict(from_scope={"nowhere"}, to_scope=(), kinds=(PropertyKind.SURJECTIVE_IN,)),
+         None),
+        (fig, dict(from_scope={"nowhere"}, direction=Direction.BACKWARD,
+                   kinds=(PropertyKind.INJECTIVE,)), ScopeMismatchError),
+        (invalid, {}, InvalidNetworkError),
+        (invalid, dict(from_scope={"nowhere"}), ScopeMismatchError),
+        (invalid, dict(direction=Direction.BACKWARD, kinds=(PropertyKind.INJECTIVE,)),
+         InvalidNetworkError),
+        (invalid, dict(from_scope=(), kinds=minimal), ScopeMismatchError),
+        (fig, dict(limits=Limits(max_enumerated=86)), LimitExceededError),
+        (fig, dict(limits=Limits(max_enumerated=86), from_scope=(), kinds=minimal),
+         ScopeMismatchError),
+        (fig, dict(from_scope=(), kinds=minimal), ScopeMismatchError),
+        (fig, dict(from_scope=(), kinds=(PropertyKind.FUNCTIONAL,) + minimal),
+         ScopeMismatchError),
+        (Network("no-sets", (), (), frozenset()), {}, ScopeMismatchError),
+    ]
+    for net, kwargs, error in cases:
+        for engine in Engine:
+            for mode in CountMode:
+                assert _suite_matches_checkers(net, engine=engine, mode=mode,
+                                               **kwargs) is error, (net.name, kwargs)
+    encode.cache_clear()
+    assert check_suite(fig, kinds=()) == check_suite(invalid, kinds=()) == ()
+    assert encode.cache_info().currsize == 0

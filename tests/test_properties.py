@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import sys
 import weakref
 from functools import partial
 
@@ -305,10 +306,12 @@ def test_every_checker_refuses_an_invalid_network(engine):
             call(mode=mode, engine=engine)
 
 
-def test_checkers_look_up_the_encoding_once_per_verdict_and_table(monkeypatch):
-    """Every verdict lays its anchors out from one encoding lookup of its
-    own, and looks the network up once more for the consistent table. The
-    witness adds no lookup: its evidence is the rows T's pass kept."""
+def test_checks_look_up_the_encoding_once_per_plan_and_table(monkeypatch):
+    """A check asks for one plan: one encoding lookup of its own and one
+    call for the consistent table, which looks the network up once more.
+    A suite asks once for all its verdicts, and a public checker once for
+    its one verdict. The witness adds no lookup: its evidence is the rows
+    T's pass kept."""
     tally = dict.fromkeys(("layout", "encode", "table", "witness"), 0)
 
     def counted(key, fn):
@@ -323,13 +326,24 @@ def test_checkers_look_up_the_encoding_once_per_verdict_and_table(monkeypatch):
     for name in ("first_completions", "distinct_representatives"):
         monkeypatch.setattr(properties, name, counted("witness", getattr(properties, name)))
     net = all_networks()["fig1-mini"]
-    verdicts = 0
+    verdicts = []
     for direction in Direction:
         for mode in CountMode:
-            verdicts += len(check_suite(net, direction, mode))
-    # One lookup per kernel call would mean one per anchor.
-    assert tally["layout"] == tally["table"] == tally["encode"] == verdicts == 38, tally
-    assert tally["witness"] == 0, tally
+            verdicts += check_suite(net, direction, mode)
+    assert len(verdicts) == 38
+    assert tally == {"layout": 4, "encode": 4, "table": 4, "witness": 0}, tally
+    for key in tally:
+        tally[key] = 0
+    for verdict in verdicts:
+        query = verdict.query
+        if query.param is None:
+            again = properties._CHECKERS[query.kind](net, query.from_scope, query.to_scope,
+                                                     query.mode)
+        else:
+            again = check_surjective_in(net, query.param, query.from_scope, query.to_scope,
+                                        query.mode)
+        assert again == verdict
+    assert tally == {"layout": 38, "encode": 38, "table": 38, "witness": 0}, tally
 
 
 # --- minimality over the consistent table: budget and lifetime -------------
@@ -393,6 +407,20 @@ def test_minimal_on_a_wide_net_separates_at_the_first_anchor(engine):
         verdict = check_minimal(net, to_scope={"Y"}, mode=mode, engine=engine)
         assert verdict.holds and verdict.instances_checked == 2, mode
         assert verdict.holds == oracle_minimal(net, ["D0", "D1"], ["Y"], mode.value)
+
+
+def test_a_chain_past_the_recursion_limit_gets_a_whole_suite():
+    """The join walks its sets in a loop, not one call per set, so a chain
+    of 1,200 two-valued bijections (1,201 sets, past the recursion limit)
+    gets every verdict of both directions, and each holds; brute force
+    refuses its 2^1201 candidates."""
+    chain = _chain(1201, 2)
+    assert sys.getrecursionlimit() < len(chain.sets)
+    for direction in Direction:
+        verdicts = check_suite(chain, direction)
+        assert len(verdicts) == 6 and all(v.holds for v in verdicts), direction
+    with pytest.raises(LimitExceededError, match=r"2\^1201 candidate"):
+        check_suite(chain, engine=Engine.BRUTEFORCE)
 
 
 def test_minimal_budget_counts_the_join_walk_not_the_cartesian_space():
@@ -675,8 +703,7 @@ def test_checkers_share_one_grouping_per_backend_and_anchor_columns():
     for (backend, eng), direction, mode in itertools.product(
             ((kernels, Engine.JOIN), (bruteforce, Engine.BRUTEFORCE)), Direction, CountMode):
         for verdict in check_suite(fig, direction, mode, engine=eng):
-            scope = _anchor_scope(verdict.query)
-            want.add((backend, tuple(enc.set_index[sid] for sid in scope)))
+            want.add((backend, _anchor_scope(verdict.query)))
             verdicts += 1
     assert (verdicts, len(want)) == (2 * 38, 2 * 12)
     assert sorted(built, key=repr) == sorted(want, key=repr)
@@ -685,8 +712,8 @@ def test_checkers_share_one_grouping_per_backend_and_anchor_columns():
 def test_checkers_build_each_outcome_set_once(monkeypatch):
     """PROJECTED functional, injective and minimality share each anchor's
     distinct target values: over both engines' suites in both directions
-    and modes, every (backend, anchor columns, target columns) set is
-    built once, inside the layout of its anchor columns."""
+    and modes, every (backend, anchor scope, target columns) set is built
+    once, inside the layout of its anchor scope."""
     fig = all_networks()["fig1-mini"]
     encode.cache_clear()
     enc = encode(fig)
@@ -711,8 +738,8 @@ def test_checkers_build_each_outcome_set_once(monkeypatch):
                 scopes = (query.from_scope, query.to_scope)
                 if query.kind is PropertyKind.INJECTIVE:
                     scopes = scopes[::-1]
-                want.add((backend, *(tuple(enc.set_index[sid] for sid in scope)
-                                     for scope in scopes)))
+                want.add((backend, scopes[0],
+                          tuple(enc.set_index[sid] for sid in scopes[1])))
     built = [(backend, at, columns) for (backend, at), layout in enc.groups.items()
              for columns in layout.outcomes.built]
     assert len(built) == len(set(built))
