@@ -12,9 +12,10 @@ the encoding: the join search's per-relation dicts
 (``kernels.build_index``) and brute force's key arrays
 (``bruteforce.build_index``). The consistent table T that each engine
 builds for the property checkers is kept there too, and so is T's
-layout by each anchor scope a checker reads, so both are freed with the
-cache entry. What the engine prepares per call (fixed value indices,
-target positions) stays in plain Python ints.
+layout by each anchor scope a checker reads, with the decisions made
+from it, so all are freed with the cache entry. What the engine prepares
+per call (fixed value indices, target positions) stays in plain Python
+ints.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class EncodedNetwork:
     # consistent table T, and T (``engine.consistent_table``).
     tables: dict = field(default_factory=dict, compare=False, repr=False)
     # Per (engine module, anchor scope): T's whole layout by that scope,
-    # with each group's outcomes per target columns once a checker reads
-    # them (``properties._Layout``); it refers to no encoding.
+    # with each group's outcomes per target columns and the verdict
+    # decisions made from it, each kept once a checker reads it
+    # (``properties._Layout``); it refers to no encoding.
     groups: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property

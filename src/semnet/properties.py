@@ -21,14 +21,22 @@ that plan to every verdict through the same verdict functions
 per encoding, engine and scope, shared by every checker over that scope:
 the scope's value space and T grouped by anchor. The layout also keeps,
 per target, each group's distinct target values, shared by PROJECTED
-functional, injective and minimality. Anchors are value-index tuples;
-only a witness anchor becomes an ``Instance``. Functional and injective
-fail the first anchor with two or more distinct outcomes; its first row
-and the first with another outcome are its evidence. Total, surjective
-and surjective-in walk the anchors only up to the first one the grouping
-lacks; minimality counts each anchor's outcomes from its group. Outcomes
-are tuples of T's columns, so no target is refused for the size of its
-space.
+functional, injective and minimality, and the decisions made from it, so
+every suite and checker of the encoding decides each question once per
+layout: coverage once (total from S, surjective to S, and surjective-in
+when S is the one param set all read it), distinctness and minimality
+once per target columns, or once in FULL mode, which reads no target
+(functional S→R and injective R→S read the same one). A decision holds
+the witness anchor, its evidence and instances_checked, or the redundant
+sets; each call builds its own query, note and verdict from it, and asks
+for T under its own budget before it reads a decision. Anchors
+are value-index tuples; only a witness anchor becomes an ``Instance``.
+Functional and injective fail the first anchor with two or more distinct
+outcomes; its first row and the first with another outcome are its
+evidence. Total, surjective and surjective-in walk the anchors only up to
+the first one the grouping lacks; minimality counts each anchor's
+outcomes from its group. Outcomes are tuples of T's columns, so no target
+is refused for the size of its space.
 """
 
 from __future__ import annotations
@@ -162,8 +170,13 @@ class _Layout(NamedTuple):
     """T laid out by one anchor scope: the scope's value lists, their
     :func:`mixed_radix` strides and the anchor space; T's rows grouped by
     anchor, each group in T's order and the groups in anchor order; the
-    anchors with two or more rows, in order; and per target columns, each
-    group's distinct values there (:func:`_outcomes`), built on first use."""
+    anchors with two or more rows, in order; per target columns, each
+    group's distinct values there (:func:`_outcomes`), built on first use;
+    and the decisions made from the layout, per question and target
+    columns (None where the question reads no target), made on first use
+    by :func:`_covered`, :func:`_distinct` and :func:`_minimal`. A
+    decision holds what the question alone fixes, so every kind that asks
+    it shares it; the query and the witness note are the caller's."""
 
     values: list
     strides: list[int]
@@ -171,6 +184,7 @@ class _Layout(NamedTuple):
     groups: dict[tuple[int, ...], list]
     multi: list[tuple[int, ...]]
     outcomes: dict[tuple[int, ...], dict]
+    decided: dict[tuple[str, tuple[int, ...] | None], tuple]
 
 
 def _layout(network: Network, plan: _Plan, scope: tuple[str, ...]) -> _Layout:
@@ -192,7 +206,7 @@ def _layout(network: Network, plan: _Plan, scope: tuple[str, ...]) -> _Layout:
         groups = dict(sorted(groups.items()))
         layout = enc.groups[key] = _Layout(
             values, *mixed_radix(range(len(values)), values), groups,
-            [k for k, group in groups.items() if len(group) > 1], {})
+            [k for k, group in groups.items() if len(group) > 1], {}, {})
     return layout
 
 
@@ -207,33 +221,65 @@ def _outcomes(layout: _Layout, columns: tuple[int, ...]) -> dict:
     return known
 
 
+def _target_columns(plan: _Plan, query: PropertyQuery, target: tuple[str, ...]):
+    """``target``'s columns of T in PROJECTED mode; None in FULL mode,
+    whose outcomes are whole rows."""
+    if query.mode is CountMode.FULL:
+        return None
+    return tuple(plan.enc.set_index[sid] for sid in target)
+
+
+def _verdict(query: PropertyQuery, decision: tuple, note: str) -> Verdict:
+    """The verdict of a decision ``(anchor, evidence, instances_checked)``
+    of :func:`_distinct` or :func:`_covered`: it holds without an anchor,
+    else the anchor is its one witness, with ``note``."""
+    anchor, evidence, checked = decision
+    if anchor is None:
+        return Verdict(query, True, (), checked)
+    return Verdict(query, False, (Witness(anchor, evidence, note),), checked)
+
+
+def _anchor(scope: tuple[str, ...], layout: _Layout, key: tuple[int, ...]) -> Instance:
+    """The anchor at value indices ``key`` over ``scope``, as an instance."""
+    return Instance(zip(scope, (vs[i] for vs, i in zip(layout.values, key))))
+
+
 def _distinct(network: Network, plan: _Plan, query: PropertyQuery,
               scope: tuple[str, ...], target: tuple[str, ...], note: str) -> Verdict:
     """Whether every anchor over ``scope`` has at most one outcome over
-    ``target``, from T's layout by anchor (:func:`_layout`). Only an
-    anchor with two or more rows can fail, so those are walked in order up
-    to the first with two or more distinct outcomes: its rows (FULL; T's
-    rows are distinct) or their values at ``target``'s columns (PROJECTED,
+    ``target``, from T's layout by anchor (:func:`_layout`), which keeps
+    the decision per target columns (:func:`_decide_distinct`)."""
+    layout, columns = _layout(network, plan, scope), _target_columns(plan, query, target)
+    decision = layout.decided.get(("distinct", columns))
+    if decision is None:
+        decision = layout.decided["distinct", columns] = _decide_distinct(
+            plan.enc, layout, scope, columns)
+    return _verdict(query, decision, note)
+
+
+def _decide_distinct(enc: EncodedNetwork, layout: _Layout, scope: tuple[str, ...],
+                     columns: tuple[int, ...] | None) -> tuple:
+    """:func:`_distinct`'s decision. Only an anchor with two or more rows
+    can fail, so those are walked in order up to the first with two or
+    more distinct outcomes: its rows (FULL, ``columns`` None; T's rows are
+    distinct) or their values at ``columns`` (PROJECTED,
     :func:`_outcomes`). That anchor's group is scanned for the first row
     with another outcome than its first; each group is in lexicographic
     order, so those two rows are the anchor's first two completions with
     distinct outcomes, its evidence."""
-    enc, layout = plan.enc, _layout(network, plan, scope)
-    if query.mode is CountMode.PROJECTED:
-        columns = tuple(enc.set_index[sid] for sid in target)
-        outcomes, outcome = _outcomes(layout, columns), _columns(columns)
-    else:
+    if columns is None:
         outcomes, outcome = layout.groups, lambda row: row
+    else:
+        outcomes, outcome = _outcomes(layout, columns), _columns(columns)
     key = next((key for key in layout.multi if len(outcomes[key]) > 1), None)
     if key is None:
-        return Verdict(query, True, (), layout.space)
+        return None, (), layout.space
     group = layout.groups[key]
     first = outcome(group[0])
     other = next(row for row in itertools.islice(group, 1, None) if outcome(row) != first)
-    witness = Instance(zip(scope, (vs[i] for vs, i in zip(layout.values, key))))
-    evidence = (enc.instance_from_row(group[0]), enc.instance_from_row(other))
-    return Verdict(query, False, (Witness(witness, evidence, note),),
-                   sum(map(mul, key, layout.strides)) + 1)
+    return (_anchor(scope, layout, key),
+            (enc.instance_from_row(group[0]), enc.instance_from_row(other)),
+            sum(map(mul, key, layout.strides)) + 1)
 
 
 def _covered(network: Network, plan: _Plan, query: PropertyQuery,
@@ -242,40 +288,57 @@ def _covered(network: Network, plan: _Plan, query: PropertyQuery,
     The anchors that have one are the keys of T's grouping over ``scope``
     (:func:`_layout`): the check holds when they fill the anchor space,
     else the witness is the first anchor in order that they lack, at most
-    |keys| + 1 steps in."""
+    |keys| + 1 steps in. The layout keeps the decision, which reads no
+    target."""
     layout = _layout(network, plan, scope)
-    values, present = layout.values, layout.groups
-    if len(present) == layout.space:
-        return Verdict(query, True, (), layout.space)
-    key = next(key for key in itertools.product(*map(range, map(len, values)))
-               if key not in present)
-    anchor = Instance(zip(scope, (vs[i] for vs, i in zip(values, key))))
-    return Verdict(query, False, (Witness(anchor, (), note),),
-                   sum(map(mul, key, layout.strides)) + 1)
+    decision = layout.decided.get(("covered", None))
+    if decision is None:
+        present = layout.groups
+        if len(present) == layout.space:
+            decision = None, (), layout.space
+        else:
+            key = next(key for key in itertools.product(*map(range, map(len, layout.values)))
+                       if key not in present)
+            decision = _anchor(scope, layout, key), (), sum(map(mul, key, layout.strides)) + 1
+        layout.decided["covered", None] = decision
+    return _verdict(query, decision, note)
 
 
 def _minimal(network: Network, plan: _Plan, query: PropertyQuery) -> Verdict:
-    """Minimality over a nonempty from scope; see :func:`check_minimal`."""
+    """Minimality over a nonempty from scope; see :func:`check_minimal`.
+    The from scope's layout keeps the redundant sets and
+    instances_checked per target columns."""
     a_scope = query.from_scope
     layout = _layout(network, plan, a_scope)
-    full = query.mode is CountMode.FULL
+    columns = _target_columns(plan, query, query.to_scope)
+    decision = layout.decided.get(("minimal", columns))
+    if decision is None:
+        decision = layout.decided["minimal", columns] = _decide_minimal(
+            layout, a_scope, query.to_scope, columns)
+    redundant, checked = decision
+    witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
+    return Verdict(query, not redundant, witnesses, checked)
+
+
+def _decide_minimal(layout: _Layout, a_scope: tuple[str, ...], to_scope: tuple[str, ...],
+                    columns: tuple[int, ...] | None) -> tuple:
+    """:func:`_minimal`'s decision: the redundant sets of ``a_scope``, in
+    order, and instances_checked."""
+    full = columns is None
     # Each anchor's distinct outcomes in T: its rows (FULL) or their target
     # projections (PROJECTED); an anchor's count is their number.
-    groups = layout.groups if full else _outcomes(
-        layout, tuple(plan.enc.set_index[sid] for sid in query.to_scope))
+    groups = layout.groups if full else _outcomes(layout, columns)
     checked = 0
     redundant: list[str] = []
     for qi, q in enumerate(a_scope):
         # Outcomes that hold Q's value (every FULL row does) differ between
         # the instances a restriction covers, so their counts add (``adds``).
-        first = _first_separating(groups, qi, len(layout.values[qi]),
-                                  full or q in query.to_scope)
+        first = _first_separating(groups, qi, len(layout.values[qi]), full or q in to_scope)
         if first is None:
             redundant.append(q)
         checked += (layout.space if first is None
                     else sum(map(mul, first, layout.strides)) + 1)
-    witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
-    return Verdict(query, not redundant, witnesses, checked)
+    return tuple(redundant), checked
 
 
 # Per kind, its verdict from a plan: the anchor scope T is grouped by, and
@@ -464,8 +527,8 @@ def check_suite(network: Network, direction: Direction = Direction.FORWARD,
         decide = _VERDICTS[kind]
         if (kind is PropertyKind.INJECTIVE and direction is Direction.BACKWARD
                 and from_scope is None and to_scope is None):
-            queries = [PropertyQuery(kind, _scope(network, sources(network)),
-                                     _scope(network, sinks(network)), mode)]
+            # b_scope holds the sources here.
+            queries = [PropertyQuery(kind, b_scope, _scope(network, sinks(network)), mode)]
         else:
             params = b_scope if kind is PropertyKind.SURJECTIVE_IN else (None,)
             if params and a_scope is None:

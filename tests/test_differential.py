@@ -51,6 +51,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -678,16 +679,18 @@ def test_join_bruteforce_and_oracle_agree_on_drawn_nets(memo_oracle, net):
 
 @seed(SEED)
 @settings(max_examples=100, deadline=None, database=None)
-@given(net=drawn_nets())
-def test_a_warm_suite_equals_a_cold_one_on_drawn_nets(net):
-    """The scopes the checkers keep on a network and the layouts and
-    outcome sets they keep on its encoding change no verdict: under both
-    engines, in both directions and modes, a suite on a warm encoding
-    equals the one on a fresh equal network after ``encode.cache_clear()``."""
-    runs = list(itertools.product(Engine, Direction, CountMode))
+@given(net=drawn_nets(), data=st.data())
+def test_a_warm_suite_equals_a_cold_one_on_drawn_nets(net, data):
+    """The scopes the checkers keep on a network and the layouts, outcome
+    sets and decisions they keep on its encoding change no verdict: under
+    both engines, in both directions and modes, each suite of a first
+    pass, run in a drawn order that decides on its first suites what the
+    later ones read, and of a second pass on the warm encoding equals the
+    one on a fresh equal network after ``encode.cache_clear()``."""
+    runs = data.draw(st.permutations(list(itertools.product(Engine, Direction, CountMode))))
     encode.cache_clear()
-    for engine, direction, mode in runs:
-        check_suite(net, direction, mode, engine=engine)
+    first = [check_suite(net, direction, mode, engine=engine)
+             for engine, direction, mode in runs]
     warm = [check_suite(net, direction, mode, engine=engine)
             for engine, direction, mode in runs]
     cold = []
@@ -695,7 +698,82 @@ def test_a_warm_suite_equals_a_cold_one_on_drawn_nets(net):
         encode.cache_clear()
         fresh = Network(net.name, net.sets, net.relations, net.data_selection)
         cold.append(check_suite(fresh, direction, mode, engine=engine))
+    assert first == cold
     assert warm == cold
+
+
+# --- one question asked by several kinds ------------------------------------
+
+def _shared_questions(net, pick):
+    """Pairs and triples of checker calls, as (checker, kwargs) that ask
+    one question of one layout: functional from S to R and injective from
+    R to S (distinctness of S's anchors at R), total from S and
+    surjective to S (coverage of S), and with S one set P, surjective-in
+    of P too. S and R are the data selection, the sinks, the sources and
+    two scopes ``pick()`` draws; P is each set."""
+    scopes = [sorted(net.data_selection), sinks(net), sources(net), pick(), pick()]
+    groups = []
+    for s_scope, r_scope in itertools.product(scopes, repeat=2):
+        groups.append(((check_functional, dict(from_scope=s_scope, to_scope=r_scope)),
+                       (check_injective, dict(from_scope=r_scope, to_scope=s_scope))))
+        groups.append(((check_total, dict(from_scope=s_scope, to_scope=r_scope)),
+                       (check_surjective, dict(from_scope=r_scope, to_scope=s_scope))))
+    for p in (vs.id for vs in net.sets):
+        groups.append(((check_total, dict(from_scope=[p], to_scope=pick())),
+                       (check_surjective, dict(from_scope=pick(), to_scope=[p])),
+                       (partial(check_surjective_in, param=p), dict(to_scope=[p]))))
+    return groups
+
+
+_NOTES = {check_functional: {"multiple-outcomes"}, check_injective: {"multiple-preimages"},
+          check_total: {"no-outcome"}, check_surjective: {"unreachable"}}
+
+
+def _shared_questions_match_cold(net, pick):
+    """Every group of :func:`_shared_questions`, under both engines and in
+    both modes, run in each order from an encoding that keeps no layout,
+    gives what each call gives alone from such an encoding, each witness
+    with its own kind's note; the number of failing verdicts compared.
+    Layouts hold every decision, so dropping them, and not T, which brute
+    force builds slowly on the pitch nets, makes each run cold."""
+    failing = 0
+    for engine, mode in itertools.product(Engine, CountMode):
+        for group in _shared_questions(net, pick):
+            cold = []
+            for check, kwargs in group:
+                encode(net).groups.clear()
+                cold.append(check(net, mode=mode, engine=engine, **kwargs))
+            for order in itertools.permutations(range(len(group))):
+                encode(net).groups.clear()
+                got = {i: group[i][0](net, mode=mode, engine=engine, **group[i][1])
+                       for i in order}
+                assert [got[i] for i in range(len(group))] == cold, (net.name, group, order)
+            for (check, _), verdict in zip(group, cold):
+                notes = _NOTES.get(check, {"unrealizable-value"})
+                assert {w.note for w in verdict.witnesses} <= notes
+                failing += not verdict.holds
+    return failing
+
+
+def test_shared_questions_equal_their_cold_verdicts_on_corpus_nets():
+    """On the corpus nets, the kinds that ask one question of a layout
+    give their cold verdicts in every order, each with its own note."""
+    rng = random.Random(SEED + 5)
+    failing = 0
+    for net in all_networks().values():
+        ids = [vs.id for vs in net.sets]
+        failing += _shared_questions_match_cold(
+            net, lambda: rng.sample(ids, rng.randint(0, min(3, len(ids)))))
+    assert failing >= 100
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(net=drawn_nets(), data=st.data())
+def test_shared_questions_equal_their_cold_verdicts_on_drawn_nets(net, data):
+    """As on the corpus nets, on drawn nets with drawn scopes."""
+    scope = st.lists(st.sampled_from([vs.id for vs in net.sets]), unique=True, max_size=3)
+    _shared_questions_match_cold(net, lambda: data.draw(scope))
 
 
 # --- the suite's one plan against one public checker call per verdict -------

@@ -651,17 +651,25 @@ def test_minimal_budget_refuses_a_cached_table(monkeypatch):
 
 
 def test_consistent_table_is_freed_with_its_encoding():
-    """T and its layouts live on the encoding, one per backend, and go
-    with it; a new encoding starts with neither. Nothing kept there
-    refers back to the encoding, so it goes without the cycle collector."""
+    """T and its layouts, with their decisions, live on the encoding, one
+    per backend, and go with it; a new encoding starts with neither.
+    Nothing kept there refers back to the encoding, so it goes without
+    the cycle collector, and so do the instances its decisions hold."""
     fig = all_networks()["fig1-mini"]
     encode.cache_clear()
     for eng in ENGINES:
         check_minimal(fig, engine=eng)
+        assert not check_functional(fig, engine=eng).holds
     enc = encode(fig)
     assert len(enc.tables) == 2
     assert [backend for backend, _ in enc.groups] == [kernels, bruteforce]
     assert all(layout.outcomes for layout in enc.groups.values())
+    assert all(sorted(question for question, _ in layout.decided) == ["distinct", "minimal"]
+               for layout in enc.groups.values())
+    kept = [weakref.ref(instance) for layout in enc.groups.values()
+            for (question, _), decision in layout.decided.items()
+            if question == "distinct" for instance in (decision[0], *decision[1])]
+    assert len(kept) == 2 * 3 and all(ref() is not None for ref in kept)
     ref = weakref.ref(enc)
     del enc
     enabled = gc.isenabled()
@@ -669,6 +677,7 @@ def test_consistent_table_is_freed_with_its_encoding():
     try:
         encode.cache_clear()
         assert ref() is None
+        assert all(instance() is None for instance in kept)
     finally:
         if enabled:
             gc.enable()
@@ -727,7 +736,8 @@ def test_checkers_build_each_outcome_set_once(monkeypatch):
             self.built.append(columns)
             super().__setitem__(columns, sets)
     monkeypatch.setattr(properties, "_Layout",
-                        lambda *fields, _real=properties._Layout: _real(*fields[:-1], Outcomes()))
+                        lambda *fields, _real=properties._Layout:
+                        _real(*fields)._replace(outcomes=Outcomes()))
     want = set()
     for (backend, eng), direction, mode in itertools.product(
             ((kernels, Engine.JOIN), (bruteforce, Engine.BRUTEFORCE)), Direction, CountMode):
@@ -744,6 +754,63 @@ def test_checkers_build_each_outcome_set_once(monkeypatch):
              for columns in layout.outcomes.built]
     assert len(built) == len(set(built))
     assert set(built) == want and len(want) >= 4
+
+
+def _question(query, enc):
+    """The layout and the question a verdict of ``query`` reads: its
+    anchor scope, and the question with its target columns, None where it
+    reads no target."""
+    def columns(target):
+        if query.mode is CountMode.FULL:
+            return None
+        return tuple(enc.set_index[sid] for sid in target)
+    if query.kind in (PropertyKind.TOTAL, PropertyKind.SURJECTIVE, PropertyKind.SURJECTIVE_IN):
+        return _anchor_scope(query), ("covered", None)
+    if query.kind is PropertyKind.INJECTIVE:
+        return query.to_scope, ("distinct", columns(query.from_scope))
+    if query.kind is PropertyKind.FUNCTIONAL:
+        return query.from_scope, ("distinct", columns(query.to_scope))
+    return query.from_scope, ("minimal", columns(query.to_scope))
+
+
+def test_checkers_decide_each_question_once(monkeypatch):
+    """Over both engines' suites in both directions and modes, each
+    question is decided once per (backend, anchor scope, target columns
+    or FULL), inside the layout of its anchor scope, and every other
+    verdict that asks it reads that decision: minimality's separation
+    walk runs once per set of each from scope it decides."""
+    fig = all_networks()["fig1-mini"]
+    encode.cache_clear()
+    enc = encode(fig)
+
+    class Decided(dict):
+        def __init__(self):
+            super().__init__()
+            self.built = []
+
+        def __setitem__(self, question, decision):
+            self.built.append(question)
+            super().__setitem__(question, decision)
+    monkeypatch.setattr(properties, "_Layout",
+                        lambda *fields, _real=properties._Layout:
+                        _real(*fields)._replace(decided=Decided()))
+    walks = []
+    monkeypatch.setattr(properties, "_first_separating",
+                        lambda groups, qi, *args, _real=properties._first_separating:
+                        walks.append(qi) or _real(groups, qi, *args))
+    want, verdicts = set(), 0
+    for (backend, eng), direction, mode in itertools.product(
+            ((kernels, Engine.JOIN), (bruteforce, Engine.BRUTEFORCE)), Direction, CountMode):
+        for verdict in check_suite(fig, direction, mode, engine=eng):
+            want.add((backend, *_question(verdict.query, enc)))
+            verdicts += 1
+    built = [(backend, at, question) for (backend, at), layout in enc.groups.items()
+             for question in layout.decided.built]
+    assert len(built) == len(set(built))
+    assert set(built) == want
+    assert (verdicts, len(want)) == (2 * 38, 2 * 21)
+    minimal = [at for _, at, (question, _) in built if question == "minimal"]
+    assert len(walks) == sum(map(len, minimal)) and len(minimal) == 2 * 3
 
 
 def test_a_warm_projected_verdict_projects_no_row(monkeypatch):
@@ -767,18 +834,33 @@ def test_a_warm_projected_verdict_projects_no_row(monkeypatch):
     assert projected == []
 
 
+def _checker_call(query):
+    """The public checker of ``query``'s kind, with its scopes and mode
+    bound."""
+    checker = properties._CHECKERS.get(query.kind)
+    if checker is None:
+        checker = partial(check_surjective_in, param=query.param)
+    return partial(checker, from_scope=query.from_scope, to_scope=query.to_scope,
+                   mode=query.mode)
+
+
 def test_functional_budget_refuses_a_cached_layout():
-    """A PROJECTED functional whose layout and outcome sets are kept on
-    the encoding is still refused one budget below fig1-mini's 87-node
-    walk of T, and gives the kept verdict at 87."""
+    """After a warm suite, whose layouts, outcome sets and decisions are
+    kept on the encoding, each of the six checkers is still refused one
+    budget below fig1-mini's 87-node walk of T, and gives the kept verdict
+    at 87."""
     fig = all_networks()["fig1-mini"]
     encode.cache_clear()
-    verdict = check_functional(fig)
+    suite = check_suite(fig)
     assert any(layout.outcomes for layout in encode(fig).groups.values())
-    with pytest.raises(LimitExceededError) as info:
-        check_functional(fig, limits=Limits(max_enumerated=86))
-    assert (info.value.required, info.value.allowed) == (87, 86)
-    assert check_functional(fig, limits=Limits(max_enumerated=87)) == verdict
+    assert any(layout.decided for layout in encode(fig).groups.values())
+    assert {verdict.query.kind for verdict in suite} == set(PropertyKind)
+    for verdict in suite:
+        check = _checker_call(verdict.query)
+        with pytest.raises(LimitExceededError) as info:
+            check(fig, limits=Limits(max_enumerated=86))
+        assert (info.value.required, info.value.allowed) == (87, 86)
+        assert check(fig, limits=Limits(max_enumerated=87)) == verdict
 
 
 def test_an_unknown_set_is_refused_on_every_call():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -13,12 +14,14 @@ from oracle import oracle_render_json
 from semnet import (
     CountMode,
     Direction,
+    Engine,
     Instance,
     PropertyKind,
     PropertyQuery,
     Verdict,
     Witness,
     check_suite,
+    encode,
     parse,
     render_json,
     render_text,
@@ -94,6 +97,24 @@ def test_render_json_schema():
     assert by_prop["surjective_in"]["param"] == "Y"
     w = by_prop["total"]["witnesses"][0]
     assert w == {"anchor": {"X": "x2"}, "evidence": [], "note": "no-outcome"}
+
+
+def test_a_warm_encoding_renders_every_golden():
+    """From one encoding per net, whose kept layouts and decisions the
+    suites before each one fill, both engines render all 32 golden
+    reports byte for byte, with the forward suites first and with the
+    backward ones first."""
+    renders = 0
+    for directions in (tuple(Direction), tuple(Direction)[::-1]):
+        for name, net in all_networks().items():
+            encode.cache_clear()
+            for engine, direction, mode in itertools.product(Engine, directions, CountMode):
+                golden = GOLDEN / f"{name}.{direction.value}.{mode.value}.json"
+                verdicts = check_suite(net, direction, mode, engine=engine)
+                assert (render_json(net.name, direction.value, mode.value, verdicts)
+                        == golden.read_text(encoding="utf-8")), (golden.name, engine, directions)
+                renders += 1
+    assert renders == 2 * 2 * 32
 
 
 def test_render_json_is_byte_stable():
