@@ -4,9 +4,9 @@ Sets become contiguous indices in declaration order, values become indices
 into their set. Each relation is encoded on its own, as its scope's set
 positions, a mixed-radix stride per position and the sorted tuple of its
 row keys, where a row key is the stride-weighted sum of the row's value
-indices. The keys are the ones the network memoises (``model.row_keys``,
-computed while ``parse`` or :func:`validate` checked the rows, with the
-same strides), so encoding only sorts them. Each engine builds its own
+indices. The keys and strides are the ones the network memoises
+(``model.row_keys``, computed while ``parse`` or :func:`validate` checked
+the rows), so encoding only sorts the keys. Each engine builds its own
 index from these tuples on its first search of a network and keeps it on
 the encoding: the join search's per-relation dicts
 (``kernels.build_index``) and brute force's key arrays
@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 from . import kernels
 from .errors import InvalidNetworkError, KeyOverflowError, ScopeMismatchError
-from .model import Instance, Network, mixed_radix, validate
+from .model import Instance, Network, validate
 
 __all__ = ["EncodedNetwork", "encode"]
 
@@ -79,10 +79,17 @@ class EncodedNetwork:
             fixed[i] = vi
         return fixed
 
+    @cached_property
+    def by_id(self) -> tuple[int, ...]:
+        """The set positions in set-id order, the order of an instance's
+        pairs; computed once, when the first instance is built."""
+        return tuple(sorted(range(self.n_sets), key=self.set_ids.__getitem__))
+
     def instance_from_row(self, row: tuple[int, ...]) -> Instance:
-        return Instance({
-            sid: vs.values[v] for sid, vs, v in zip(self.set_ids, self.network.sets, row)
-        })
+        """The full instance at value indices ``row``, its pairs built in
+        set-id order (``by_id``)."""
+        ids, sets = self.set_ids, self.network.sets
+        return Instance._sorted(tuple([(ids[i], sets[i].values[row[i]]) for i in self.by_id]))
 
     def target_positions(self, target: frozenset[str]) -> list[int]:
         """Set positions of the target, ascending; refused when the target's
@@ -111,16 +118,15 @@ def encode(network: Network) -> EncodedNetwork:
     sizes = tuple(len(vs.values) for vs in network.sets)
     value_index = tuple({v: i for i, v in enumerate(vs.values)} for vs in network.sets)
 
-    values = [vs.values for vs in network.sets]
     relations = []
-    for rel, keys in zip(network.relations, network._row_keys):
-        scope = [set_index[sid] for sid in rel.scope]
-        strides, space = mixed_radix(scope, values)
+    for rel, keys, strides in zip(network.relations, network._row_keys, network._strides):
+        scope = tuple(map(set_index.__getitem__, rel.scope))
+        space = strides[0] * sizes[scope[0]] if scope else 1
         if space > _KEY_LIMIT:
             raise KeyOverflowError(
                 f"relation {rel.id!r} scope space of {space} value combinations "
                 "exceeds the engine's 2^62 key limit")
-        relations.append((tuple(scope), tuple(strides), tuple(sorted(keys))))
+        relations.append((scope, strides, tuple(sorted(keys))))
 
     return EncodedNetwork(
         network=network,

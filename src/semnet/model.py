@@ -11,12 +11,12 @@ the role of stored data when properties are checked.
 All types are immutable and hashable; all operations are pure. A
 ``Network`` memoises per instance, on first use, its hash (the same value
 as the hash of its fields), its :func:`validate` report, its
-relations' row keys (:func:`row_keys`; ``netdef.parse`` hands over the
-keys it computed) and the checkers' resolved scopes. It never pickles or
-copies the memos, since str hashes differ between processes. Constructors
-accept structurally broken input (dangling references, cycles, duplicate
-rows): :func:`validate` reports such defects instead of raising, so parsed
-files can be diagnosed in full.
+relations' row keys (:func:`row_keys`) and their strides, both handed
+over by ``netdef.parse``, and the checkers' resolved scopes. It never
+pickles or copies the memos, since str hashes differ between processes.
+Constructors accept structurally broken input (dangling references,
+cycles, duplicate rows): :func:`validate` reports such defects instead of
+raising, so parsed files can be diagnosed in full.
 """
 
 from __future__ import annotations
@@ -114,24 +114,35 @@ class Network:
 
     @cached_property
     def _row_keys(self) -> tuple[tuple[int, ...] | None, ...]:
-        """Per relation, :func:`row_keys` of its rows, or None when a scope
-        set is undeclared; computed on first use unless ``parse`` set it."""
+        """Per relation, :func:`row_keys` of its rows at its ``_strides``,
+        or None when a scope set is undeclared; computed on first use
+        unless ``parse`` set it."""
         values = {vs.id: vs.values for vs in reversed(self.sets)}  # first declaration wins
         memo: dict = {}
-        return tuple(row_keys(row_columns(rel.rows, len(rel.scope)),
-                              scope_weights(rel.scope, values, memo), len(rel.rows))
+        return tuple(None if strides is None else row_keys(
+            row_columns(rel.rows, len(rel.scope)), scope_weights(rel.scope, values, memo, strides),
+            len(rel.rows)) for rel, strides in zip(self.relations, self._strides))
+
+    @cached_property
+    def _strides(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Per relation, its scope's :func:`mixed_radix` strides, the layout
+        of its row keys, or None when a scope set is undeclared; computed
+        on first use unless ``parse`` set them beside the keys."""
+        values = {vs.id: vs.values for vs in reversed(self.sets)}
+        return tuple(tuple(mixed_radix(rel.scope, values)[0])
                      if values.keys() >= set(rel.scope) else None for rel in self.relations)
 
     @cached_property
-    def _scopes(self) -> dict[frozenset[str], tuple[str, ...]]:
+    def _scopes(self) -> dict:
         """Scopes resolved by ``properties._scope``, in declaration order,
-        keyed by their set ids; only resolutions that succeeded."""
+        keyed by their set ids, only resolutions that succeeded; and the
+        :func:`sinks` and :func:`sources`, keyed by those functions."""
         return {}
 
     def __getstate__(self) -> dict:
         # Pickles and copies carry the fields only, never the memos.
         state = dict(self.__dict__)
-        for memo in ("_validation", "_hash", "_row_keys", "_scopes"):
+        for memo in ("_validation", "_hash", "_row_keys", "_strides", "_scopes"):
             state.pop(memo, None)
         return state
 
@@ -153,6 +164,14 @@ class Instance:
             if len({k for k, _ in items}) != len(items):
                 raise ValueError(f"an instance repeats a set id: {items}")
         object.__setattr__(self, "assignment", items)
+
+    @classmethod
+    def _sorted(cls, items: tuple[tuple[str, str], ...]) -> Instance:
+        """The instance of ``items``, pairs already sorted by set id and
+        each id once, taken as they are."""
+        instance = object.__new__(cls)
+        object.__setattr__(instance, "assignment", items)
+        return instance
 
     @property
     def scope(self) -> frozenset[str]:
@@ -326,12 +345,13 @@ def mixed_radix(scope, values) -> tuple[list[int], int]:
     return strides, space
 
 
-def scope_weights(scope, values, memo) -> list[dict[str, int]]:
+def scope_weights(scope, values, memo, strides) -> list[dict[str, int]]:
     """Per set id of ``scope``, each of its ``values[sid]`` to its index
-    times the set's :func:`mixed_radix` stride in the scope. ``memo`` keeps
-    each (set id, stride) dict, built once for every scope that needs it."""
+    times the set's stride in the scope, from ``strides`` (the scope's
+    :func:`mixed_radix` strides). ``memo`` keeps each (set id, stride)
+    dict, built once for every scope that needs it."""
     weights = []
-    for sid, stride in zip(scope, mixed_radix(scope, values)[0]):
+    for sid, stride in zip(scope, strides):
         weight = memo.get((sid, stride))
         if weight is None:
             domain = values[sid]
@@ -371,9 +391,10 @@ def row_keys(columns, weights, count) -> tuple[int, ...] | None:
     return keys if len(set(keys)) == len(keys) else None
 
 
-def with_row_keys(network: Network, keys) -> Network:
-    """``network`` with its row-key memo set to ``keys``, one per relation."""
-    network.__dict__["_row_keys"] = tuple(keys)
+def with_row_keys(network: Network, keys, strides) -> Network:
+    """``network`` with its row-key memo set to ``keys`` and its stride memo
+    to ``strides``, one of each per relation."""
+    network.__dict__.update(_row_keys=tuple(keys), _strides=tuple(strides))
     return network
 
 

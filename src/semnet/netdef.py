@@ -51,10 +51,11 @@ whole lines, blocks and columns, never one character or one row at a time:
   other line is a statement line as above.
 - A relation's rows are then checked for arity, domain and repeats by
   computing their encoding keys with one ``map`` per column
-  (``model.row_keys``), which the network returned keeps for
-  :func:`validate` and ``encode``; a block's rows are built once from its
-  columns. The per-column value weights behind the keys are built once
-  per file for each (set, stride) pair (``model.scope_weights``).
+  (``model.row_keys``), which the network returned keeps, with each
+  relation's strides, for :func:`validate` and ``encode``; a block's rows
+  are built once from its columns. The per-column value weights behind
+  the keys are built once per file for each (set, stride) pair
+  (``model.scope_weights``).
   Only a relation that fails is walked row by row, to report each defect
   with its line and column, in order; a block's row line numbers are
   built only then. The column of an error in a row comes from tokenizing
@@ -73,8 +74,8 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import SemnetError
-from .model import (Network, Relation, ValueSet, row_columns, row_keys, scope_weights, sources,
-                    with_row_keys)
+from .model import (Network, Relation, ValueSet, mixed_radix, row_columns, row_keys,
+                    scope_weights, sources, with_row_keys)
 
 __all__ = [
     "ParseError",
@@ -394,7 +395,7 @@ def parse(text: str) -> SemnetDocument:
         spans[f"set:{sid}"] = (line_no, column)
 
     relations: list[Relation] = []
-    keys: list[tuple[int, ...] | None] = []  # row keys per relation
+    keys, strides = [], []  # per relation, its row keys and the strides they are at
     set_values = {sid: vs.values for sid, vs in sets_by_id.items()}
     rel_ids: set[str] = set()
     for raw in raw_rels:
@@ -414,7 +415,8 @@ def parse(text: str) -> SemnetDocument:
                         "UNKNOWN_SET", f"relation {raw.id!r} references unknown set {sid!r}",
                         raw.line, _columns(lines, raw.line)[word]))
             continue
-        weights = scope_weights(scope, set_values, weights_memo)
+        strides.append(tuple(mixed_radix(scope, set_values)[0]))
+        weights = scope_weights(scope, set_values, weights_memo, strides[-1])
         if raw.columns is None:
             rows = raw.rows
             keys.append(row_keys(row_columns(rows, len(scope)), weights, len(rows)))
@@ -451,7 +453,7 @@ def parse(text: str) -> SemnetDocument:
     network = Network(net_name or "", tuple(value_sets), tuple(relations), selection)
     if data_ids is None:
         network = Network(network.name, network.sets, network.relations, sources(network))
-    return SemnetDocument(with_row_keys(network, keys), spans)
+    return SemnetDocument(with_row_keys(network, keys, strides), spans)
 
 
 class _Line(NamedTuple):

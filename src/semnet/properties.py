@@ -8,33 +8,48 @@ witness content and order: the witness is always the first counterexample
 in lexicographic declaration order; minimality instead names every
 redundant set. Evidence instances are always consistent full instances.
 
+Each kind has one slot in :data:`_SLOTS`: the question that decides it
+(``"distinct"``, ``"covered"`` or ``"minimal"``) and the function that
+decides that question, its anchor scope and target (from/to, to/from or
+``(param,)``), and its witness note. :func:`_verdict` turns a query into
+its verdict through its slot; a public checker makes one such call, and
+``check_suite`` one per verdict, so there is one decision path.
+
 A public checker resolves its scopes in :func:`_query`, through
-:func:`_scope`, which keeps each resolution on the network; ``check_suite``
-resolves its from and to scopes once and builds every query itself. Each
-verdict then reads one :class:`_Plan`: the encoding, whose lookup
-validates the network; the consistent table T, built once per encoding
-and engine under the budget (``engine.consistent_table``); and the engine
-module that built T. A public checker asks for the plan of its one
-verdict, and ``check_suite`` asks once, at its first verdict, and hands
-that plan to every verdict through the same verdict functions
-(:data:`_VERDICTS`). :func:`_layout` lays T out by the anchor scope, once
-per encoding, engine and scope, shared by every checker over that scope:
-the scope's value space and T grouped by anchor. The layout also keeps,
-per target, each group's distinct target values, shared by PROJECTED
-functional, injective and minimality, and the decisions made from it, so
-every suite and checker of the encoding decides each question once per
-layout: coverage once (total from S, surjective to S, and surjective-in
-when S is the one param set all read it), distinctness and minimality
-once per target columns, or once in FULL mode, which reads no target
-(functional S→R and injective R→S read the same one). A decision holds
-the witness anchor, its evidence and instances_checked, or the redundant
-sets; each call builds its own query, note and verdict from it, and asks
-for T under its own budget before it reads a decision. Anchors
-are value-index tuples; only a witness anchor becomes an ``Instance``.
-Functional and injective fail the first anchor with two or more distinct
-outcomes; its first row and the first with another outcome are its
-evidence. Total, surjective and surjective-in walk the anchors only up to
-the first one the grouping lacks; minimality counts each anchor's
+:func:`_scope`, which keeps each resolution on the network, as
+:func:`_boundary` keeps the sinks and sources; ``check_suite`` resolves
+its from and to scopes once and builds every query itself. Each verdict
+reads one :class:`_Plan`: the encoding, whose lookup validates the
+network; the consistent table T, built once per encoding and engine under
+the budget (``engine.consistent_table``); and the engine module that
+built T. A public checker asks for the plan of its one verdict, and
+``check_suite`` asks once, at its first verdict. Errors come in that
+order: an unknown scope, an empty from scope for minimality, then T's
+budget. :func:`_layout` lays T out by the anchor scope, once per
+encoding, engine and scope, shared by every checker over that scope: the
+scope's value space and T grouped by anchor; ``check_suite`` resolves
+each (anchor scope, target) pair's layout and target columns once per
+suite, in a dict of its own. The layout also keeps, per target, each
+group's distinct target values, shared by PROJECTED functional,
+injective and minimality, and the decisions made from it, so every suite
+and checker of the encoding decides each question once per layout:
+coverage once (total from S, surjective to S, and surjective-in when S is
+the one param set all read it), distinctness and minimality once per
+target columns, or once in FULL mode, which reads no target (functional
+S→R and injective R→S read the same one). A decision holds the witness
+anchor, its evidence and instances_checked, or minimality's witnesses;
+each call builds its own verdict, with its kind's note, from it, and asks
+for T under its own budget before it reads a decision.
+
+Anchors are value-index tuples; only a witness anchor becomes an
+``Instance``. Witness instances are built from T's rows with their pairs
+already in set-id order (``EncodedNetwork.instance_from_row`` through the
+encoding's permutation of its set ids, :func:`_anchor` by its scope's
+sort), and minimality's ``redundant:<set>`` witnesses share one empty
+anchor. Functional and injective fail the first anchor with two or more
+distinct outcomes; its first row and the first with another outcome are
+its evidence. Total, surjective and surjective-in walk the anchors only up
+to the first one the grouping lacks; minimality counts each anchor's
 outcomes from its group. Outcomes are tuples of T's columns, so no target
 is refused for the size of its space.
 """
@@ -44,24 +59,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter, mul
+from operator import attrgetter, getitem, itemgetter, mul
 from typing import Iterable, NamedTuple
 
 from .encode import EncodedNetwork, encode
 
 # count_distinct, distinct_representatives and first_completions are not
 # called here; they stay importable for wrappers of this module's engine calls.
-from .engine import (  # noqa: F401
-    CountMode,
-    Engine,
-    Limits,
-    _backend,
-    consistent_table,
-    count_distinct,
-    distinct_representatives,
-    first_completions,
-    known_sets,
-)
+from .engine import (CountMode, Engine, Limits, _backend, consistent_table,  # noqa: F401
+                     count_distinct, distinct_representatives, first_completions, known_sets)
 from .errors import ScopeMismatchError
 from .model import Instance, Network, mixed_radix, sinks, sources
 
@@ -136,6 +142,15 @@ def _scope(network: Network, scope: Iterable[str]) -> tuple[str, ...]:
     return known
 
 
+def _boundary(network: Network, side) -> tuple[str, ...]:
+    """The network's :func:`sinks` or :func:`sources` (``side``) in
+    declaration order, kept on the network beside its resolved scopes."""
+    known = network._scopes.get(side)
+    if known is None:
+        known = network._scopes[side] = network.set_order(side(network))
+    return known
+
+
 def _query(kind: PropertyKind, network: Network, from_scope: Iterable[str] | None,
            to_scope: Iterable[str] | None, mode: CountMode,
            param: str | None = None) -> PropertyQuery:
@@ -143,7 +158,7 @@ def _query(kind: PropertyKind, network: Network, from_scope: Iterable[str] | Non
     for surjective-in, unless scopes are given; each default is computed
     only when its scope is omitted."""
     if to_scope is None:
-        to_scope = sinks(network) if param is None else (param,)
+        to_scope = _boundary(network, sinks) if param is None else (param,)
     return PropertyQuery(
         kind, _scope(network, network.data_selection if from_scope is None else from_scope),
         _scope(network, to_scope), mode, param)
@@ -174,9 +189,10 @@ class _Layout(NamedTuple):
     group's distinct values there (:func:`_outcomes`), built on first use;
     and the decisions made from the layout, per question and target
     columns (None where the question reads no target), made on first use
-    by :func:`_covered`, :func:`_distinct` and :func:`_minimal`. A
-    decision holds what the question alone fixes, so every kind that asks
-    it shares it; the query and the witness note are the caller's."""
+    by :func:`_decide_covered`, :func:`_decide_distinct` and
+    :func:`_decide_minimal`. A decision holds what the question alone
+    fixes, so every kind that asks it shares it; the query and the
+    witness note are the caller's."""
 
     values: list
     strides: list[int]
@@ -221,45 +237,57 @@ def _outcomes(layout: _Layout, columns: tuple[int, ...]) -> dict:
     return known
 
 
-def _target_columns(plan: _Plan, query: PropertyQuery, target: tuple[str, ...]):
-    """``target``'s columns of T in PROJECTED mode; None in FULL mode,
-    whose outcomes are whole rows."""
-    if query.mode is CountMode.FULL:
-        return None
-    return tuple(plan.enc.set_index[sid] for sid in target)
-
-
-def _verdict(query: PropertyQuery, decision: tuple, note: str) -> Verdict:
-    """The verdict of a decision ``(anchor, evidence, instances_checked)``
-    of :func:`_distinct` or :func:`_covered`: it holds without an anchor,
-    else the anchor is its one witness, with ``note``."""
+def _verdict(network: Network, plan: _Plan, query: PropertyQuery, slot: tuple,
+             known: dict) -> Verdict:
+    """``query``'s verdict through its kind's ``slot`` of :data:`_SLOTS`.
+    ``known`` keeps, per (anchor scope, target), the anchor's layout
+    (:func:`_layout`) and the target's columns of T, None in FULL mode,
+    whose outcomes are whole rows; a covered question reads no target.
+    The layout keeps the question's decision, made on first use; the
+    verdict and its witness are built from it."""
+    question, decide, scopes, note = slot
+    pair = scopes(query)
+    entry = known.get(pair)
+    if entry is None:
+        entry = known[pair] = (
+            _layout(network, plan, pair[0]), None if query.mode is CountMode.FULL
+            else tuple(map(plan.enc.set_index.__getitem__, pair[1])))
+    layout, columns = entry
+    key = question, None if question == "covered" else columns
+    decision = layout.decided.get(key)
+    if decision is None:
+        decision = layout.decided[key] = decide(plan.enc, layout, *pair, key[1])
     anchor, evidence, checked = decision
-    if anchor is None:
-        return Verdict(query, True, (), checked)
-    return Verdict(query, False, (Witness(anchor, evidence, note),), checked)
+    if note is None:  # minimality: the decision holds the redundant sets' witnesses
+        witnesses = anchor
+    else:
+        witnesses = () if anchor is None else (Witness(anchor, evidence, note),)
+    return _made(Verdict, query=query, holds=not witnesses, witnesses=witnesses,
+                 instances_checked=checked)
+
+
+def _made(cls, **fields):
+    """A ``cls``, a frozen dataclass of this module, holding ``fields``,
+    which its caller built valid: equal to, and hashing as, the instance
+    ``cls(**fields)`` would build, without its ``__init__``, which sets
+    each field through ``object.__setattr__`` (and a query checks its
+    param) at about the cost of reading a kept decision."""
+    made = object.__new__(cls)
+    made.__dict__.update(fields)
+    return made
 
 
 def _anchor(scope: tuple[str, ...], layout: _Layout, key: tuple[int, ...]) -> Instance:
-    """The anchor at value indices ``key`` over ``scope``, as an instance."""
-    return Instance(zip(scope, (vs[i] for vs, i in zip(layout.values, key))))
-
-
-def _distinct(network: Network, plan: _Plan, query: PropertyQuery,
-              scope: tuple[str, ...], target: tuple[str, ...], note: str) -> Verdict:
-    """Whether every anchor over ``scope`` has at most one outcome over
-    ``target``, from T's layout by anchor (:func:`_layout`), which keeps
-    the decision per target columns (:func:`_decide_distinct`)."""
-    layout, columns = _layout(network, plan, scope), _target_columns(plan, query, target)
-    decision = layout.decided.get(("distinct", columns))
-    if decision is None:
-        decision = layout.decided["distinct", columns] = _decide_distinct(
-            plan.enc, layout, scope, columns)
-    return _verdict(query, decision, note)
+    """The anchor at value indices ``key`` over ``scope``, as an instance.
+    A scope names each set once, so its pairs sort by set id alone."""
+    return Instance._sorted(tuple(sorted(zip(scope, map(getitem, layout.values, key)))))
 
 
 def _decide_distinct(enc: EncodedNetwork, layout: _Layout, scope: tuple[str, ...],
-                     columns: tuple[int, ...] | None) -> tuple:
-    """:func:`_distinct`'s decision. Only an anchor with two or more rows
+                     target: tuple[str, ...], columns: tuple[int, ...] | None) -> tuple:
+    """Whether every anchor over ``scope`` has at most one outcome over
+    ``target``: the decision ``(anchor, evidence, instances_checked)``,
+    anchor None when it holds. Only an anchor with two or more rows
     can fail, so those are walked in order up to the first with two or
     more distinct outcomes: its rows (FULL, ``columns`` None; T's rows are
     distinct) or their values at ``columns`` (PROJECTED,
@@ -282,88 +310,67 @@ def _decide_distinct(enc: EncodedNetwork, layout: _Layout, scope: tuple[str, ...
             sum(map(mul, key, layout.strides)) + 1)
 
 
-def _covered(network: Network, plan: _Plan, query: PropertyQuery,
-             scope: tuple[str, ...], note: str) -> Verdict:
-    """Whether every anchor over ``scope`` has a consistent completion.
-    The anchors that have one are the keys of T's grouping over ``scope``
-    (:func:`_layout`): the check holds when they fill the anchor space,
-    else the witness is the first anchor in order that they lack, at most
-    |keys| + 1 steps in. The layout keeps the decision, which reads no
+def _decide_covered(enc: EncodedNetwork, layout: _Layout, scope: tuple[str, ...],
+                    target: tuple[str, ...], columns: None) -> tuple:
+    """Whether every anchor over ``scope`` has a consistent completion, as
+    :func:`_decide_distinct`'s decision with no evidence. The anchors that
+    have one are the keys of T's grouping over ``scope``: the check holds
+    when they fill the anchor space, else the witness is the first anchor
+    in order that they lack, at most |keys| + 1 steps in. It reads no
     target."""
-    layout = _layout(network, plan, scope)
-    decision = layout.decided.get(("covered", None))
-    if decision is None:
-        present = layout.groups
-        if len(present) == layout.space:
-            decision = None, (), layout.space
-        else:
-            key = next(key for key in itertools.product(*map(range, map(len, layout.values)))
-                       if key not in present)
-            decision = _anchor(scope, layout, key), (), sum(map(mul, key, layout.strides)) + 1
-        layout.decided["covered", None] = decision
-    return _verdict(query, decision, note)
+    if len(layout.groups) == layout.space:
+        return None, (), layout.space
+    key = next(key for key in itertools.product(*map(range, map(len, layout.values)))
+               if key not in layout.groups)
+    return _anchor(scope, layout, key), (), sum(map(mul, key, layout.strides)) + 1
 
 
-def _minimal(network: Network, plan: _Plan, query: PropertyQuery) -> Verdict:
-    """Minimality over a nonempty from scope; see :func:`check_minimal`.
-    The from scope's layout keeps the redundant sets and
-    instances_checked per target columns."""
-    a_scope = query.from_scope
-    layout = _layout(network, plan, a_scope)
-    columns = _target_columns(plan, query, query.to_scope)
-    decision = layout.decided.get(("minimal", columns))
-    if decision is None:
-        decision = layout.decided["minimal", columns] = _decide_minimal(
-            layout, a_scope, query.to_scope, columns)
-    redundant, checked = decision
-    witnesses = tuple(Witness(Instance(), (), f"redundant:{q}") for q in redundant)
-    return Verdict(query, not redundant, witnesses, checked)
+# Minimality's witnesses name a set, not an anchor; they share one empty instance.
+_NO_ANCHOR = Instance()
 
 
-def _decide_minimal(layout: _Layout, a_scope: tuple[str, ...], to_scope: tuple[str, ...],
-                    columns: tuple[int, ...] | None) -> tuple:
-    """:func:`_minimal`'s decision: the redundant sets of ``a_scope``, in
-    order, and instances_checked."""
+def _decide_minimal(enc: EncodedNetwork, layout: _Layout, a_scope: tuple[str, ...],
+                    to_scope: tuple[str, ...], columns: tuple[int, ...] | None) -> tuple:
+    """Minimality over a nonempty from scope (see :func:`check_minimal`):
+    the decision ``(witnesses, (), instances_checked)``, one
+    ``redundant:<set>`` witness per redundant set of ``a_scope``, in
+    order."""
     full = columns is None
     # Each anchor's distinct outcomes in T: its rows (FULL) or their target
     # projections (PROJECTED); an anchor's count is their number.
     groups = layout.groups if full else _outcomes(layout, columns)
     checked = 0
-    redundant: list[str] = []
+    witnesses: list[Witness] = []
     for qi, q in enumerate(a_scope):
         # Outcomes that hold Q's value (every FULL row does) differ between
         # the instances a restriction covers, so their counts add (``adds``).
         first = _first_separating(groups, qi, len(layout.values[qi]), full or q in to_scope)
         if first is None:
-            redundant.append(q)
+            witnesses.append(Witness(_NO_ANCHOR, (), f"redundant:{q}"))
         checked += (layout.space if first is None
                     else sum(map(mul, first, layout.strides)) + 1)
-    return tuple(redundant), checked
+    return tuple(witnesses), (), checked
 
 
-# Per kind, its verdict from a plan: the anchor scope T is grouped by, and
-# the note of a failure's witness. Only T's build is budgeted.
-_VERDICTS = {
-    PropertyKind.FUNCTIONAL: lambda network, plan, query: _distinct(
-        network, plan, query, query.from_scope, query.to_scope, "multiple-outcomes"),
-    PropertyKind.TOTAL: lambda network, plan, query: _covered(
-        network, plan, query, query.from_scope, "no-outcome"),
-    PropertyKind.INJECTIVE: lambda network, plan, query: _distinct(
-        network, plan, query, query.to_scope, query.from_scope, "multiple-preimages"),
-    PropertyKind.SURJECTIVE: lambda network, plan, query: _covered(
-        network, plan, query, query.to_scope, "unreachable"),
-    PropertyKind.SURJECTIVE_IN: lambda network, plan, query: _covered(
-        network, plan, query, (query.param,), "unrealizable-value"),
-    PropertyKind.MINIMAL: _minimal,
+# Per kind, its slot: the question that decides it and its decider; the
+# query's anchor scope, which T is grouped by, and its target (from/to,
+# to/from or the param alone); and the note of a failure's witness (None
+# for minimality, whose decision holds its witnesses).
+_FROM_TO, _TO_FROM = attrgetter("from_scope", "to_scope"), attrgetter("to_scope", "from_scope")
+_SLOTS = {
+    PropertyKind.FUNCTIONAL: ("distinct", _decide_distinct, _FROM_TO, "multiple-outcomes"),
+    PropertyKind.TOTAL: ("covered", _decide_covered, _FROM_TO, "no-outcome"),
+    PropertyKind.INJECTIVE: ("distinct", _decide_distinct, _TO_FROM, "multiple-preimages"),
+    PropertyKind.SURJECTIVE: ("covered", _decide_covered, _TO_FROM, "unreachable"),
+    PropertyKind.SURJECTIVE_IN: ("covered", _decide_covered, lambda query: (
+        (query.param,), query.to_scope), "unrealizable-value"),
+    PropertyKind.MINIMAL: ("minimal", _decide_minimal, _FROM_TO, None),
 }
 
 _EMPTY_FROM = "minimality requires a nonempty from scope"
 
-
-def _check(network: Network, query: PropertyQuery, limits: Limits,
-           engine: Engine) -> Verdict:
-    """One public checker's verdict, from a plan of its own."""
-    return _VERDICTS[query.kind](network, _plan(network, limits, engine), query)
+_SUITE_KINDS = (PropertyKind.FUNCTIONAL, PropertyKind.TOTAL, PropertyKind.INJECTIVE,
+                PropertyKind.SURJECTIVE, PropertyKind.MINIMAL, PropertyKind.SURJECTIVE_IN)
 
 
 def check_functional(network: Network, from_scope: Iterable[str] | None = None,
@@ -372,8 +379,8 @@ def check_functional(network: Network, from_scope: Iterable[str] | None = None,
                      limits: Limits = _DEFAULT_LIMITS,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every from-instance leads to at most one outcome."""
-    return _check(network, _query(PropertyKind.FUNCTIONAL, network, from_scope, to_scope, mode),
-                  limits, engine)
+    query = _query(PropertyKind.FUNCTIONAL, network, from_scope, to_scope, mode)
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
 
 
 def check_total(network: Network, from_scope: Iterable[str] | None = None,
@@ -386,8 +393,8 @@ def check_total(network: Network, from_scope: Iterable[str] | None = None,
     The result is mode-independent (a completion exists iff a projection
     does); the mode is recorded for symmetry with the other checkers.
     """
-    return _check(network, _query(PropertyKind.TOTAL, network, from_scope, to_scope, mode),
-                  limits, engine)
+    query = _query(PropertyKind.TOTAL, network, from_scope, to_scope, mode)
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
 
 
 def check_injective(network: Network, from_scope: Iterable[str] | None = None,
@@ -396,8 +403,8 @@ def check_injective(network: Network, from_scope: Iterable[str] | None = None,
                     limits: Limits = _DEFAULT_LIMITS,
                     engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is produced by at most one from-instance."""
-    return _check(network, _query(PropertyKind.INJECTIVE, network, from_scope, to_scope, mode),
-                  limits, engine)
+    query = _query(PropertyKind.INJECTIVE, network, from_scope, to_scope, mode)
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
 
 
 def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
@@ -406,8 +413,8 @@ def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
                      limits: Limits = _DEFAULT_LIMITS,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is reachable from some consistent full instance."""
-    return _check(network, _query(PropertyKind.SURJECTIVE, network, from_scope, to_scope, mode),
-                  limits, engine)
+    query = _query(PropertyKind.SURJECTIVE, network, from_scope, to_scope, mode)
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
 
 
 def check_surjective_in(network: Network, param: str,
@@ -420,7 +427,7 @@ def check_surjective_in(network: Network, param: str,
     query = _query(PropertyKind.SURJECTIVE_IN, network, from_scope, to_scope, mode, param)
     if param not in query.to_scope:
         raise ScopeMismatchError(f"param {param!r} must belong to the to scope")
-    return _check(network, query, limits, engine)
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
 
 
 def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
@@ -447,7 +454,7 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     query = _query(PropertyKind.MINIMAL, network, from_scope, to_scope, mode)
     if not query.from_scope:
         raise ScopeMismatchError(_EMPTY_FROM)
-    return _check(network, query, limits, engine)
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
 
 
 def _first_separating(groups: dict, qi: int, size: int,
@@ -483,8 +490,8 @@ def _columns(positions: list[int]):
     return itemgetter(*positions)
 
 
-# check_suite does not dispatch through this table; it stays for wrappers
-# of the named checkers (perfbench/spans.py patches it in traced runs).
+# No checker or suite dispatches through this table (all decide through
+# _SLOTS); it stays for wrappers of the named checkers (perfbench/spans.py).
 _CHECKERS = {
     PropertyKind.FUNCTIONAL: check_functional,
     PropertyKind.TOTAL: check_total,
@@ -514,31 +521,31 @@ def check_suite(network: Network, direction: Direction = Direction.FORWARD,
     if from_scope is None and not network.data_selection:
         raise ScopeMismatchError(
             "check requires a nonempty data selection or an explicit from scope")
-    boundary = sinks if direction is Direction.FORWARD else sources
-    b_scope = _scope(network, boundary(network) if to_scope is None else to_scope)
-    wanted = tuple(kinds) if kinds is not None else (
-        PropertyKind.FUNCTIONAL, PropertyKind.TOTAL, PropertyKind.INJECTIVE,
-        PropertyKind.SURJECTIVE, PropertyKind.MINIMAL, PropertyKind.SURJECTIVE_IN)
+    b_scope = (_boundary(network, sinks if direction is Direction.FORWARD else sources)
+               if to_scope is None else _scope(network, to_scope))
+    recover = direction is Direction.BACKWARD and from_scope is None and to_scope is None
     # The from scope and the plan are resolved for the first verdict that
     # reads them, so they are refused where each checker alone would be.
     a_scope = plan = None
+    known: dict = {}
     verdicts: list[Verdict] = []
-    for kind in wanted:
-        decide = _VERDICTS[kind]
-        if (kind is PropertyKind.INJECTIVE and direction is Direction.BACKWARD
-                and from_scope is None and to_scope is None):
+    for kind in _SUITE_KINDS if kinds is None else tuple(kinds):
+        slot = _SLOTS[kind]
+        if recover and kind is PropertyKind.INJECTIVE:
             # b_scope holds the sources here.
-            queries = [PropertyQuery(kind, b_scope, _scope(network, sinks(network)), mode)]
+            queries = [_made(PropertyQuery, kind=kind, from_scope=b_scope,
+                             to_scope=_boundary(network, sinks), mode=mode, param=None)]
         else:
             params = b_scope if kind is PropertyKind.SURJECTIVE_IN else (None,)
             if params and a_scope is None:
                 a_scope = _scope(network, network.data_selection
                                  if from_scope is None else from_scope)
-            queries = [PropertyQuery(kind, a_scope, b_scope, mode, param) for param in params]
+            queries = [_made(PropertyQuery, kind=kind, from_scope=a_scope, to_scope=b_scope,
+                             mode=mode, param=param) for param in params]
         for query in queries:
-            if kind is PropertyKind.MINIMAL and not query.from_scope:
+            if not query.from_scope and kind is PropertyKind.MINIMAL:
                 raise ScopeMismatchError(_EMPTY_FROM)
             if plan is None:
                 plan = _plan(network, limits, engine)
-            verdicts.append(decide(network, plan, query))
+            verdicts.append(_verdict(network, plan, query, slot, known))
     return tuple(verdicts)

@@ -224,8 +224,8 @@ def _relation_rows(draw):
 @example((("A", "C"), [("a1",), ("a2", "c1")]))
 def test_row_keys_agree_with_the_column_check(case):
     scope, rows = case
-    keys = model.row_keys(model.row_columns(rows, len(scope)),
-                          model.scope_weights(scope, SETS, {}), len(rows))
+    weights = model.scope_weights(scope, SETS, {}, model.mixed_radix(scope, SETS)[0])
+    keys = model.row_keys(model.row_columns(rows, len(scope)), weights, len(rows))
     if not rows_conform(rows, [frozenset(SETS[sid]) for sid in scope]):
         assert keys is None
         return

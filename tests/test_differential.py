@@ -38,6 +38,13 @@ Adding a relation that every consistent full instance satisfies, with
 The same comparisons run on nets drawn by a hypothesis strategy of the
 small nets' shapes, so that a failing net shrinks to a minimal one.
 
+Witness instances, built from T's rows and anchors with their pairs
+already sorted, equal the public constructor's on drawn nets whose set
+ids sort out of declaration order. On corpus and drawn nets the suite's
+slot path builds each anchor scope's layout once, a warm suite adds no
+layout, decision or outcome set, and a suite without kinds encodes
+nothing.
+
 Every generated net also survives a round trip through the text format:
 ``parse(serialize(net))`` gives an equal network with the same
 ``validate`` report. For these texts and the corpus files, the row keys
@@ -88,6 +95,7 @@ from semnet import (
     encode,
     first_completions,
     parse,
+    properties,
     render_json,
     serialize,
     validate,
@@ -906,3 +914,120 @@ def test_the_suite_raises_the_checkers_first_error():
     encode.cache_clear()
     assert check_suite(fig, kinds=()) == check_suite(invalid, kinds=()) == ()
     assert encode.cache_info().currsize == 0
+
+
+# --- witnesses built from T's rows, and the slot path's invariants ----------
+
+# Set ids whose sort order is not their declaration order: upper case sorts
+# before lower case and "ä" after both; a quote or a blank sorts first, and
+# only a Network built in Python can carry those.
+_UNSORTED_IDS = ("Z", "a", "B", "ä", '"q"', "b c", "_", "A2")
+
+
+@st.composite
+def unsorted_id_nets(draw):
+    """A drawn net whose set ids are replaced, in declaration order, by a
+    drawn order of :data:`_UNSORTED_IDS`."""
+    net = draw(drawn_nets())
+    new = dict(zip((vs.id for vs in net.sets), draw(st.permutations(_UNSORTED_IDS))))
+    return Network(net.name, tuple(ValueSet(new[vs.id], vs.values) for vs in net.sets),
+                   tuple(Relation(rel.id, tuple(map(new.get, rel.in_sets)),
+                                  tuple(map(new.get, rel.out_sets)), rel.rows)
+                         for rel in net.relations),
+                   frozenset(map(new.get, net.data_selection)))
+
+
+@seed(SEED)
+@settings(max_examples=100, deadline=None, database=None)
+@given(net=unsorted_id_nets(), data=st.data())
+def test_instances_from_rows_and_anchors_equal_the_checked_constructor(net, data):
+    """Witness instances skip the public constructor's sort and duplicate
+    check: a row's pairs come in the order of the encoding's permutation
+    of its set ids, an anchor's from its scope's sort. On ids whose sort
+    order is not their declaration order, each equals what the public
+    constructor builds, from a dict (rows: every row of T and drawn ones)
+    and from pairs (anchors: every anchor of a drawn scope's space)."""
+    enc = encode(net)
+    ids = [vs.id for vs in net.sets]
+    plan = properties._plan(net, Limits(), Engine.JOIN)
+    drawn = st.tuples(*(st.integers(0, len(vs.values) - 1) for vs in net.sets))
+    for row in plan.table + data.draw(st.lists(drawn, max_size=5)):
+        values = [vs.values[i] for vs, i in zip(net.sets, row)]
+        assert enc.instance_from_row(row) == Instance(dict(zip(ids, values)))
+    scope = net.set_order(data.draw(st.lists(st.sampled_from(ids), unique=True)))
+    layout = properties._layout(net, plan, scope)
+    for key in itertools.product(*map(range, map(len, layout.values))):
+        values = [vs[i] for vs, i in zip(layout.values, key)]
+        assert properties._anchor(scope, layout, key) == Instance(zip(scope, values))
+
+
+def _anchor_of(query):
+    """The anchor scope a verdict of ``query`` groups T by."""
+    if query.kind is PropertyKind.SURJECTIVE_IN:
+        return (query.param,)
+    if query.kind in (PropertyKind.INJECTIVE, PropertyKind.SURJECTIVE):
+        return query.to_scope
+    return query.from_scope
+
+
+def _kept_on(enc):
+    """What the encoding keeps for the checkers: its layouts, their
+    decisions and their outcome sets, counted."""
+    layouts = enc.groups.values()
+    return (len(enc.groups), sum(len(layout.decided) for layout in layouts),
+            sum(len(layout.outcomes) for layout in layouts))
+
+
+def _slot_path_invariants(net, runs):
+    """Under both engines, from a cold encoding, each suite of ``runs``
+    (direction, mode pairs) builds the layout of each anchor scope that no
+    earlier suite read, once, and no other; asked again at once, and again
+    after all of them, a suite adds no layout, decision or outcome set.
+    With no kinds, a suite encodes nothing."""
+    for engine in Engine:
+        encode.cache_clear()
+        enc = encode(net)
+        built = []
+
+        class Tally(dict):
+            def __setitem__(self, key, layout):
+                built.append(key[1])
+                super().__setitem__(key, layout)
+        object.__setattr__(enc, "groups", Tally())
+        read = set()
+        for direction, mode in runs:
+            before = len(built)
+            verdicts = check_suite(net, direction, mode, engine=engine)
+            new = {_anchor_of(verdict.query) for verdict in verdicts} - read
+            assert sorted(built[before:]) == sorted(new), (net.name, direction, mode)
+            read |= new
+            kept = _kept_on(enc)
+            assert check_suite(net, direction, mode, engine=engine) == verdicts
+            assert _kept_on(enc) == kept
+        for direction, mode in runs:
+            check_suite(net, direction, mode, engine=engine)
+        assert _kept_on(enc) == kept and len(built) == len(read)
+        encode.cache_clear()
+        for direction, mode in runs:
+            assert check_suite(net, direction, mode, engine=engine, kinds=()) == ()
+        assert encode.cache_info().currsize == 0
+
+
+def test_the_slot_path_keeps_its_invariants_on_corpus_nets():
+    """:func:`_slot_path_invariants` on every corpus net with a data
+    selection, its suites in a shuffled order."""
+    rng = random.Random(SEED + 5)
+    nets = [net for net in all_networks().values()
+            if validate(net).ok and net.data_selection]
+    assert len(nets) >= 8
+    for net in nets:
+        _slot_path_invariants(net, rng.sample(list(itertools.product(Direction, CountMode)), 4))
+
+
+@seed(SEED)
+@settings(max_examples=60, deadline=None, database=None)
+@given(net=drawn_nets(), data=st.data())
+def test_the_slot_path_keeps_its_invariants_on_drawn_nets(net, data):
+    """:func:`_slot_path_invariants` on drawn nets, in a drawn order."""
+    _slot_path_invariants(net, data.draw(st.permutations(
+        list(itertools.product(Direction, CountMode)))))
