@@ -13,9 +13,12 @@ the encoding: the join search's per-relation dicts
 (``bruteforce.build_index``). The consistent table T that each engine
 builds for the property checkers is kept there too, and so is T's
 layout by each anchor scope a checker reads, with the decisions made
-from it, so all are freed with the cache entry. What the engine prepares
-per call (fixed value indices, target positions) stays in plain Python
-ints.
+from it, and the one ``Instance`` of each row of T that a decision holds
+as evidence (:meth:`EncodedNetwork.kept_instance`), so every decision
+and report of the encoding shares it, with its rendered text, and all
+are freed with the cache entry. The engine's own completions build fresh
+instances and keep none. What the engine prepares per call (fixed value
+indices, target positions) stays in plain Python ints.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ class EncodedNetwork:
     # decisions made from it, each kept once a checker reads it
     # (``properties._Layout``); it refers to no encoding.
     groups: dict = field(default_factory=dict, compare=False, repr=False)
+    # Per row of T (value indices) that a decision holds as evidence, its
+    # one Instance (``kept_instance``), shared by every decision and report.
+    instances: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_sets(self) -> int:
@@ -90,6 +96,14 @@ class EncodedNetwork:
         set-id order (``by_id``)."""
         ids, sets = self.set_ids, self.network.sets
         return Instance._sorted(tuple([(ids[i], sets[i].values[row[i]]) for i in self.by_id]))
+
+    def kept_instance(self, row: tuple[int, ...]) -> Instance:
+        """``instance_from_row(row)``, built once per encoding and kept in
+        ``instances``: the property checkers' evidence rows."""
+        instance = self.instances.get(row)
+        if instance is None:
+            instance = self.instances[row] = self.instance_from_row(row)
+        return instance
 
     def target_positions(self, target: frozenset[str]) -> list[int]:
         """Set positions of the target, ascending; refused when the target's

@@ -63,6 +63,10 @@ class Engine(Enum):
     BRUTEFORCE = "bruteforce"
 
 
+# Read twice per plan: a member read through its class runs Enum's lookup.
+_JOIN = Engine.JOIN
+
+
 @dataclass(frozen=True)
 class Limits:
     max_enumerated: int = 10_000_000
@@ -130,7 +134,7 @@ def _backend(enc: EncodedNetwork, engine: Engine) -> tuple[object, object]:
     """The module whose entry points serve ``engine`` and the index they
     take. The join search walks one level per set, so a network without
     sets goes to brute force, which is imported on its first use."""
-    if engine is Engine.JOIN and enc.n_sets:
+    if engine is _JOIN and enc.n_sets:
         return kernels, enc.join_index
     from . import bruteforce
     return bruteforce, enc.bruteforce_index

@@ -13,7 +13,8 @@ All types are immutable and hashable; all operations are pure. A
 as the hash of its fields), its :func:`validate` report, its
 relations' row keys (:func:`row_keys`) and their strides, both handed
 over by ``netdef.parse``, and the checkers' resolved scopes. It never
-pickles or copies the memos, since str hashes differ between processes.
+pickles or copies the memos, since str hashes differ between processes;
+an ``Instance`` keeps its pairs' report text the same way.
 Constructors accept structurally broken input (dangling references,
 cycles, duplicate rows): :func:`validate` reports such defects instead of
 raising, so parsed files can be diagnosed in full.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 from operator import add
 
 __all__ = [
@@ -152,7 +154,12 @@ class Instance:
     """A partial assignment of values to sets; the scope is the key set.
 
     ``assignment`` holds the ``(set id, value)`` pairs sorted by set id;
-    a repeated set id is refused with ``ValueError``."""
+    a repeated set id is refused with ``ValueError``. An instance keeps,
+    on first use, its pairs as the report's JSON text (``_json_pairs``),
+    so an instance that several reports show, such as a witness row kept
+    on its encoding, is escaped once. Like ``Network``'s memos, it takes
+    no part in ``==``, ``hash`` or ``repr`` and is never pickled or
+    copied."""
 
     assignment: tuple[tuple[str, str], ...]
 
@@ -188,6 +195,17 @@ class Instance:
 
     def __contains__(self, set_id: str) -> bool:
         return any(k == set_id for k, _ in self.assignment)
+
+    @cached_property
+    def _json_pairs(self) -> tuple[str, ...]:
+        """Each pair as ``"set id": "value"``, both strings escaped as
+        ``json.dumps`` escapes them; ``report.render_json`` joins them at
+        the depth it writes the instance at."""
+        return tuple([_json_string(k) + ": " + _json_string(v) for k, v in self.assignment])
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the pairs only, never the memo.
+        return {"assignment": self.assignment}
 
 
 @dataclass(frozen=True)

@@ -45,13 +45,17 @@ Anchors are value-index tuples; only a witness anchor becomes an
 ``Instance``. Witness instances are built from T's rows with their pairs
 already in set-id order (``EncodedNetwork.instance_from_row`` through the
 encoding's permutation of its set ids, :func:`_anchor` by its scope's
-sort), and minimality's ``redundant:<set>`` witnesses share one empty
-anchor. Functional and injective fail the first anchor with two or more
-distinct outcomes; its first row and the first with another outcome are
-its evidence. Total, surjective and surjective-in walk the anchors only up
-to the first one the grouping lacks; minimality counts each anchor's
-outcomes from its group. Outcomes are tuples of T's columns, so no target
-is refused for the size of its space.
+sort). An evidence row's instance is built once per encoding and kept
+there (``EncodedNetwork.kept_instance``), so decisions that fail on the
+same rows, FULL and PROJECTED or join and brute force, hold one instance,
+which the report renders once; minimality's ``redundant:<set>``
+witnesses share one empty anchor. Functional and injective fail the
+first anchor with two or more distinct outcomes; its first row and the
+first with another outcome are its evidence. Total, surjective and
+surjective-in walk the anchors only up to the first one the grouping
+lacks; minimality counts each anchor's outcomes from its group, and
+settles a one-valued set without a walk. Outcomes are tuples of T's
+columns, so no target is refused for the size of its space.
 """
 
 from __future__ import annotations
@@ -87,6 +91,9 @@ __all__ = [
 ]
 
 _DEFAULT_LIMITS = Limits()
+# CountMode.FULL, read per new (anchor scope, target) pair: a member read
+# through its class runs Enum's Python-level lookup.
+_FULL = CountMode.FULL
 
 
 class PropertyKind(Enum):
@@ -96,6 +103,10 @@ class PropertyKind(Enum):
     SURJECTIVE = "surjective"
     SURJECTIVE_IN = "surjective_in"
     MINIMAL = "minimal"
+
+
+# Read per kind of a suite, and per query.
+_SURJECTIVE_IN, _INJECTIVE = PropertyKind.SURJECTIVE_IN, PropertyKind.INJECTIVE
 
 
 class Direction(Enum):
@@ -112,7 +123,7 @@ class PropertyQuery:
     param: str | None = None
 
     def __post_init__(self) -> None:
-        if (self.param is not None) != (self.kind is PropertyKind.SURJECTIVE_IN):
+        if (self.param is not None) != (self.kind is _SURJECTIVE_IN):
             raise ValueError("param is required for SURJECTIVE_IN and only there")
 
 
@@ -250,7 +261,7 @@ def _verdict(network: Network, plan: _Plan, query: PropertyQuery, slot: tuple,
     entry = known.get(pair)
     if entry is None:
         entry = known[pair] = (
-            _layout(network, plan, pair[0]), None if query.mode is CountMode.FULL
+            _layout(network, plan, pair[0]), None if query.mode is _FULL
             else tuple(map(plan.enc.set_index.__getitem__, pair[1])))
     layout, columns = entry
     key = question, None if question == "covered" else columns
@@ -261,7 +272,8 @@ def _verdict(network: Network, plan: _Plan, query: PropertyQuery, slot: tuple,
     if note is None:  # minimality: the decision holds the redundant sets' witnesses
         witnesses = anchor
     else:
-        witnesses = () if anchor is None else (Witness(anchor, evidence, note),)
+        witnesses = () if anchor is None else (
+            _made(Witness, anchor=anchor, evidence=evidence, note=note),)
     return _made(Verdict, query=query, holds=not witnesses, witnesses=witnesses,
                  instances_checked=checked)
 
@@ -306,7 +318,7 @@ def _decide_distinct(enc: EncodedNetwork, layout: _Layout, scope: tuple[str, ...
     first = outcome(group[0])
     other = next(row for row in itertools.islice(group, 1, None) if outcome(row) != first)
     return (_anchor(scope, layout, key),
-            (enc.instance_from_row(group[0]), enc.instance_from_row(other)),
+            (enc.kept_instance(group[0]), enc.kept_instance(other)),
             sum(map(mul, key, layout.strides)) + 1)
 
 
@@ -369,8 +381,10 @@ _SLOTS = {
 
 _EMPTY_FROM = "minimality requires a nonempty from scope"
 
-_SUITE_KINDS = (PropertyKind.FUNCTIONAL, PropertyKind.TOTAL, PropertyKind.INJECTIVE,
-                PropertyKind.SURJECTIVE, PropertyKind.MINIMAL, PropertyKind.SURJECTIVE_IN)
+# The default kinds of a suite, in order, each with its slot.
+_SUITE_SLOTS = tuple((kind, _SLOTS[kind]) for kind in (
+    PropertyKind.FUNCTIONAL, PropertyKind.TOTAL, PropertyKind.INJECTIVE,
+    PropertyKind.SURJECTIVE, PropertyKind.MINIMAL, PropertyKind.SURJECTIVE_IN))
 
 
 def check_functional(network: Network, from_scope: Iterable[str] | None = None,
@@ -449,7 +463,8 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     a walk of the instances in order would examine: for every Q, the rank
     of the first separating i, or all instances when none separates. Only
     an i whose restriction has rows in T can separate, so no instance
-    space is walked.
+    space is walked, and a Q with one value separates none, so its
+    instances are not walked at all.
     """
     query = _query(PropertyKind.MINIMAL, network, from_scope, to_scope, mode)
     if not query.from_scope:
@@ -464,7 +479,10 @@ def _first_separating(groups: dict, qi: int, size: int,
     values), or None. Only instances whose restriction has rows can
     differ, so only those are walked: per head (before ``qi``) of the
     keys, each value with every tail in order. ``adds`` as in
-    :func:`check_minimal`."""
+    :func:`check_minimal`. A position with one value separates nothing:
+    the restriction covers that one instance alone, so no walk is made."""
+    if size == 1:
+        return None
     for head, block in itertools.groupby(groups, lambda key: key[:qi]):
         tails = sorted({key[qi + 1:] for key in block})
         dropped: dict[tuple, int] = {}  # per tail, the restriction's count
@@ -529,14 +547,13 @@ def check_suite(network: Network, direction: Direction = Direction.FORWARD,
     a_scope = plan = None
     known: dict = {}
     verdicts: list[Verdict] = []
-    for kind in _SUITE_KINDS if kinds is None else tuple(kinds):
-        slot = _SLOTS[kind]
-        if recover and kind is PropertyKind.INJECTIVE:
+    for kind, slot in _SUITE_SLOTS if kinds is None else ((k, _SLOTS[k]) for k in kinds):
+        if recover and kind is _INJECTIVE:
             # b_scope holds the sources here.
             queries = [_made(PropertyQuery, kind=kind, from_scope=b_scope,
                              to_scope=_boundary(network, sinks), mode=mode, param=None)]
         else:
-            params = b_scope if kind is PropertyKind.SURJECTIVE_IN else (None,)
+            params = b_scope if kind is _SURJECTIVE_IN else (None,)
             if params and a_scope is None:
                 a_scope = _scope(network, network.data_selection
                                  if from_scope is None else from_scope)

@@ -13,7 +13,14 @@ indent, CPython drops its C encoder and walks every dict, list and key in
 Python generators, which take over three times as long as this writer.
 The verdicts of one document share a few from and to scopes, so each
 scope's array is rendered once per document, and a verdict without
-witnesses writes its empty list as is. The output equals that call's plus
+witnesses writes its empty list as is. Each property name is escaped once,
+at import. A witness's instances are rendered once per encoding: the
+checkers keep one instance per evidence row of T on the encoding
+(``EncodedNetwork.kept_instance``), and their decisions, shared by every
+suite, keep their anchors, while each instance keeps its escaped
+``"set": "value"`` pairs (``Instance._json_pairs``), which this writer
+joins at the depth it writes the instance at. Every document's bytes are
+unchanged by it. The output equals that call's plus
 a trailing newline. The call lives on as ``oracle_render_json`` in
 ``tests/oracle.py``; ``tests/test_report.py`` compares the two on
 generated verdicts and fails if rendering enters json's Python encoder.
@@ -26,7 +33,7 @@ from typing import Iterable, Sequence
 
 from .model import Instance
 from .netdef import format_value
-from .properties import Verdict, Witness
+from .properties import PropertyKind, Verdict, Witness
 
 __all__ = ["render_json", "render_text"]
 
@@ -92,20 +99,25 @@ _WITNESS = """{
         }"""
 
 
+# Per depth of a block, what precedes its first item (a line break and
+# the item's indent) and each later one (a comma, then the same).
+_INNER = tuple("\n" + indent for indent in _INDENT[1:])
+_COMMA = tuple("," + inner for inner in _INNER)
+
+
 def _block(items: Sequence[str], depth: int, brackets: str) -> str:
     """An array (``brackets="[]"``) or object (``"{}"``) of rendered
     ``items``, opened on a line at ``depth``; empty, it stays on one line."""
     if not items:
         return brackets
-    inner = "\n" + _INDENT[depth + 1]
-    return (brackets[0] + inner + ("," + inner).join(items)
+    return (brackets[0] + _INNER[depth] + _COMMA[depth].join(items)
             + "\n" + _INDENT[depth] + brackets[1])
 
 
 def _instance(instance: Instance, depth: int) -> str:
+    # The pairs are rendered once per instance (``Instance._json_pairs``);
     # ``assignment`` is sorted by set id, and set ids are unique.
-    return _block([_string(k) + ": " + _string(v) for k, v in instance.assignment],
-                  depth, "{}")
+    return _block(instance._json_pairs, depth, "{}")
 
 
 def _witness(witness: Witness) -> str:
@@ -124,6 +136,11 @@ def _scope(scope: tuple[str, ...], scopes: dict[tuple[str, ...], str]) -> str:
     return block
 
 
+# Per kind, keyed by its value (``_value_``, the plain attribute behind
+# ``Enum.value``), its rendered property name.
+_PROPERTY = {kind._value_: _string(kind._value_) for kind in PropertyKind}
+
+
 def _verdict(verdict: Verdict, scopes: dict[tuple[str, ...], str]) -> str:
     q = verdict.query
     return _VERDICT % (
@@ -131,7 +148,7 @@ def _verdict(verdict: Verdict, scopes: dict[tuple[str, ...], str]) -> str:
         "true" if verdict.holds else "false",
         int.__repr__(verdict.instances_checked),
         "null" if q.param is None else _string(q.param),
-        _string(q.kind.value),
+        _PROPERTY[q.kind._value_],
         _scope(q.to_scope, scopes),
         _block([_witness(w) for w in verdict.witnesses], 3, "[]")
         if verdict.witnesses else "[]")

@@ -1031,3 +1031,81 @@ def test_the_slot_path_keeps_its_invariants_on_drawn_nets(net, data):
     """:func:`_slot_path_invariants` on drawn nets, in a drawn order."""
     _slot_path_invariants(net, data.draw(st.permutations(
         list(itertools.product(Direction, CountMode)))))
+
+
+# --- minimality's separation walk -----------------------------------------------
+
+def _separating_by_walk(groups, sizes, qi, adds):
+    """The lex-first instance of the anchor space of ``sizes`` whose count
+    in ``groups`` differs from its restriction's without position ``qi``,
+    with every instance walked in order and no shortcut, or None."""
+    for key in itertools.product(*map(range, sizes)):
+        near = [groups.get(key[:qi] + (u,) + key[qi + 1:], ()) for u in range(sizes[qi])]
+        dropped = sum(map(len, near)) if adds else len(set().union(*near))
+        if len(groups.get(key, ())) != dropped:
+            return key
+    return None
+
+
+@st.composite
+def _grouped(draw, one_valued=False):
+    """An anchor space's value counts, a position of it (with one value
+    when ``one_valued``), and groups keyed in order by some of its
+    instances, each a nonempty set of outcomes."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    qi = draw(st.integers(0, len(sizes) - 1))
+    if one_valued:
+        sizes[qi] = 1
+    space = list(itertools.product(*map(range, sizes)))
+    keys = sorted(draw(st.sets(st.sampled_from(space))))
+    return sizes, qi, {key: draw(st.frozensets(st.integers(0, 3), min_size=1)) for key in keys}
+
+
+@seed(SEED)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_grouped(), st.booleans())
+def test_the_separation_walk_equals_a_walk_of_every_instance(drawn, adds):
+    """Minimality's walk of the groups' heads and tails finds the instance
+    a walk of the whole anchor space finds, in both ways of counting."""
+    sizes, qi, groups = drawn
+    assert (properties._first_separating(groups, qi, sizes[qi], adds)
+            == _separating_by_walk(groups, sizes, qi, adds))
+
+
+@seed(SEED)
+@settings(max_examples=80, deadline=None, database=None)
+@given(_grouped(one_valued=True))
+def test_a_one_valued_position_separates_no_instance(drawn):
+    """A restriction without a one-valued position covers its instance
+    alone, so their counts are equal: no instance separates, in either
+    way of counting a restriction, and the groups are not walked."""
+    sizes, qi, groups = drawn
+
+    class Unwalked(dict):
+        def __iter__(self, *key):
+            raise AssertionError("a one-valued position was walked")
+        get = __getitem__ = __iter__
+    for adds in (True, False):
+        assert properties._first_separating(Unwalked(groups), qi, 1, adds) is None
+        assert _separating_by_walk(groups, sizes, qi, adds) is None
+
+
+def test_minimality_over_one_valued_sets_equals_the_oracle(monkeypatch):
+    """fig1-mini's data selection holds three one-valued sets, which
+    minimality settles without a walk. In both modes and under both
+    engines its verdict still equals the oracle's, witnesses and
+    instances_checked included. The oracle's completions are filtered
+    from one naive walk of the full space."""
+    net = all_networks()["fig1-mini"]
+    one_valued = [sid for sid in net.set_order(net.data_selection)
+                  if len(net.value_set(sid).values) == 1]
+    assert one_valued == ["Clef", "KeySig", "InstrTranspo"]
+    consistent = oracle_completions(net, {})
+    monkeypatch.setattr(oracle, "oracle_completions", lambda network, partial: [
+        full for full in consistent if all(full[k] == v for k, v in partial.items())])
+    for mode, engine in itertools.product(CountMode, Engine):
+        verdict = check_minimal(net, mode=mode, engine=engine)
+        got = [(w.note, list(w.evidence)) for w in verdict.witnesses]
+        assert (verdict.holds, verdict.instances_checked, got) == _oracle_verdict(
+            net, verdict.query), (mode, engine)
+        assert {f"redundant:{sid}" for sid in one_valued} <= {note for note, _ in got}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import operator
 import random
 import sys
 import weakref
@@ -50,6 +51,7 @@ from semnet import (
     full_space_size,
     kernels,
     properties,
+    render_json,
     sinks,
     sources,
 )
@@ -654,13 +656,26 @@ def test_consistent_table_is_freed_with_its_encoding():
     """T and its layouts, with their decisions, live on the encoding, one
     per backend, and go with it; a new encoding starts with neither.
     Nothing kept there refers back to the encoding, so it goes without
-    the cycle collector, and so do the instances its decisions hold."""
+    the cycle collector, and so do the instances its decisions hold: the
+    one instance per evidence row of T that both backends' decisions
+    share, rendered or not."""
     fig = all_networks()["fig1-mini"]
     encode.cache_clear()
     for eng in ENGINES:
         check_minimal(fig, engine=eng)
-        assert not check_functional(fig, engine=eng).holds
+        verdict = check_functional(fig, engine=eng)
+        assert not verdict.holds
+        render_json(fig.name, "forward", "projected", [verdict])
+    del verdict
     enc = encode(fig)
+    evidence = [instance for layout in enc.groups.values()
+                for (question, _), decision in layout.decided.items()
+                if question == "distinct" for instance in decision[1]]
+    assert len(evidence) == 2 * 2 and len(enc.instances) == 2
+    assert all(any(instance is row for row in enc.instances.values()) for instance in evidence)
+    assert all("_json_pairs" in vars(row) for row in enc.instances.values())
+    rows = [weakref.ref(row) for row in enc.instances.values()]
+    del evidence
     assert len(enc.tables) == 2
     assert [backend for backend, _ in enc.groups] == [kernels, bruteforce]
     assert all(layout.outcomes for layout in enc.groups.values())
@@ -678,10 +693,48 @@ def test_consistent_table_is_freed_with_its_encoding():
         encode.cache_clear()
         assert ref() is None
         assert all(instance() is None for instance in kept)
+        assert all(row() is None for row in rows)
     finally:
         if enabled:
             gc.enable()
-    assert not encode(fig).tables and not encode(fig).groups
+    assert not encode(fig).tables and not encode(fig).groups and not encode(fig).instances
+
+
+def test_engine_completions_keep_no_instance():
+    """The engine's own calls build fresh instances and keep none on the
+    encoding; only the checkers' evidence rows are kept, each once."""
+    fig = all_networks()["fig1-mini"]
+    encode.cache_clear()
+    enc = encode(fig)
+    partial = Instance({"Clef": fig.value_set("Clef").values[0]})
+    for eng in ENGINES:
+        full = engine.completions(fig, partial, engine=eng)
+        assert len(full) == 6
+        assert engine.first_completions(fig, partial, 2, engine=eng) == full[:2]
+        assert engine.distinct_representatives(fig, partial, sinks(fig), 2, engine=eng)
+    assert not enc.instances
+    again = engine.completions(fig, partial)
+    assert again == full and all(map(operator.is_not, again, full))
+    check_suite(fig)
+    assert enc.instances and all(instance == enc.instance_from_row(row)
+                                 for row, instance in enc.instances.items())
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_full_and_projected_decisions_share_their_evidence_rows(engine):
+    """FULL and PROJECTED functional on t3 fail at the same anchor with
+    the same two rows of T; their decisions, and the other backend's,
+    hold the one instance the encoding keeps per row."""
+    net = build_t3()
+    encode.cache_clear()
+    full, projected = (check_functional(net, {"X"}, {"Y"}, mode, engine=engine)
+                       for mode in (CountMode.FULL, CountMode.PROJECTED))
+    assert full.witnesses[0].evidence == projected.witnesses[0].evidence
+    assert all(map(operator.is_, full.witnesses[0].evidence, projected.witnesses[0].evidence))
+    other = check_functional(net, {"X"}, {"Y"}, CountMode.FULL,
+                             engine=next(e for e in ENGINES if e is not engine))
+    assert all(map(operator.is_, other.witnesses[0].evidence, full.witnesses[0].evidence))
+    assert list(encode(net).instances.values()) == list(full.witnesses[0].evidence)
 
 
 def _anchor_scope(query):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -138,7 +140,7 @@ def test_render_json_single_verdict():
 
 # Quotes, backslashes, control characters and non-ASCII up to the astral
 # planes, besides arbitrary text.
-_TEXT = (st.text(st.sampled_from('aZ0 _-/"\\\n\t\x00\x1f\x7f\xe9\u20ac\u2028\U0001d11e'),
+_TEXT = (st.text(st.sampled_from('aZ0 _-/#"\\\n\t\x00\x1f\x7f\xe4\xe9\u20ac\u2028\U0001d11e'),
                  max_size=4)
          | st.text(max_size=3))
 _INSTANCES = st.dictionaries(_TEXT, _TEXT, max_size=3).map(Instance)
@@ -184,3 +186,58 @@ def test_render_json_never_enters_the_python_encoder(monkeypatch):
     verdicts = check_suite(net, Direction.FORWARD, CountMode.PROJECTED)
     assert (render_json(net.name, "forward", "projected", verdicts)
             == (GOLDEN / "fig1-mini-oor.forward.projected.json").read_text("utf-8"))
+
+
+# --- each instance's pairs are rendered once, invisibly ----------------------
+
+def _report(*witnesses):
+    """A one-verdict document holding ``witnesses``, rendered by both
+    writers."""
+    verdict = Verdict(PropertyQuery(PropertyKind.FUNCTIONAL, ("A",), ("B",), CountMode.FULL),
+                      False, witnesses, 1)
+    return (render_json("n", "forward", "full", [verdict]),
+            oracle_render_json("n", "forward", "full", [verdict]))
+
+
+@seed(20241021)
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.lists(_INSTANCES, min_size=1, max_size=4))
+def test_a_rendered_instance_compares_copies_and_pickles_as_before(instances):
+    """Rendering keeps each instance's rendered pairs on it, and nothing
+    else sees them: the instance equals, hashes and reprs as before, its
+    copies and unpickled copies carry no memo, and it pickles to the bytes
+    it pickled to before and to those of a fresh, never rendered, equal
+    instance."""
+    fresh = [Instance(instance.as_dict()) for instance in instances]
+    before = [(hash(i), repr(i), pickle.dumps(i)) for i in instances]
+    mine, theirs = _report(Witness(instances[0], tuple(instances[1:]), "note"),
+                           Witness(instances[-1], tuple(instances), "note"))
+    assert mine == theirs
+    for instance, new, (hashed, shown, pickled) in zip(instances, fresh, before):
+        assert "_json_pairs" in vars(instance) and "_json_pairs" not in vars(new)
+        assert instance == new and hash(instance) == hashed == hash(new)
+        assert repr(instance) == shown == repr(new)
+        assert pickle.dumps(instance) == pickled
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(instance, protocol) == pickle.dumps(new, protocol)
+        for copied in (copy.copy(instance), copy.deepcopy(instance), pickle.loads(pickled)):
+            assert copied == instance and hash(copied) == hashed and repr(copied) == shown
+            assert vars(copied) == {"assignment": instance.assignment}
+
+
+def test_one_instance_renders_alike_as_anchor_and_as_evidence():
+    """An instance's pairs do not depend on the depth they are written at:
+    one instance that needs escaping, used as an anchor (depth 5) and as
+    evidence (depth 6), renders as ``json.dumps`` does, whichever depth it
+    is first rendered at."""
+    other = Instance({"A": "x"})
+    for anchor_first in (True, False):
+        instance = Instance({"Clef": "c#4", "Say": 'say "hi"', "Slash": "back\\slash",
+                             "Umlaut": "\xe4", "Ctl": "\x00\x1f"})
+        witnesses = (Witness(instance, (other, instance), "multiple-outcomes"),)
+        if not anchor_first:
+            witnesses = (Witness(other, (instance,), "multiple-outcomes"),) + witnesses
+        mine, theirs = _report(*witnesses)
+        assert mine == theirs
+        assert ('"Clef": "c#4"' in mine and '"Say": "say \\"hi\\""' in mine
+                and '"Slash": "back\\\\slash"' in mine and '"Umlaut": "\\u00e4"' in mine)
