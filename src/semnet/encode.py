@@ -18,7 +18,9 @@ as evidence (:meth:`EncodedNetwork.kept_instance`), so every decision
 and report of the encoding shares it, with its rendered text, and all
 are freed with the cache entry. The engine's own completions build fresh
 instances and keep none. What the engine prepares per call (fixed value
-indices, target positions) stays in plain Python ints.
+indices, target positions) stays in plain Python ints, and a projection
+onto a target is a tuple of value indices, so only a relation scope whose
+value space passes 2^62 is refused (``KeyOverflowError``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .model import Instance, Network, validate
 
 __all__ = ["EncodedNetwork", "encode"]
 
-# Brute force's keys are int64; both engines refuse scopes whose product could wrap.
+# Brute force's row keys are int64; both engines refuse relation scopes
+# whose product could wrap.
 _KEY_LIMIT = 2**62
 
 
@@ -104,20 +107,6 @@ class EncodedNetwork:
         if instance is None:
             instance = self.instances[row] = self.instance_from_row(row)
         return instance
-
-    def target_positions(self, target: frozenset[str]) -> list[int]:
-        """Set positions of the target, ascending; refused when the target's
-        value space would overflow an int64 projection key."""
-        ordered = self.network.set_order(target)
-        positions = [self.set_index[sid] for sid in ordered]
-        space = 1
-        for i in reversed(positions):
-            space *= self.sizes[i]
-            if space > _KEY_LIMIT:
-                raise KeyOverflowError(
-                    f"projection target {{{','.join(ordered)}}} "
-                    "space exceeds the engine's 2^62 key limit")
-        return positions
 
 
 @lru_cache(maxsize=64)

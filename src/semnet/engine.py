@@ -3,23 +3,27 @@
 Two interchangeable engines back the heavy operations: JOIN, a backtracking
 natural join that checks each relation as soon as its scope is assigned
 (``kernels``), and BRUTEFORCE, a chunked enumeration of the whole candidate
-space (``bruteforce``). They share no code but one call contract: the same
-four entry points, each taking its engine's index of the encoding, with the
-same results and deterministic order, so they cross-validate each other and
-:func:`_backend` is the only place that tells them apart. Callers choose per
-call and must get identical results either way. A network without sets
-always goes to brute force, whose walk covers its one candidate, the empty
-instance.
+space (``bruteforce``). They share no code but one call contract: a
+``build_index`` from the encoding, kept on it, and a generator
+``walk(index, fixed, budget)`` of a partial's consistent completions, as
+tuples of value indices in one deterministic order, so they cross-validate
+each other and :func:`_backend` is the only place that tells them apart.
+Every call here reads either walk through the same consumers in
+``kernels``, which stop it early. Callers choose per call and must get
+identical results either way. A network without sets always goes to brute
+force, whose walk covers its one candidate, the empty instance.
 
 Enumeration order everywhere is lexicographic in (set declaration order,
 value declaration order). ``Limits.max_enumerated`` bounds the work of
 each search, as the search nodes the join visits or the candidate space
 brute force walks, :func:`consistent_table`'s build among them. Every
-backend call takes it and raises ``LimitExceededError`` rather than
-truncate silently. Only :func:`enumerate_instances`, which walks a
-cartesian space itself, checks that space here. ``Limits.cap`` is an
-early-stop for :func:`count_distinct`, the one reader of it: its result is
-then ``min(true count, cap)``.
+walk takes it and raises ``LimitExceededError`` rather than truncate
+silently. Only :func:`enumerate_instances`, which walks a cartesian space
+itself, checks that space here. ``Limits.cap`` is an early-stop for
+:func:`count_distinct`, the one reader of it: its result is then
+``min(true count, cap)``. A projection target is a list of set positions,
+and projections are tuples of value indices, so no target is refused for
+the size of its value space.
 """
 
 from __future__ import annotations
@@ -131,49 +135,57 @@ def full_space_size(network: Network) -> int:
 
 
 def _backend(enc: EncodedNetwork, engine: Engine) -> tuple[object, object]:
-    """The module whose entry points serve ``engine`` and the index they
-    take. The join search walks one level per set, so a network without
-    sets goes to brute force, which is imported on its first use."""
+    """The module whose ``walk`` serves ``engine`` and the index it takes.
+    The join search walks one level per set, so a network without sets
+    goes to brute force, which is imported on its first use."""
     if engine is _JOIN and enc.n_sets:
         return kernels, enc.join_index
     from . import bruteforce
     return bruteforce, enc.bruteforce_index
 
 
+def _walk(network: Network, partial: Instance, limits: Limits,
+          engine: Engine) -> tuple[EncodedNetwork, Iterator[tuple[int, ...]]]:
+    """The encoding, and the engine's walk of the partial's completions."""
+    enc = encode(network)
+    fixed = enc.fixed_from(partial)
+    backend, data = _backend(enc, engine)
+    return enc, backend.walk(data, fixed, limits.max_enumerated)
+
+
 def completions(network: Network, partial: Instance,
                 limits: Limits = _DEFAULT_LIMITS,
                 engine: Engine = Engine.JOIN) -> list[Instance]:
     """All consistent full instances extending the partial, in order."""
-    return first_completions(network, partial, full_space_size(network), limits, engine)
+    enc, rows = _walk(network, partial, limits, engine)
+    return [enc.instance_from_row(row) for row in kernels.collect_completions(rows, None)]
 
 
 def first_completions(network: Network, partial: Instance, k: int,
                       limits: Limits = _DEFAULT_LIMITS,
                       engine: Engine = Engine.JOIN) -> list[Instance]:
-    """The first k consistent full instances extending the partial."""
-    enc = encode(network)
-    fixed = enc.fixed_from(partial)
-    backend, data = _backend(enc, engine)
-    return [enc.instance_from_row(row) for row in
-            backend.collect_completions(data, fixed, k, limits.max_enumerated)]
+    """The first k consistent full instances extending the partial; all
+    of them when k is past ``sys.maxsize``, none when k < 1."""
+    enc, rows = _walk(network, partial, limits, engine)
+    return [enc.instance_from_row(row) for row in kernels.collect_completions(rows, k)]
 
 
 def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
                      engine: Engine = Engine.JOIN) -> list[tuple[int, ...]]:
     """T: every consistent full instance as value indices, in order.
 
-    The engine's uncapped ``collect_completions`` builds T once per
-    encoding and keeps it there. A T kept from a larger budget is walked
-    again under a smaller one, so whether a budget refuses T does not
-    depend on the cache.
+    The engine's whole walk, collected, builds T once per encoding and
+    keeps it there. A T kept from a larger budget is walked again under a
+    smaller one, so whether a budget refuses T does not depend on the
+    cache.
     """
     enc = encode(network)
     backend, data = _backend(enc, engine)
     budget = limits.max_enumerated
     known = enc.tables.get(backend)
     if known is None or budget < known[0]:
-        known = enc.tables[backend] = (budget, backend.collect_completions(
-            data, [-1] * enc.n_sets, full_space_size(network), budget))
+        known = enc.tables[backend] = (budget, kernels.collect_completions(
+            backend.walk(data, [-1] * enc.n_sets, budget), None))
     return known[1]
 
 
@@ -184,14 +196,11 @@ def count_distinct(network: Network, partial: Instance, target: Iterable[str],
     """Count completions (FULL) or their distinct target projections
     (PROJECTED); with ``limits.cap`` set, stop early at the cap."""
     wanted = known_sets(network, target, "target")
-    enc = encode(network)
-    fixed = enc.fixed_from(partial)
-    cap, budget = limits.cap or 0, limits.max_enumerated
-    backend, data = _backend(enc, engine)
+    enc, rows = _walk(network, partial, limits, engine)
     if mode is CountMode.FULL:
-        return backend.count_completions(data, fixed, cap, budget)
-    return backend.count_distinct_capped(data, fixed, enc.target_positions(wanted),
-                                         cap, budget)
+        return kernels.count_completions(rows, limits.cap)
+    positions = [enc.set_index[sid] for sid in network.set_order(wanted)]
+    return kernels.count_distinct_capped(rows, positions, limits.cap)
 
 
 def distinct_representatives(network: Network, partial: Instance,
@@ -200,9 +209,7 @@ def distinct_representatives(network: Network, partial: Instance,
                              engine: Engine = Engine.JOIN) -> list[Instance]:
     """First completion for each of the first k distinct target projections."""
     wanted = known_sets(network, target, "target")
-    enc = encode(network)
-    fixed = enc.fixed_from(partial)
-    positions = enc.target_positions(wanted)
-    backend, data = _backend(enc, engine)
-    return [enc.instance_from_row(row) for row in backend.collect_distinct_reps(
-        data, fixed, positions, k, limits.max_enumerated)]
+    enc, rows = _walk(network, partial, limits, engine)
+    positions = [enc.set_index[sid] for sid in network.set_order(wanted)]
+    return [enc.instance_from_row(row) for row in
+            kernels.collect_distinct_reps(rows, positions, k)]

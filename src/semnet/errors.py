@@ -12,7 +12,8 @@ class ScopeMismatchError(SemnetError):
 
 
 class KeyOverflowError(SemnetError):
-    """A scope's value space is too large for the engine's 62-bit keys."""
+    """A relation scope's value space is too large for the engines'
+    62-bit row keys."""
 
 
 class LimitExceededError(SemnetError):

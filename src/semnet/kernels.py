@@ -1,11 +1,12 @@
-"""Backtracking join search over encoded networks.
+"""Backtracking join search over encoded networks, and the consumers of a walk.
 
-``_search`` runs one depth-first walk over the sets in declaration order,
+:func:`walk` runs one depth-first walk over the sets in declaration order,
 assigning one value per level. A relation is checked at its trigger level,
 the last set of its scope in declaration order (a nullary relation at the
-first). Enumeration order is lexicographic in (set declaration order, value
-declaration order), which the rest of the package relies on for
-deterministic witnesses.
+first). It yields each consistent completion as a tuple of value indices,
+in lexicographic order of (set declaration order, value declaration
+order), which the rest of the package relies on for deterministic
+witnesses.
 
 Checks are index lookups, not row scans. :func:`build_index` gives every
 relation a dict from the key of its scope positions before the trigger
@@ -17,36 +18,31 @@ is the variable-at-a-time intersection of Leapfrog Triejoin (Veldhuizen,
 ICDT 2014), over Python ints, since each search is too small for array
 set-up costs to pay off.
 
-At each consistent completion (a leaf) the walk does three things:
+``fixed`` is a list of value indices per set, -1 where the partial leaves
+the set free. ``budget``, ``Limits.max_enumerated``, bounds the work of
+each walk: it raises ``LimitExceededError`` once it has visited more than
+``budget`` search nodes (value assignments at any level), however large
+its cartesian space. Nodes are counted where a level's candidates are
+computed, before that level yields, so a consumer that stops early stops
+the walk at the node count it has reached. The walk needs at least one
+set; the engine sends a network without sets to brute force, whose
+``walk`` takes the same arguments and yields the same tuples.
 
-- it counts the completion; with a ``target`` (set positions), only a
-  completion whose projection onto the target has not been met counts;
-- it keeps a counted completion as a tuple of value indices while fewer
-  than ``keep`` are kept;
-- it stops once ``cap`` completions have been counted.
-
-The four entry points are single calls into ``_search`` that pick the leaf
-behaviour through ``target`` and ``keep``. ``fixed`` is a list of value
-indices per set, -1 where the partial leaves the set free; a ``cap`` of 0
-or less means no cap. Each takes a trailing ``budget``,
-``Limits.max_enumerated``, which bounds the work of each search, as the
-search nodes the join visits or the candidate space brute force walks.
-The property checkers make one search, the uncapped
-``collect_completions`` that builds the consistent table; the other entry
-points serve the engine's public calls. This walk raises
-``LimitExceededError`` once it has visited more than ``budget`` search
-nodes (value assignments at any level), however large its cartesian
-space. ``bruteforce`` exports the same four names with the same
-arguments and results, so the engine calls either through one contract.
-The walk needs at least one set; the engine sends a network without sets
-to brute force.
+The four consumers read either backend's walk, ``rows``, and stop it
+early: they collect or count its completions, or only the first
+completion of each distinct projection onto ``target`` (set positions),
+up to ``k`` or ``cap``; ``None``, or a bound past ``sys.maxsize``, means
+no bound. The property checkers make one search, T's build, which
+collects every completion; the other calls serve the engine's public
+calls.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+import sys
+from itertools import accumulate, islice
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LimitExceededError
 
@@ -58,6 +54,7 @@ __all__ = [
     "collect_distinct_reps",
     "count_completions",
     "count_distinct_capped",
+    "walk",
 ]
 
 # The search is plain Python; no compiled variant exists.
@@ -104,26 +101,13 @@ def build_index(sizes: Sequence[int], relations) -> JoinIndex:
             sum(accumulate(sizes, mul)))
 
 
-def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
-            cap: int, keep: int, budget: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Walk the completions of ``fixed``; see the module docstring.
-
-    Returns the count and the kept completions.
-    """
+def walk(index: JoinIndex, fixed: list[int], budget: int) -> Iterator[tuple[int, ...]]:
+    """The consistent completions of ``fixed``; see the module docstring."""
     domains, checks, most = index
     counting = most > budget  # else no walk of this index can pass the budget
     last = len(domains) - 1
     cur = [0] * len(domains)
-    rows: list[tuple[int, ...]] = []
-    seen: set = set()
-    if target is None:
-        project = None
-    elif target:
-        project = itemgetter(*target)
-    else:
-        project = lambda cur: ()  # every completion projects alike
-    cap = cap if cap > 0 else float("inf")
-    count = nodes = 0
+    nodes = 0
     # Per level above the last, the candidates it has not tried yet. The
     # walk is a loop over this stack, not a recursion, so the number of
     # sets is not bounded by Python's recursion limit.
@@ -152,16 +136,7 @@ def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
         else:
             for v in cands:
                 cur[below] = v
-                if project is not None:
-                    key = project(cur)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                if len(rows) < keep:
-                    rows.append(tuple(cur))
-                count += 1
-                if count >= cap:
-                    return count, rows
+                yield tuple(cur)
         # Take the next candidate of the deepest level that has one.
         while level >= 0:
             for v in pending[level]:
@@ -172,32 +147,50 @@ def _search(index: JoinIndex, fixed: list[int], target: Sequence[int] | None,
                 continue
             break
         else:
-            return count, rows
+            return
         below = level + 1
 
 
-def count_completions(index: JoinIndex, fixed: list[int], cap: int,
-                      budget: int) -> int:
-    """Count consistent completions of ``fixed``, up to ``cap``."""
-    return _search(index, fixed, None, cap, 0, budget)[0]
+def _take(rows: Iterable[tuple[int, ...]], bound: int | None) -> Iterable[tuple[int, ...]]:
+    """The first ``bound`` rows: all when ``bound`` is None or past
+    ``sys.maxsize``, which ``islice`` refuses, and none below 1."""
+    if bound is None or bound > sys.maxsize:
+        return rows
+    return islice(rows, max(bound, 0))
 
 
-def collect_completions(index: JoinIndex, fixed: list[int], k: int,
-                        budget: int) -> list[tuple[int, ...]]:
-    """The first ``k`` consistent completions of ``fixed``."""
-    return _search(index, fixed, None, k, k, budget)[1] if k > 0 else []
+def _first_per_projection(rows: Iterable[tuple[int, ...]],
+                          target: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each row whose projection onto ``target`` no earlier row has."""
+    project = itemgetter(*target) if target else lambda row: ()
+    seen: set = set()
+    for row in rows:
+        key = project(row)
+        if key not in seen:
+            seen.add(key)
+            yield row
 
 
-def count_distinct_capped(index: JoinIndex, fixed: list[int],
-                          target: Sequence[int], cap: int, budget: int) -> int:
-    """Count distinct projections of completions onto the ``target`` sets,
-    up to ``cap``."""
-    return _search(index, fixed, target, cap, 0, budget)[0]
+def collect_completions(rows: Iterable[tuple[int, ...]],
+                        k: int | None) -> list[tuple[int, ...]]:
+    """The first ``k`` completions of a walk."""
+    return list(_take(rows, k))
 
 
-def collect_distinct_reps(index: JoinIndex, fixed: list[int],
-                          target: Sequence[int], k: int,
-                          budget: int) -> list[tuple[int, ...]]:
+def count_completions(rows: Iterable[tuple[int, ...]], cap: int | None) -> int:
+    """Count the completions of a walk, up to ``cap``."""
+    return sum(1 for _ in _take(rows, cap))
+
+
+def count_distinct_capped(rows: Iterable[tuple[int, ...]], target: Sequence[int],
+                          cap: int | None) -> int:
+    """Count the distinct projections of a walk's completions onto the
+    ``target`` sets, up to ``cap``."""
+    return sum(1 for _ in _take(_first_per_projection(rows, target), cap))
+
+
+def collect_distinct_reps(rows: Iterable[tuple[int, ...]], target: Sequence[int],
+                          k: int | None) -> list[tuple[int, ...]]:
     """The first completion for each of the first ``k`` distinct target
     projections, in order of first appearance."""
-    return _search(index, fixed, target, k, k, budget)[1] if k > 0 else []
+    return list(_take(_first_per_projection(rows, target), k))

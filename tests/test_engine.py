@@ -367,7 +367,9 @@ def test_count_distinct_over_a_large_target():
 
 
 def test_key_overflow_is_its_own_error():
-    """Scopes past the 62-bit key space are refused, not as a scope mismatch."""
+    """Relation scopes past the 62-bit key space are refused, not as a
+    scope mismatch. A projection target is never refused for its size:
+    projections are tuples of value indices, not keys."""
     values = tuple(f"v{i}" for i in range(600))
     sets = tuple(ValueSet(f"S{k}", values) for k in range(1, 8))
     ids = tuple(vs.id for vs in sets)
@@ -376,17 +378,12 @@ def test_key_overflow_is_its_own_error():
         encode(Network("wide-rel", sets, (wide,), frozenset(ids[-1:])))
     assert not isinstance(info.value, ScopeMismatchError)
     net = Network("wide-target", sets, (), frozenset(ids))
-    overflow = r"\{S1,S2,S3,S4,S5,S6,S7\}.*2\^62"
-    with pytest.raises(KeyOverflowError, match=overflow):
-        encode(net).target_positions(frozenset(ids))
-    # Fixing every set makes the search space 1, so the engine calls reach
-    # the projection target and refuse it the same way.
+    # Fixing every set makes the search space 1: the 600^7 target has one
+    # projection, that of the one completion.
     everything = Instance({sid: "v0" for sid in ids})
     for engine in ENGINES:
-        with pytest.raises(KeyOverflowError, match=overflow):
-            count_distinct(net, everything, ids, engine=engine)
-        with pytest.raises(KeyOverflowError, match=overflow):
-            distinct_representatives(net, everything, ids, 1, engine=engine)
+        assert count_distinct(net, everything, ids, engine=engine) == 1
+        assert distinct_representatives(net, everything, ids, 1, engine=engine) == [everything]
         # Unknown sets and values are scope mismatches, reported before the
         # 600^7 space exceeds the enumeration budget.
         for partial, target, message in (
@@ -400,6 +397,69 @@ def test_key_overflow_is_its_own_error():
                 distinct_representatives(net, Instance(partial), target, 1, engine=engine)
         with pytest.raises(LimitExceededError):
             count_distinct(net, Instance(), ids[:1], engine=engine)
+    # Twenty ten-valued sinks span 10^20 > 2^62 projections, but the join
+    # walks ten completions; brute force is refused its 10^21 candidates.
+    sinks = _wide_sinks(20)
+    targets = tuple(vs.id for vs in sinks.sets[1:])
+    assert count_distinct(sinks, Instance(), targets) == 10
+    reps = distinct_representatives(sinks, Instance(), targets, 3)
+    assert [rep.as_dict() for rep in reps] == [
+        {vs.id: f"v{i}" for vs in sinks.sets} for i in range(3)]
+    for call in (lambda: count_distinct(sinks, Instance(), targets, engine=Engine.BRUTEFORCE),
+                 lambda: distinct_representatives(sinks, Instance(), targets, 3,
+                                                  engine=Engine.BRUTEFORCE)):
+        with pytest.raises(LimitExceededError) as refused:
+            call()
+        assert (refused.value.required, refused.value.allowed) == (10**21, 10**7)
+
+
+def _wide_sinks(n_sinks):
+    """A ten-valued data set D tied to sinks P0.. by bijections."""
+    values = tuple(f"v{i}" for i in range(10))
+    params = tuple(ValueSet(f"P{k}", values) for k in range(n_sinks))
+    return Network("wide-sinks", (ValueSet("D", values),) + params, tuple(
+        Relation(f"to-{vs.id}", ("D",), (vs.id,), tuple(zip(values, values)))
+        for vs in params), frozenset({"D"}))
+
+
+def test_bounds_past_the_largest_slice_take_everything():
+    """A k or cap past sys.maxsize is no bound, and a negative k takes
+    nothing, on both engines."""
+    assert 2**70 > sys.maxsize
+    rng = random.Random(28)
+    for name, net in all_networks().items():
+        ids = [vs.id for vs in net.sets]
+        for _ in range(4):
+            partial = Instance({vs.id: rng.choice(vs.values) for vs in net.sets
+                                if rng.random() < 0.3})
+            target = [sid for sid in ids if rng.random() < 0.5]
+            for engine in ENGINES:
+                case = (name, partial, target, engine)
+                every = completions(net, partial, engine=engine)
+                assert first_completions(net, partial, 2**70, engine=engine) == every, case
+                assert first_completions(net, partial, -1, engine=engine) == [], case
+                assert distinct_representatives(net, partial, target, -1, engine=engine) == []
+                for mode in CountMode:
+                    assert (count_distinct(net, partial, target, mode, Limits(cap=2**70), engine)
+                            == count_distinct(net, partial, target, mode, engine=engine)), case
+
+
+def test_an_early_stop_refuses_where_the_walk_stops():
+    """The first k completions of fig1-mini walk only the nodes up to the
+    k-th: budgets from 19, 32 and 45 admit k = 1, 2 and 3, and a smaller
+    budget is refused at the node count where the walk passed it, the
+    same counts that the join's early return at a cap gave."""
+    fig = all_networks()["fig1-mini"]
+    admits = {1: 19, 2: 32, 3: 45}
+    for k, least in admits.items():
+        required = []
+        for budget in range(1, 88):
+            try:
+                assert len(first_completions(fig, Instance(), k, Limits(budget))) == k
+            except LimitExceededError as refused:
+                assert refused.allowed == budget
+                required.append(refused.required)
+        assert required == [3, 3, 6, 6, 6] + list(range(7, least + 1)), k
 
 
 def _loop_row_keys(network, rel):

@@ -1,6 +1,6 @@
-"""The join search: its entry points must match brute force's, which share
-their names and arguments (each engine's own index first), and the names
-the traced benchmark wraps must stay where it looks for them."""
+"""The join walk: it must yield brute force's completions, each consumer
+must be a slice of a walk, and the names the traced benchmark wraps must
+stay where it looks for them."""
 
 from __future__ import annotations
 
@@ -28,92 +28,121 @@ from semnet import (
     properties,
 )
 from semnet.corpus import all_networks
-from semnet.kernels import (
-    collect_completions,
-    collect_distinct_reps,
-    count_completions,
-    count_distinct_capped,
-)
 
 ROOT = Path(__file__).resolve().parent.parent
 
-ENTRY_POINTS = {"count_completions", "collect_completions",
-                "count_distinct_capped", "collect_distinct_reps"}
+CONSUMERS = {"count_completions", "collect_completions",
+             "count_distinct_capped", "collect_distinct_reps"}
 # The default work budget; every corpus net's full space is within it.
 BUDGET = Limits().max_enumerated
-
-
-def _args(enc, fixed):
-    return enc.join_index, fixed
+BOUNDS = (0, 1, 2, 5, 7, 16, None)
 
 
 def _random_fixed(rng, enc):
     return [rng.randrange(size) if rng.random() < 0.4 else -1 for size in enc.sizes]
 
 
-def _random_target(rng, net):
-    return frozenset(vs.id for vs in net.sets if rng.random() < 0.5)
+def _random_target(rng, enc):
+    return [i for i in range(enc.n_sets) if rng.random() < 0.5]
+
+
+def _walks(enc, fixed):
+    """Both backends' walks of ``fixed`` under the default budget."""
+    return (kernels.walk(enc.join_index, fixed, BUDGET),
+            bruteforce.walk(enc.bruteforce_index, fixed, BUDGET))
 
 
 def test_both_engines_export_the_same_entry_points():
-    assert set(bruteforce.__all__) == ENTRY_POINTS | {"build_index"}
-    assert set(kernels.__all__) & set(bruteforce.__all__) == ENTRY_POINTS | {"build_index"}
+    assert set(bruteforce.__all__) == {"build_index", "walk"}
+    assert set(kernels.__all__) & set(bruteforce.__all__) == {"build_index", "walk"}
+    assert set(kernels.__all__) - set(bruteforce.__all__) == CONSUMERS | {"JIT_ENABLED",
+                                                                          "JoinIndex"}
 
 
-def _compare_entry_points(nets, rng):
+def test_bruteforce_imports_nothing_from_kernels():
+    """Brute force is the independent cross-check: it shares no code with
+    the join, not even the consumers that read both walks."""
+    tree = ast.parse((ROOT / "src" / "semnet" / "bruteforce.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert {"numpy", "errors"} <= names
+    assert "kernels" not in {part for name in names for part in name.split(".")}
+
+
+def _compare_walks(nets, rng):
     for name, net in nets.items():
         enc = encode(net)
         for _ in range(8):
             fixed = _random_fixed(rng, enc)
-            target = enc.target_positions(_random_target(rng, net))
-            for entry in sorted(ENTRY_POINTS):
-                join, brute = getattr(kernels, entry), getattr(bruteforce, entry)
-                extra = (target,) if "distinct" in entry else ()
-                for limit in (0, 1, 2, 4, 5, 7, 16):
-                    got = join(enc.join_index, fixed, *extra, limit, BUDGET)
-                    assert got == brute(enc.bruteforce_index, fixed, *extra, limit,
-                                        BUDGET), (name, fixed, entry, limit)
+            join, brute = _walks(enc, fixed)
+            assert list(join) == list(brute), (name, fixed)
 
 
-def test_kernel_entry_points_match_bruteforce():
-    _compare_entry_points(all_networks(), random.Random(7))
+def test_join_walk_matches_bruteforce():
+    _compare_walks(all_networks(), random.Random(7))
 
 
 def test_bruteforce_walk_carries_across_chunks(monkeypatch):
-    """With one candidate per chunk, counts, caps, kept rows and the
-    projections already met carry from each chunk to the next."""
+    """With one candidate per chunk, the walk yields each chunk's
+    consistent row in turn, in rank order."""
     monkeypatch.setattr(bruteforce, "_CHUNK", 1)
     small = {name: net for name, net in all_networks().items() if full_space_size(net) <= 8}
     assert len(small) == 5
-    _compare_entry_points(small, random.Random(8))
+    _compare_walks(small, random.Random(8))
 
 
-def test_zero_capacity_buffers():
-    """Asking for no rows keeps none; a cap of 0 counts without a cap."""
-    enc = encode(all_networks()["t2"])
-    fixed = [-1] * enc.n_sets
-    brute = enc.bruteforce_index
-    y = [enc.set_index["Y"]]
-    assert collect_completions(*_args(enc, fixed), 0, BUDGET) == []
-    assert collect_distinct_reps(*_args(enc, fixed), y, 0, BUDGET) == []
-    assert bruteforce.collect_completions(brute, fixed, 0, BUDGET) == []
-    assert bruteforce.collect_distinct_reps(brute, fixed, y, 0, BUDGET) == []
-    assert (count_completions(*_args(enc, fixed), 0, BUDGET)
-            == bruteforce.count_completions(brute, fixed, 0, BUDGET) > 0)
-    assert (count_distinct_capped(*_args(enc, fixed), y, 0, BUDGET)
-            == bruteforce.count_distinct_capped(brute, fixed, y, 0, BUDGET) > 0)
+def _first_per_projection(rows, target):
+    """Reference: each row whose projection onto ``target`` is new."""
+    seen, out = set(), []
+    for row in rows:
+        key = tuple(row[i] for i in target)
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
+
+
+def test_each_consumer_is_a_slice_of_the_walk():
+    """Each consumer equals a slice of the whole walk, or of its first row
+    per projection; a bound of 0 takes nothing and None takes all."""
+    rng = random.Random(10)
+    for name, net in all_networks().items():
+        enc = encode(net)
+        for _ in range(8):
+            fixed, target = _random_fixed(rng, enc), _random_target(rng, enc)
+            rows = list(kernels.walk(enc.join_index, fixed, BUDGET))
+            reps = _first_per_projection(rows, target)
+            for bound in BOUNDS:
+                for consumer, extra, want in (
+                        ("collect_completions", (), rows[:bound]),
+                        ("count_completions", (), len(rows[:bound])),
+                        ("collect_distinct_reps", (target,), reps[:bound]),
+                        ("count_distinct_capped", (target,), len(reps[:bound]))):
+                    for walk in _walks(enc, fixed):
+                        assert getattr(kernels, consumer)(walk, *extra, bound) == want, (
+                            name, fixed, target, consumer, bound)
 
 
 def test_search_leaves_no_reference_cycles():
-    """Each search's state is freed on return, not by the cycle collector."""
+    """Each walk's state is freed when its consumer returns, or when a walk
+    dropped half-consumed goes, not by the cycle collector."""
     enc = encode(all_networks()["fig1-mini"])
     fixed = [-1] * enc.n_sets
     enc.join_index  # built and kept on the encoding before counting
     gc.collect()
     gc.disable()
     try:
-        count_completions(*_args(enc, fixed), 0, BUDGET)
-        collect_distinct_reps(*_args(enc, fixed), [0], 2, BUDGET)
+        kernels.count_completions(kernels.walk(enc.join_index, fixed, BUDGET), None)
+        kernels.collect_distinct_reps(kernels.walk(enc.join_index, fixed, BUDGET), [0], 2)
+        for backend, index in ((kernels, enc.join_index), (bruteforce, enc.bruteforce_index)):
+            walk = backend.walk(index, fixed, BUDGET)
+            half = next(walk)
+            assert next(walk) > half
+            del walk
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -137,7 +166,7 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     the consistent table, which every checker reads, is walked once per
     encoding."""
     names = _spans_names("KERNELS")
-    assert set(names) == ENTRY_POINTS
+    assert set(names) == CONSUMERS
     for name in _spans_names("ENGINE_CALLS") + _spans_names("CHECKERS"):
         assert callable(getattr(properties, name, None)), name
     assert ({fn.__name__ for fn in properties._CHECKERS.values()}

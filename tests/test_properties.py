@@ -438,12 +438,12 @@ def test_minimal_budget_counts_the_join_walk_not_the_cartesian_space():
     assert info.value.required == 10**12
 
 
-def test_every_join_entry_point_is_budgeted_by_its_search_nodes():
-    """Uncapped, each join entry point visits exactly the reference's
-    search nodes for its partial: that budget admits it, one node less is
-    refused with the count of search nodes. On fig1-mini and 30 random
-    partials, and on a net without relations, whose free walk visits every
-    prefix of its cartesian space, the most any walk of it can visit."""
+def test_the_join_walk_is_budgeted_by_its_search_nodes():
+    """Consumed whole, the join walk visits exactly the reference's search
+    nodes for its partial: that budget admits it, one node less is refused
+    with the count of search nodes. On fig1-mini and 30 random partials,
+    and on a net without relations, whose free walk visits every prefix of
+    its cartesian space, the most any walk of it can visit."""
     rng = random.Random(15)
     free = Network("free", tuple(ValueSet(f"S{k}", tuple(f"v{i}" for i in range(size)))
                                  for k, size in enumerate((2, 1, 3, 4))), (), frozenset())
@@ -451,20 +451,6 @@ def test_every_join_entry_point_is_budgeted_by_its_search_nodes():
     walked = 0
     for name, net in nets.items():
         enc = encode(net)
-        everything = full_space_size(net)
-        target = enc.target_positions(frozenset(sinks(net)))
-        calls = {  # each entry point, uncapped, on fixed value indices and a budget
-            "count_completions": lambda fixed, budget: kernels.count_completions(
-                enc.join_index, fixed, 0, budget),
-            "collect_completions": lambda fixed, budget: kernels.collect_completions(
-                enc.join_index, fixed, everything, budget),
-            "count_distinct_capped": lambda fixed, budget: kernels.count_distinct_capped(
-                enc.join_index, fixed, target, 0, budget),
-            "collect_distinct_reps": lambda fixed, budget: kernels.collect_distinct_reps(
-                enc.join_index, fixed, target, everything, budget),
-        }
-        assert calls.keys() == set(kernels.__all__) - {"JIT_ENABLED", "JoinIndex",
-                                                      "build_index"}
         partials = [{}] + [{vs.id: rng.choice(vs.values) for vs in rng.sample(net.sets, 2)}
                            for _ in range(30 if name == "fig1-mini" else 0)]
         for partial in partials:
@@ -473,12 +459,11 @@ def test_every_join_entry_point_is_budgeted_by_its_search_nodes():
                 continue
             walked += 1
             fixed = enc.fixed_from(Instance(partial))
-            for entry, call in calls.items():
-                call(fixed, nodes)
-                with pytest.raises(LimitExceededError, match="search nodes") as info:
-                    call(fixed, nodes - 1)
-                assert (info.value.required, info.value.allowed) == (nodes, nodes - 1), (
-                    name, entry, partial)
+            list(kernels.walk(enc.join_index, fixed, nodes))
+            with pytest.raises(LimitExceededError, match="search nodes") as info:
+                list(kernels.walk(enc.join_index, fixed, nodes - 1))
+            assert (info.value.required, info.value.allowed) == (nodes, nodes - 1), (
+                name, partial)
     assert _join_nodes(free) == 2 + 2 + 6 + 24
     assert walked >= 10
 
@@ -637,8 +622,8 @@ def test_minimal_budget_refuses_a_cached_table(monkeypatch):
     encode.cache_clear()
     check_minimal(fig)  # T kept from the default budget
     walks = []
-    monkeypatch.setattr(kernels, "collect_completions",
-                        lambda *args, _real=kernels.collect_completions:
+    monkeypatch.setattr(kernels, "walk",
+                        lambda *args, _real=kernels.walk:
                         walks.append(args[-1]) or _real(*args))
     with pytest.raises(LimitExceededError):
         check_minimal(fig, limits=Limits(max_enumerated=nodes - 1))
