@@ -14,13 +14,15 @@ the encoding: the join search's per-relation dicts
 builds for the property checkers is kept there too, and so is T's
 layout by each anchor scope a checker reads, with the decisions made
 from it, and the one ``Instance`` of each row of T that a decision holds
-as evidence (:meth:`EncodedNetwork.kept_instance`), so every decision
-and report of the encoding shares it, with its rendered text, and all
-are freed with the cache entry. The engine's own completions build fresh
-instances and keep none. What the engine prepares per call (fixed value
-indices, target positions) stays in plain Python ints, and a projection
-onto a target is a tuple of value indices, so only a relation scope whose
-value space passes 2^62 is refused (``KeyOverflowError``).
+as evidence (:meth:`EncodedNetwork.kept_instance`) and of each anchor
+that it holds as a witness (:meth:`EncodedNetwork.kept_anchor`), so
+every decision and report of the encoding shares it, with its rendered
+text, and all are freed with the cache entry. The engine's own
+completions build fresh instances and keep none. What the engine
+prepares per call (fixed value indices, target positions) stays in plain
+Python ints, and a projection onto a target is a tuple of value indices,
+so only a relation scope whose value space passes 2^62 is refused
+(``KeyOverflowError``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ class EncodedNetwork:
     # Per row of T (value indices) that a decision holds as evidence, its
     # one Instance (``kept_instance``), shared by every decision and report.
     instances: dict = field(default_factory=dict, compare=False, repr=False)
+    # Per (anchor scope, value indices) that a decision holds as its
+    # witness anchor, its one Instance (``kept_anchor``), shared alike.
+    anchors: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_sets(self) -> int:
@@ -106,6 +111,17 @@ class EncodedNetwork:
         instance = self.instances.get(row)
         if instance is None:
             instance = self.instances[row] = self.instance_from_row(row)
+        return instance
+
+    def kept_anchor(self, scope: tuple[str, ...], key: tuple[int, ...]) -> Instance:
+        """The instance over ``scope``, set ids each named once, at value
+        indices ``key``, built once per encoding and kept in ``anchors``:
+        the property checkers' witness anchors."""
+        instance = self.anchors.get((scope, key))
+        if instance is None:
+            sets, index = self.network.sets, self.set_index
+            instance = self.anchors[scope, key] = Instance._sorted(tuple(sorted(
+                [(sid, sets[index[sid]].values[k]) for sid, k in zip(scope, key)])))
         return instance
 
 

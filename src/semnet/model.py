@@ -319,12 +319,12 @@ def _validate(network: Network) -> ValidationReport:
     if not network.data_selection:
         warnings.append(ValidationIssue("EMPTY_DATA", "data selection is empty", "data"))
 
-    cycle = _find_cycle(network)
+    cycle, contiguous = _structure(network)
     if cycle is not None:
         errors.append(ValidationIssue(
             "CYCLE", "cyclic dependency: " + " -> ".join(cycle), "network"))
 
-    if not _is_contiguous(network):
+    if not contiguous:
         warnings.append(ValidationIssue(
             "NOT_CONTIGUOUS", "network splits into disconnected components", "network"))
 
@@ -344,10 +344,11 @@ def sinks(network: Network) -> frozenset[str]:
 
 
 def structural_flags(network: Network) -> StructuralFlags:
-    return StructuralFlags(
-        is_acyclic=_find_cycle(network) is None,
-        is_contiguous=_is_contiguous(network),
-    )
+    """Whether ``network`` is acyclic and contiguous, as its :func:`validate`
+    report reads: no ``CYCLE`` error and no ``NOT_CONTIGUOUS`` warning."""
+    report = validate(network)
+    codes = {issue.code for issue in report.errors + report.warnings}
+    return StructuralFlags("CYCLE" not in codes, "NOT_CONTIGUOUS" not in codes)
 
 
 def mixed_radix(scope, values) -> tuple[list[int], int]:
@@ -373,7 +374,9 @@ def scope_weights(scope, values, memo, strides) -> list[dict[str, int]]:
         weight = memo.get((sid, stride))
         if weight is None:
             domain = values[sid]
-            weight = memo[sid, stride] = dict(zip(domain, range(0, len(domain) * stride, stride)))
+            # A stride of 0 follows an empty set: no value weighs, no row has a key.
+            weight = memo[sid, stride] = dict(zip(
+                domain, range(0, len(domain) * stride, stride or 1)))
         weights.append(weight)
     return weights
 
@@ -425,48 +428,62 @@ def _first_duplicate(items) -> str | None:
     return None
 
 
-def _find_cycle(network: Network) -> list[str] | None:
-    """Return a closed node path (sets and relations alternating) or None.
+def _structure(network: Network) -> tuple[list[str] | None, bool]:
+    """The first closed node path (sets and relations alternating) the walk
+    meets, or None; and whether the network is weakly connected.
 
     Edges run set -> relation for inputs and relation -> set for outputs.
+    Connectivity joins each relation to its declared scope sets only, and
+    a declared set outside every scope counts only if selected as data.
     """
+    declared = {vs.id for vs in network.sets}
     # Nodes are ints: one per relation id and one per set id, numbered as
     # first met. ``roots`` lists the nodes with out-edges in the order they
-    # got their first, the order the walk starts from.
-    names: list[str] = []
+    # got their first, the order the walk starts from. ``parent`` is a
+    # union-find forest over the same nodes; ``joins`` counts the links
+    # that merged two trees, each holding a relation.
     edges: list[list[int]] = []
+    parent: list[int] = []
     rels: dict[str, int] = {}
     sets: dict[str, int] = {}
     roots: dict[int, None] = {}
+    joins = 0
+
+    def find(n: int) -> int:
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
+
     for rel in network.relations:
         r = rels.get(rel.id)
         if r is None:
-            r = rels[rel.id] = len(names)
-            names.append(rel.id)
+            r = head = rels[rel.id] = len(edges)
             edges.append([])
-        for sid in rel.in_sets:
+            parent.append(r)
+        else:
+            head = find(r)
+        for k, sid in enumerate(rel.scope):
             s = sets.get(sid)
             if s is None:
-                s = sets[sid] = len(names)
-                names.append(sid)
-                edges.append([r])
-            else:
-                edges[s].append(r)
-            roots[s] = None
-        roots[r] = None
-        out = edges[r]
-        for sid in rel.out_sets:
-            s = sets.get(sid)
-            if s is None:
-                s = sets[sid] = len(names)
-                names.append(sid)
+                s = sets[sid] = len(edges)
                 edges.append([])
-            out.append(s)
+                parent.append(head if sid in declared else s)
+            elif sid in declared and (tree := find(s)) != head:
+                parent[tree] = head
+                joins += 1
+            if k < len(rel.in_sets):
+                edges[s].append(r)
+                roots[s] = None
+            else:
+                edges[r].append(s)
+        roots[r] = None
+    contiguous = len(rels) - joins + len(network.data_selection & declared - sets.keys()) <= 1
 
     # Depth-first with an explicit path and one edge iterator per path node,
     # so a long chain does not recurse. A node's state is 1 on the path,
     # 2 once done.
-    state = bytearray(len(names))
+    state = bytearray(len(edges))
     for root in roots:
         if state[root]:
             continue
@@ -478,46 +495,10 @@ def _find_cycle(network: Network) -> list[str] | None:
                 state[path.pop()] = 2
                 todo.pop()
             elif state[nxt] == 1:
-                return [names[n] for n in path[path.index(nxt):] + [nxt]]
+                names = {n: name for ids in (rels, sets) for name, n in ids.items()}
+                return [names[n] for n in path[path.index(nxt):] + [nxt]], contiguous
             elif not state[nxt]:
                 state[nxt] = 1
                 path.append(nxt)
                 todo.append(iter(edges[nxt]))
-    return None
-
-
-def _is_contiguous(network: Network) -> bool:
-    """Weak connectivity; isolated sets count only if selected as data."""
-    declared = {vs.id for vs in network.sets}
-    # Nodes are ints: one per relation id and one per declared set in a
-    # relation's scope, each set joined to the relations that hold it.
-    neighbours: list[list[int]] = []
-    rels: dict[str, int] = {}
-    sets: dict[str, int] = {}
-    for rel in network.relations:
-        r = rels.get(rel.id)
-        if r is None:
-            r = rels[rel.id] = len(neighbours)
-            neighbours.append([])
-        for sid in rel.scope:
-            if sid in declared:
-                s = sets.get(sid)
-                if s is None:
-                    s = sets[sid] = len(neighbours)
-                    neighbours.append([])
-                neighbours[r].append(s)
-                neighbours[s].append(r)
-    isolated = len(network.data_selection & declared - sets.keys())
-    if len(neighbours) + isolated <= 1:
-        return True
-    if isolated:
-        return False
-    seen = bytearray(len(neighbours))
-    seen[0] = 1
-    todo = [0]
-    while todo:
-        for nxt in neighbours[todo.pop()]:
-            if not seen[nxt]:
-                seen[nxt] = 1
-                todo.append(nxt)
-    return all(seen)
+    return None, contiguous

@@ -44,18 +44,20 @@ for T under its own budget before it reads a decision.
 Anchors are value-index tuples; only a witness anchor becomes an
 ``Instance``. Witness instances are built from T's rows with their pairs
 already in set-id order (``EncodedNetwork.instance_from_row`` through the
-encoding's permutation of its set ids, :func:`_anchor` by its scope's
-sort). An evidence row's instance is built once per encoding and kept
-there (``EncodedNetwork.kept_instance``), so decisions that fail on the
-same rows, FULL and PROJECTED or join and brute force, hold one instance,
-which the report renders once; minimality's ``redundant:<set>``
-witnesses share one empty anchor. Functional and injective fail the
-first anchor with two or more distinct outcomes; its first row and the
-first with another outcome are its evidence. Total, surjective and
-surjective-in walk the anchors only up to the first one the grouping
-lacks; minimality counts each anchor's outcomes from its group, and
-settles a one-valued set without a walk. Outcomes are tuples of T's
-columns, so no target is refused for the size of its space.
+encoding's permutation of its set ids, an anchor by its scope's sort).
+An evidence row's instance is built once per encoding and kept there
+(``EncodedNetwork.kept_instance``), and so is a witness anchor's, per
+anchor scope and value indices (``EncodedNetwork.kept_anchor``), so
+decisions that fail on the same rows or anchor, FULL and PROJECTED or
+join and brute force, hold one instance, which the report renders once;
+minimality's ``redundant:<set>`` witnesses share one empty anchor.
+Functional and injective fail the first anchor with two or more distinct
+outcomes; its first row and the first with another outcome are its
+evidence. Total, surjective and surjective-in walk the anchors only up
+to the first one the grouping lacks; minimality counts each anchor's
+outcomes from its group, and settles a one-valued set without a walk.
+Outcomes are tuples of T's columns, so no target is refused for the
+size of its space.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, getitem, itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import Iterable, NamedTuple
 
 from .encode import EncodedNetwork, encode
@@ -289,12 +291,6 @@ def _made(cls, **fields):
     return made
 
 
-def _anchor(scope: tuple[str, ...], layout: _Layout, key: tuple[int, ...]) -> Instance:
-    """The anchor at value indices ``key`` over ``scope``, as an instance.
-    A scope names each set once, so its pairs sort by set id alone."""
-    return Instance._sorted(tuple(sorted(zip(scope, map(getitem, layout.values, key)))))
-
-
 def _decide_distinct(enc: EncodedNetwork, layout: _Layout, scope: tuple[str, ...],
                      target: tuple[str, ...], columns: tuple[int, ...] | None) -> tuple:
     """Whether every anchor over ``scope`` has at most one outcome over
@@ -317,7 +313,7 @@ def _decide_distinct(enc: EncodedNetwork, layout: _Layout, scope: tuple[str, ...
     group = layout.groups[key]
     first = outcome(group[0])
     other = next(row for row in itertools.islice(group, 1, None) if outcome(row) != first)
-    return (_anchor(scope, layout, key),
+    return (enc.kept_anchor(scope, key),
             (enc.kept_instance(group[0]), enc.kept_instance(other)),
             sum(map(mul, key, layout.strides)) + 1)
 
@@ -334,7 +330,7 @@ def _decide_covered(enc: EncodedNetwork, layout: _Layout, scope: tuple[str, ...]
         return None, (), layout.space
     key = next(key for key in itertools.product(*map(range, map(len, layout.values)))
                if key not in layout.groups)
-    return _anchor(scope, layout, key), (), sum(map(mul, key, layout.strides)) + 1
+    return enc.kept_anchor(scope, key), (), sum(map(mul, key, layout.strides)) + 1
 
 
 # Minimality's witnesses name a set, not an anchor; they share one empty instance.

@@ -22,6 +22,7 @@ __all__ = [
     "oracle_minimal",
     "oracle_outcomes",
     "oracle_render_json",
+    "oracle_structure",
     "rows_conform",
     "oracle_surjective",
     "oracle_surjective_in",
@@ -162,3 +163,53 @@ def rows_conform(rows, domains):
         return False
     return (all(map(frozenset.issuperset, domains, zip(*rows)))
             and len(set(rows)) == len(rows))
+
+
+def oracle_structure(network):
+    """``(acyclic, contiguous)`` as the definitions read, over string ids.
+
+    Acyclic: a colour-marking depth-first search of the directed graph
+    whose nodes are ("set", id) and ("rel", id), with an edge from each
+    in-set to its relation and from each relation to each out-set, finds
+    no grey node. Contiguous: the nodes that count are the relations, the
+    declared sets some relation's scope holds and the declared data sets;
+    joining each relation to the declared sets of its scope, union-find
+    leaves at most one component."""
+    edges = {}
+    for rel in network.relations:
+        edges.setdefault(("rel", rel.id), [])
+        for sid in rel.in_sets:
+            edges.setdefault(("set", sid), []).append(("rel", rel.id))
+        for sid in rel.out_sets:
+            edges.setdefault(("set", sid), [])
+            edges[("rel", rel.id)].append(("set", sid))
+    colour = dict.fromkeys(edges, "white")
+
+    def closes_a_cycle(node):
+        colour[node] = "grey"
+        for nxt in edges[node]:
+            if colour[nxt] == "grey" or (colour[nxt] == "white" and closes_a_cycle(nxt)):
+                return True
+        colour[node] = "black"
+        return False
+
+    acyclic = not any(colour[node] == "white" and closes_a_cycle(node) for node in edges)
+
+    declared = {vs.id for vs in network.sets}
+    parent = {}
+
+    def find(node):
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for rel in network.relations:
+        find(("rel", rel.id))
+        for sid in rel.in_sets + rel.out_sets:
+            if sid in declared:
+                parent[find(("set", sid))] = find(("rel", rel.id))
+    for sid in network.data_selection & declared:
+        find(("set", sid))
+    contiguous = len({find(node) for node in list(parent)}) <= 1
+    return acyclic, contiguous

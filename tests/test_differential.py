@@ -965,7 +965,7 @@ def test_instances_from_rows_and_anchors_equal_the_checked_constructor(net, data
     layout = properties._layout(net, plan, scope)
     for key in itertools.product(*map(range, map(len, layout.values))):
         values = [vs[i] for vs, i in zip(layout.values, key)]
-        assert properties._anchor(scope, layout, key) == Instance(zip(scope, values))
+        assert enc.kept_anchor(scope, key) == Instance(zip(scope, values))
 
 
 def _anchor_of(query):

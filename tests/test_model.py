@@ -11,7 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from oracle import oracle_structure
 from semnet import (
     Instance,
     InvalidNetworkError,
@@ -55,6 +58,30 @@ def test_empty_set():
     net = Network("n", (ValueSet("A", ()),), (), {"A"})
     errors, _ = _codes(validate(net))
     assert "EMPTY_SET" in errors
+
+
+@pytest.mark.parametrize("rows", [(), (("a", "a", "a"), ("a", "a"))], ids=["no rows", "rows"])
+@pytest.mark.parametrize("position", range(3))
+def test_an_empty_set_in_a_scope_is_reported_not_raised(position, rows):
+    """An empty set at any position of a relation's scope is EMPTY_SET,
+    and each of the relation's rows, none of which can hold a value of the
+    empty set, is MALFORMED_ROW, as a row with a value outside its set is;
+    encoding and checking refuse the network."""
+    empty = "ABC"[position]
+    sets = tuple(ValueSet(sid, () if sid == empty else ("a",)) for sid in "ABC")
+    net = Network("n", sets, (Relation("f", ("A",), ("B", "C"), rows),), {"A"})
+    report = validate(net)
+    assert [(i.code, i.message, i.location) for i in report.errors] == [
+        ("EMPTY_SET", f"set {empty!r} has no values", f"set {empty}"),
+    ] + [
+        ("MALFORMED_ROW", f"'a' not in set {empty!r}", "rel f row 1"),
+        ("MALFORMED_ROW", "row has 2 values, scope needs 3", "rel f row 2"),
+    ][:len(rows)]
+    assert structural_flags(net) == StructuralFlags(True, True)
+    with pytest.raises(InvalidNetworkError):
+        encode(net)
+    with pytest.raises(InvalidNetworkError):
+        check_suite(net)
 
 
 def test_duplicate_value():
@@ -165,12 +192,13 @@ def test_not_contiguous_warning():
     assert not structural_flags(net).is_contiguous
 
 
-def _loose(*relations):
+def _loose(*relations, data="A"):
     """A network of one-value sets A..E and empty relations given as
-    (id, in-sets, out-sets), each side a string of one-letter set ids."""
+    (id, in-sets, out-sets), each side a string of one-letter set ids, and
+    of the data sets ``data``; a letter past E is an undeclared set."""
     return Network("n", tuple(ValueSet(sid, ("a",)) for sid in "ABCDE"),
                    tuple(Relation(rid, ins, outs, ()) for rid, ins, outs in relations),
-                   frozenset({"A"}))
+                   frozenset(data))
 
 
 @pytest.mark.parametrize("net, cycle, contiguous", [
@@ -182,11 +210,63 @@ def _loose(*relations):
     (_loose(("f", "A", "B"), ("g", "C", "D"), ("h", "BC", "E")), None, True),
     # Nothing joins g to f, and data set A is not isolated.
     (_loose(("f", "A", "B"), ("g", "C", "D")), None, False),
+    # Relation A and set A are two nodes.
+    (_loose(("A", "A", "B")), None, True),
+    # An undeclared set is a node of the cycle walk but joins nothing.
+    (_loose(("f", "X", "A"), ("g", "X", "B")), None, False),
+    (_loose(("f", "A", "X"), ("g", "X", "A")), "A -> f -> X -> g -> A", True),
+    # A data set outside every scope splits the network from it.
+    (_loose(("f", "A", "B"), data="C"), None, False),
+    (_loose(("f", "", ""), data="A"), None, False),
+    (_loose(("f", "", ""), data=""), None, True),
 ])
 def test_structure_walks_follow_ids_not_declaration_order(net, cycle, contiguous):
     errors = [i.message for i in validate(net).errors if i.code == "CYCLE"]
     assert errors == ([f"cyclic dependency: {cycle}"] if cycle else [])
     assert structural_flags(net) == StructuralFlags(cycle is None, contiguous)
+
+
+@st.composite
+def structure_nets(draw):
+    """Nets of up to four relations with empty rows or one row of "a"s,
+    whose ids repeat and may equal set ids, whose scopes may be empty or
+    name undeclared sets X and Y, over sets declared zero or more times,
+    empty or not, and a data selection of any of these ids."""
+    sets = tuple(ValueSet(sid, draw(st.sampled_from([(), ("a",), ("a", "b")])))
+                 for sid in draw(st.lists(st.sampled_from("ABCD"), max_size=5)))
+    relations = []
+    for _ in range(draw(st.integers(0, 4))):
+        scope = draw(st.lists(st.sampled_from("ABCDXY"), max_size=3))
+        cut = draw(st.integers(0, len(scope)))
+        rows = draw(st.sampled_from([(), (("a",) * len(scope),)]))
+        relations.append(Relation(draw(st.sampled_from("fgAB")), tuple(scope[:cut]),
+                                  tuple(scope[cut:]), rows))
+    data = draw(st.frozensets(st.sampled_from("ABCDXY"), max_size=3))
+    return Network("drawn", sets, tuple(relations), data)
+
+
+def _closed_path(net, path):
+    """Whether ``path`` leaves a node and returns to it along edges of
+    ``net``, in-set to relation and relation to out-set, alternating."""
+    ins = {(sid, rel.id) for rel in net.relations for sid in rel.in_sets}
+    outs = {(rel.id, sid) for rel in net.relations for sid in rel.out_sets}
+    steps = list(zip(path, path[1:]))
+    return (path[0] == path[-1] and len(steps) >= 2 and len(steps) % 2 == 0 and any(
+        all(step in (ins if (k + starts_at_a_relation) % 2 == 0 else outs)
+            for k, step in enumerate(steps))
+        for starts_at_a_relation in (0, 1)))
+
+
+@seed(20241018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(net=structure_nets())
+def test_structure_equals_the_oracle_on_drawn_nets(net):
+    """The flags equal an independent reading of acyclic and contiguous,
+    and a CYCLE error names a closed path of the network's edges."""
+    assert structural_flags(net) == StructuralFlags(*oracle_structure(net))
+    for issue in validate(net).errors:
+        if issue.code == "CYCLE":
+            assert _closed_path(net, issue.message.removeprefix("cyclic dependency: ").split(" -> "))
 
 
 def test_sources_and_sinks():

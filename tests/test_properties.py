@@ -722,6 +722,24 @@ def test_full_and_projected_decisions_share_their_evidence_rows(engine):
     assert list(encode(net).instances.values()) == list(full.witnesses[0].evidence)
 
 
+def test_decisions_share_one_anchor_per_scope_and_value_indices():
+    """Over the four suites of the six corpus nets that fail a check, under
+    both engines, the witnesses hold 17 distinct anchors, each one
+    instance: the encoding keeps one per anchor scope and value indices,
+    as it keeps one per evidence row."""
+    nets = all_networks()
+    encode.cache_clear()
+    anchors, distinct = {}, set()
+    for name, eng, direction, mode in itertools.product(
+            ("fig1-mini", "fig1-mini-oor", "dodeca", "t2", "t3", "t4b"), ENGINES, Direction, CountMode):
+        for verdict in check_suite(nets[name], direction, mode, engine=eng):
+            for witness in verdict.witnesses:
+                if witness.anchor.assignment:
+                    anchors[id(witness.anchor)] = witness.anchor
+                    distinct.add((name, witness.anchor))
+    assert len(anchors) == len(distinct) == 17
+
+
 def _anchor_scope(query):
     """The scope a checker groups T by."""
     if query.kind is PropertyKind.SURJECTIVE_IN:
