@@ -50,8 +50,8 @@ class EncodedNetwork:
     value_index: tuple[dict[str, int], ...]
     # Per relation: scope set positions, their strides, sorted row keys.
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
-    # Per engine module: the smallest budget known to admit the walk of the
-    # consistent table T, and T (``engine.consistent_table``).
+    # Per engine module: the smallest budget known to admit the build of
+    # the consistent table T, and T (``engine.consistent_table``).
     tables: dict = field(default_factory=dict, compare=False, repr=False)
     # Per (engine module, anchor scope): T's whole layout by that scope,
     # with each group's outcomes per target columns and the verdict

@@ -1,25 +1,31 @@
 """Instance-space operations: enumeration, consistency, completions, counting.
 
-Two interchangeable engines back the heavy operations: JOIN, a backtracking
-natural join that checks each relation as soon as its scope is assigned
+Two interchangeable engines back the heavy operations: JOIN, a natural
+join that checks each relation as soon as its scope is assigned
 (``kernels``), and BRUTEFORCE, a chunked enumeration of the whole candidate
 space (``bruteforce``). They share no code but one call contract: a
 ``build_index`` from the encoding, kept on it, and a generator
 ``walk(index, fixed, budget)`` of a partial's consistent completions, as
 tuples of value indices in one deterministic order, so they cross-validate
-each other and :func:`_backend` is the only place that tells them apart.
-Every call here reads either walk through the same consumers in
-``kernels``, which stop it early. Callers choose per call and must get
-identical results either way. A network without sets always goes to brute
-force, whose walk covers its one candidate, the empty instance.
+each other. :func:`_backend` is the one place that picks an engine, and
+:func:`consistent_table` the one call that reads the join otherwise: it
+builds T with ``kernels.table``, which yields the rows of the join's walk
+of the empty partial. Every call here reads the rows through the same
+consumers in ``kernels``, which stop a walk early. Callers choose per call
+and must get identical results either way. A network without sets always
+goes to brute force, whose walk covers its one candidate, the empty
+instance.
 
 Enumeration order everywhere is lexicographic in (set declaration order,
 value declaration order). ``Limits.max_enumerated`` bounds the work of
 each search, as the search nodes the join visits or the candidate space
 brute force walks, :func:`consistent_table`'s build among them. Every
-walk takes it and raises ``LimitExceededError`` rather than truncate
-silently. Only :func:`enumerate_instances`, which walks a cartesian space
-itself, checks that space here. ``Limits.cap`` is an early-stop for
+search takes it and raises ``LimitExceededError`` rather than truncate
+silently. The join builds T a level at a time and counts each level's
+nodes before it builds the level, so a refusal of T reports the nodes
+through the first level that passes the budget. Only
+:func:`enumerate_instances`, which walks a cartesian space itself, checks
+that space here. ``Limits.cap`` is an early-stop for
 :func:`count_distinct`, the one reader of it: its result is then
 ``min(true count, cap)``. A projection target is a list of set positions,
 and projections are tuples of value indices, so no target is refused for
@@ -174,8 +180,9 @@ def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
                      engine: Engine = Engine.JOIN) -> list[tuple[int, ...]]:
     """T: every consistent full instance as value indices, in order.
 
-    The engine's whole walk, collected, builds T once per encoding and
-    keeps it there. A T kept from a larger budget is walked again under a
+    The join builds T one level at a time (``kernels.table``), brute force
+    collects its whole walk; either way T is built once per encoding and
+    kept there. A T kept from a larger budget is built again under a
     smaller one, so whether a budget refuses T does not depend on the
     cache.
     """
@@ -184,8 +191,9 @@ def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
     budget = limits.max_enumerated
     known = enc.tables.get(backend)
     if known is None or budget < known[0]:
-        known = enc.tables[backend] = (budget, kernels.collect_completions(
-            backend.walk(data, [-1] * enc.n_sets, budget), None))
+        rows = (kernels.table(data, budget) if backend is kernels
+                else backend.walk(data, [-1] * enc.n_sets, budget))
+        known = enc.tables[backend] = (budget, kernels.collect_completions(rows, None))
     return known[1]
 
 

@@ -189,7 +189,7 @@ class _Plan(NamedTuple):
 
 def _plan(network: Network, limits: Limits, engine: Engine) -> _Plan:
     """The plan of a check. T is asked for on every call
-    (:func:`consistent_table`), so a smaller budget is walked again."""
+    (:func:`consistent_table`), so a smaller budget builds it again."""
     enc = encode(network)
     return _Plan(enc, consistent_table(network, limits, engine), _backend(enc, engine)[0])
 

@@ -128,11 +128,10 @@ def _witness(witness: Witness) -> str:
 
 
 def _scope(scope: tuple[str, ...], scopes: dict[tuple[str, ...], str]) -> str:
-    """The array of a scope's set ids. The verdicts of one document share
-    a few scopes, so ``scopes`` keeps each one's array for the document."""
-    block = scopes.get(scope)
-    if block is None:
-        block = scopes[scope] = _block([_string(s) for s in scope], 3, "[]")
+    """The array of a scope's set ids, kept in ``scopes``. The verdicts of
+    one document share a few scopes, so :func:`_verdict` reads each array
+    from ``scopes`` and calls this only for a scope it lacks."""
+    block = scopes[scope] = _block([_string(s) for s in scope], 3, "[]")
     return block
 
 
@@ -143,13 +142,14 @@ _PROPERTY = {kind._value_: _string(kind._value_) for kind in PropertyKind}
 
 def _verdict(verdict: Verdict, scopes: dict[tuple[str, ...], str]) -> str:
     q = verdict.query
+    # An array is never empty text, so a kept one is never falsy.
     return _VERDICT % (
-        _scope(q.from_scope, scopes),
+        scopes.get(q.from_scope) or _scope(q.from_scope, scopes),
         "true" if verdict.holds else "false",
         int.__repr__(verdict.instances_checked),
         "null" if q.param is None else _string(q.param),
         _PROPERTY[q.kind._value_],
-        _scope(q.to_scope, scopes),
+        scopes.get(q.to_scope) or _scope(q.to_scope, scopes),
         _block([_witness(w) for w in verdict.witnesses], 3, "[]")
         if verdict.witnesses else "[]")
 

@@ -886,7 +886,7 @@ def test_the_suite_gives_the_checkers_verdicts_on_drawn_nets(net, data):
 def test_the_suite_raises_the_checkers_first_error():
     """Where a suite is refused, it raises the error its first refused
     verdict raises alone: an unknown set in either scope, an invalid
-    network, a budget below T's walk, minimality over an empty from
+    network, a budget below T's build, minimality over an empty from
     scope. With no kinds it gives no verdict and encodes nothing."""
     fig = all_networks()["fig1-mini"]
     invalid = Network("empty-data", (ValueSet("A", ()), ValueSet("B", ("b1", "b2"))),

@@ -31,6 +31,7 @@ from semnet import (
     ScopeMismatchError,
     ValueSet,
     check_minimal,
+    check_suite,
     completions,
     count_distinct,
     distinct_representatives,
@@ -411,6 +412,19 @@ def test_key_overflow_is_its_own_error():
         with pytest.raises(LimitExceededError) as refused:
             call()
         assert (refused.value.required, refused.value.allowed) == (10**21, 10**7)
+
+
+def test_a_refused_table_stops_at_the_level_that_passes_the_budget():
+    """Seven free 600-value sets: T's build counts 600, then 600^2 nodes,
+    and is refused at the third level, whose 600^3 nodes pass the default
+    budget, before it builds that level's rows."""
+    values = tuple(f"v{i}" for i in range(600))
+    sets = tuple(ValueSet(f"S{k}", values) for k in range(1, 8))
+    net = Network("wide-target", sets, (), frozenset(vs.id for vs in sets))
+    with pytest.raises(LimitExceededError, match="search nodes") as refused:
+        check_suite(net)
+    assert (refused.value.required, refused.value.allowed) == (
+        600 + 600**2 + 600**3, Limits().max_enumerated)
 
 
 def _wide_sinks(n_sinks):

@@ -1,11 +1,13 @@
-"""The join walk: it must yield brute force's completions, each consumer
-must be a slice of a walk, and the names the traced benchmark wraps must
-stay where it looks for them."""
+"""The join walk: it must yield brute force's completions, T built a level
+at a time must equal the walk of the empty partial, each consumer must be
+a slice of a walk, and the names the traced benchmark wraps must stay
+where it looks for them."""
 
 from __future__ import annotations
 
 import ast
 import gc
+import itertools
 import json
 import os
 import platform
@@ -15,11 +17,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from semnet import (
     CountMode,
     Direction,
+    LimitExceededError,
     Limits,
+    Network,
+    Relation,
+    ValueSet,
     bruteforce,
     check_suite,
     encode,
@@ -28,6 +35,8 @@ from semnet import (
     properties,
 )
 from semnet.corpus import all_networks
+from test_differential import _nets
+from test_properties import _level_nodes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,7 +65,8 @@ def test_both_engines_export_the_same_entry_points():
     assert set(bruteforce.__all__) == {"build_index", "walk"}
     assert set(kernels.__all__) & set(bruteforce.__all__) == {"build_index", "walk"}
     assert set(kernels.__all__) - set(bruteforce.__all__) == CONSUMERS | {"JIT_ENABLED",
-                                                                          "JoinIndex"}
+                                                                          "JoinIndex",
+                                                                          "table"}
 
 
 def test_bruteforce_imports_nothing_from_kernels():
@@ -84,6 +94,85 @@ def _compare_walks(nets, rng):
 
 def test_join_walk_matches_bruteforce():
     _compare_walks(all_networks(), random.Random(7))
+
+
+def _levels_net(name, seed, nullary_row=True):
+    """Seven sets whose levels reach every branch of ``kernels.table``: a
+    nullary relation (with or without its row) and a unary one, relations
+    with one, three and four bound sets, two relations ending at one level,
+    and a last level that no relation ends at."""
+    rng = random.Random(seed)
+    sets = tuple(ValueSet(sid, tuple(f"{sid.lower()}{i}" for i in range(3)))
+                 for sid in "ABCDEFG")
+    ids = [vs.id for vs in sets]
+
+    def relation(rid, scope):
+        values = [sets[ids.index(sid)].values for sid in scope]
+        rows = tuple(row for row in itertools.product(*values) if rng.random() < 0.7)
+        return Relation(rid, scope[:-1], scope[-1:], rows)
+
+    relations = (Relation("yes", (), (), ((),) if nullary_row else ()),
+                 relation("one", ("B",)),
+                 relation("pair", ("A", "C")),
+                 relation("three", ("A", "B", "C", "D")),
+                 relation("two", ("B", "C", "E")),
+                 relation("also", ("D", "E")),
+                 relation("four", ("A", "B", "C", "D", "F")))
+    return Network(name, sets, relations, frozenset({"A"}))
+
+
+def _table_nets():
+    """Every corpus net, the drawn nets with a set, and the hand-made ones."""
+    nets = list(all_networks().values())
+    nets += [net for net in _nets() if net.sets]
+    nets += [_levels_net(f"levels{seed}", seed) for seed in range(8)]
+    nets.append(_levels_net("no-row", 0, nullary_row=False))
+    return nets
+
+
+def _shape(level_checks):
+    """Which branch of ``kernels.table`` builds a level."""
+    if len(level_checks) != 1:
+        return min(len(level_checks), 2), None
+    return 1, min(len(level_checks[0][1]), 4)
+
+
+def test_table_equals_the_walk_of_the_empty_partial():
+    """T built a level at a time equals the walk of the empty partial, on
+    nets that between them reach every branch of the build."""
+    shapes = set()
+    for net in _table_nets():
+        enc = encode(net)
+        index = enc.join_index
+        shapes.update(_shape(level_checks) for level_checks in index[1])
+        want = list(kernels.walk(index, [-1] * enc.n_sets, BUDGET))
+        assert list(kernels.table(index, BUDGET)) == want, net.name
+    assert shapes == {(0, None), (2, None), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4)}
+    assert not list(kernels.table(encode(_levels_net("no-row", 0, False)).join_index, BUDGET))
+
+
+def test_table_is_refused_at_the_first_level_past_the_budget():
+    """For every budget from 1 to T's search nodes, the build of T admits
+    it exactly when the budget covers the nodes, and a refusal reports the
+    nodes through the first level whose count passes the budget."""
+    nets = [all_networks()["fig1-mini"], _levels_net("levels", 0)]
+    nets += [net for net in _nets() if net.sets]
+    budgets = 0
+    for net in nets:
+        index = encode(net).join_index
+        through = list(itertools.accumulate(_level_nodes(net)))
+        want = list(kernels.walk(index, [-1] * len(net.sets), BUDGET))
+        for budget in range(1, through[-1] + 1):
+            budgets += 1
+            if budget == through[-1]:
+                assert list(kernels.table(index, budget)) == want, net.name
+                continue
+            with pytest.raises(LimitExceededError, match="search nodes") as info:
+                list(kernels.table(index, budget))
+            passed = next(nodes for nodes in through if nodes > budget)
+            assert (info.value.required, info.value.allowed) == (passed, budget), (
+                net.name, budget)
+    assert budgets >= 1000
 
 
 def test_bruteforce_walk_carries_across_chunks(monkeypatch):
@@ -163,7 +252,7 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     ``semnet.properties``), and perfbench/harness.py reads ``JIT_ENABLED``;
     every name must exist, and a check must still reach the kernels
     through them, as often as before. The encode cache is cleared first:
-    the consistent table, which every checker reads, is walked once per
+    the consistent table, which every checker reads, is built once per
     encoding."""
     names = _spans_names("KERNELS")
     assert set(names) == CONSUMERS
@@ -186,7 +275,7 @@ def test_traced_benchmark_hooks_stay_in_place(monkeypatch):
     for direction in Direction:
         for mode in CountMode:
             check_suite(net, direction, mode)
-    # T's one walk is the only kernel call: every checker reads T.
+    # T's one build is the only kernel call: every checker reads T.
     assert calls == {"count_completions": 0, "count_distinct_capped": 0,
                      "collect_completions": 1, "collect_distinct_reps": 0}
 

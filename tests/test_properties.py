@@ -360,15 +360,15 @@ def _chain(n_sets, n_values):
     return Network(f"chain{n_sets}x{n_values}", sets, relations, frozenset({"S0"}))
 
 
-def _join_nodes(network, partial=None):
+def _level_nodes(network, partial=None):
     """Reference for the search nodes of the join's full walk of the
-    completions of ``partial`` (a dict, T when empty): per set in
-    declaration order, the prefixes that agree with ``partial`` and are
+    completions of ``partial`` (a dict, T when empty), per level: per set
+    in declaration order, the prefixes that agree with ``partial`` and are
     consistent with every relation whose scope they cover, counted by
     extending the last level's prefixes."""
     partial = partial or {}
     prefixes = [{}]
-    nodes = 0
+    counts = []
     for level, vs in enumerate(network.sets):
         covered = {s.id for s in network.sets[:level + 1]}
         rels = [rel for rel in network.relations if covered >= set(rel.scope)]
@@ -377,8 +377,13 @@ def _join_nodes(network, partial=None):
         prefixes = [p for p in extended
                     if all(tuple(p[sid] for sid in rel.scope) in set(rel.rows)
                            for rel in rels)]
-        nodes += len(prefixes)
-    return nodes
+        counts.append(len(prefixes))
+    return counts
+
+
+def _join_nodes(network, partial=None):
+    """The reference's search nodes over all levels."""
+    return sum(_level_nodes(network, partial))
 
 
 def wide_net(n_data, n_values, n_free, n_free_values):
@@ -412,10 +417,10 @@ def test_minimal_on_a_wide_net_separates_at_the_first_anchor(engine):
 
 
 def test_a_chain_past_the_recursion_limit_gets_a_whole_suite():
-    """The join walks its sets in a loop, not one call per set, so a chain
-    of 1,200 two-valued bijections (1,201 sets, past the recursion limit)
-    gets every verdict of both directions, and each holds; brute force
-    refuses its 2^1201 candidates."""
+    """The join builds T in a loop over its sets, not one call per set, so
+    a chain of 1,200 two-valued bijections (1,201 sets, past the recursion
+    limit) gets every verdict of both directions, and each holds; brute
+    force refuses its 2^1201 candidates."""
     chain = _chain(1201, 2)
     assert sys.getrecursionlimit() < len(chain.sets)
     for direction in Direction:
@@ -611,9 +616,9 @@ def test_minimal_walks_no_anchor_space():
 
 
 def test_minimal_budget_refuses_a_cached_table(monkeypatch):
-    """fig1-mini's T walk visits exactly the reference's nodes; one budget
-    below them is refused even when a T built under a larger budget is
-    kept on the encoding, and brute force is gated on the full space."""
+    """fig1-mini's T build visits exactly the reference's nodes; one
+    budget below them is refused even when a T built under a larger budget
+    is kept on the encoding, and brute force is gated on the full space."""
     fig = all_networks()["fig1-mini"]
     nodes = _join_nodes(fig)
     assert nodes == 87
@@ -621,14 +626,14 @@ def test_minimal_budget_refuses_a_cached_table(monkeypatch):
     assert check_minimal(fig, limits=Limits(max_enumerated=nodes)).holds is False
     encode.cache_clear()
     check_minimal(fig)  # T kept from the default budget
-    walks = []
-    monkeypatch.setattr(kernels, "walk",
-                        lambda *args, _real=kernels.walk:
-                        walks.append(args[-1]) or _real(*args))
+    builds = []
+    monkeypatch.setattr(kernels, "table",
+                        lambda *args, _real=kernels.table:
+                        builds.append(args[-1]) or _real(*args))
     with pytest.raises(LimitExceededError):
         check_minimal(fig, limits=Limits(max_enumerated=nodes - 1))
     assert check_minimal(fig, limits=Limits(max_enumerated=nodes)) == check_minimal(fig)
-    assert walks == [nodes - 1, nodes]  # the default budget hits the cache
+    assert builds == [nodes - 1, nodes]  # the default budget hits the cache
     space = full_space_size(fig)
     with pytest.raises(LimitExceededError) as info:
         check_minimal(fig, limits=Limits(max_enumerated=space - 1), engine=Engine.BRUTEFORCE)
@@ -903,7 +908,7 @@ def _checker_call(query):
 def test_functional_budget_refuses_a_cached_layout():
     """After a warm suite, whose layouts, outcome sets and decisions are
     kept on the encoding, each of the six checkers is still refused one
-    budget below fig1-mini's 87-node walk of T, and gives the kept verdict
+    budget below fig1-mini's 87-node build of T, and gives the kept verdict
     at 87."""
     fig = all_networks()["fig1-mini"]
     encode.cache_clear()
