@@ -2,8 +2,8 @@
 
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 all requested
 properties hold (or the file is valid), 1 some property fails, 2 usage or
-parse error, 3 validation error, 4 work budget exceeded or a scope too
-large for the engine's 62-bit keys.
+parse error, 3 validation error, 4 work budget exceeded or, under brute
+force only, a relation scope too large for its 62-bit row keys.
 """
 
 from __future__ import annotations

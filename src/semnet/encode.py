@@ -18,11 +18,12 @@ as evidence (:meth:`EncodedNetwork.kept_instance`) and of each anchor
 that it holds as a witness (:meth:`EncodedNetwork.kept_anchor`), so
 every decision and report of the encoding shares it, with its rendered
 text, and all are freed with the cache entry. The engine's own
-completions build fresh instances and keep none. What the engine
-prepares per call (fixed value indices, target positions) stays in plain
-Python ints, and a projection onto a target is a tuple of value indices,
-so only a relation scope whose value space passes 2^62 is refused
-(``KeyOverflowError``).
+completions build fresh instances and keep none. Row keys, and what the
+engine prepares per call (fixed value indices, target positions), are
+plain Python ints, and a projection onto a target is a tuple of value
+indices, so encoding refuses no scope for its size. Only brute force's
+index, whose keys are int64, refuses a relation scope whose value space
+passes 2^62 (``KeyOverflowError``).
 """
 
 from __future__ import annotations
@@ -31,14 +32,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import kernels
-from .errors import InvalidNetworkError, KeyOverflowError, ScopeMismatchError
+from .errors import InvalidNetworkError, ScopeMismatchError
 from .model import Instance, Network, validate
 
 __all__ = ["EncodedNetwork", "encode"]
-
-# Brute force's row keys are int64; both engines refuse relation scopes
-# whose product could wrap.
-_KEY_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,8 @@ class EncodedNetwork:
     def bruteforce_index(self):
         """Brute force's key arrays, built (and its module imported) on first use."""
         from . import bruteforce
-        return bruteforce.build_index(self.sizes, self.relations)
+        return bruteforce.build_index(self.sizes, self.relations,
+                                      [rel.id for rel in self.network.relations])
 
     def fixed_from(self, partial: Instance) -> list[int]:
         """Value index per set, -1 where the partial leaves the set free."""
@@ -137,15 +135,9 @@ def encode(network: Network) -> EncodedNetwork:
     sizes = tuple(len(vs.values) for vs in network.sets)
     value_index = tuple({v: i for i, v in enumerate(vs.values)} for vs in network.sets)
 
-    relations = []
-    for rel, keys, strides in zip(network.relations, network._row_keys, network._strides):
-        scope = tuple(map(set_index.__getitem__, rel.scope))
-        space = strides[0] * sizes[scope[0]] if scope else 1
-        if space > _KEY_LIMIT:
-            raise KeyOverflowError(
-                f"relation {rel.id!r} scope space of {space} value combinations "
-                "exceeds the engine's 2^62 key limit")
-        relations.append((scope, strides, tuple(sorted(keys))))
+    relations = [(tuple(map(set_index.__getitem__, rel.scope)), strides, tuple(sorted(keys)))
+                 for rel, keys, strides in zip(network.relations, network._row_keys,
+                                               network._strides)]
 
     return EncodedNetwork(
         network=network,

@@ -4,32 +4,32 @@ Two interchangeable engines back the heavy operations: JOIN, a natural
 join that checks each relation as soon as its scope is assigned
 (``kernels``), and BRUTEFORCE, a chunked enumeration of the whole candidate
 space (``bruteforce``). They share no code but one call contract: a
-``build_index`` from the encoding, kept on it, and a generator
-``walk(index, fixed, budget)`` of a partial's consistent completions, as
-tuples of value indices in one deterministic order, so they cross-validate
-each other. :func:`_backend` is the one place that picks an engine, and
-:func:`consistent_table` the one call that reads the join otherwise: it
-builds T with ``kernels.table``, which yields the rows of the join's walk
-of the empty partial. Every call here reads the rows through the same
-consumers in ``kernels``, which stop a walk early. Callers choose per call
-and must get identical results either way. A network without sets always
-goes to brute force, whose walk covers its one candidate, the empty
-instance.
+``build_index`` from the encoding, kept on it, and
+``table(index, fixed, budget)``, the consistent completions of a partial
+as tuples of value indices in one deterministic order, so they
+cross-validate each other. :func:`_backend` is the one place that picks an
+engine. :func:`consistent_table` builds T as the table of the empty
+partial, and every call here reads a table through the same consumers in
+``kernels``. Callers choose per call and must get identical results
+either way. A network without sets always goes to brute force, whose
+table covers its one candidate, the empty instance.
 
 Enumeration order everywhere is lexicographic in (set declaration order,
 value declaration order). ``Limits.max_enumerated`` bounds the work of
 each search, as the search nodes the join visits or the candidate space
-brute force walks, :func:`consistent_table`'s build among them. Every
+brute force enumerates, :func:`consistent_table`'s build among them. Every
 search takes it and raises ``LimitExceededError`` rather than truncate
-silently. The join builds T a level at a time and counts each level's
-nodes before it builds the level, so a refusal of T reports the nodes
+silently. The join builds a table a level at a time and counts each
+level's nodes before it builds the level, so a refusal reports the nodes
 through the first level that passes the budget. Only
 :func:`enumerate_instances`, which walks a cartesian space itself, checks
-that space here. ``Limits.cap`` is an early-stop for
-:func:`count_distinct`, the one reader of it: its result is then
-``min(true count, cap)``. A projection target is a list of set positions,
-and projections are tuples of value indices, so no target is refused for
-the size of its value space.
+that space here. ``Limits.cap`` bounds the result of
+:func:`count_distinct`, the one reader of it, to ``min(true count, cap)``,
+as ``k`` bounds the instances a call returns; neither stops a search
+early, so whether a call is decided depends only on its partial's table
+under the budget, the rule the checkers follow for T. A projection target
+is a list of set positions, and projections are tuples of value indices,
+so no target is refused for the size of its value space.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def full_space_size(network: Network) -> int:
 
 
 def _backend(enc: EncodedNetwork, engine: Engine) -> tuple[object, object]:
-    """The module whose ``walk`` serves ``engine`` and the index it takes.
-    The join search walks one level per set, so a network without sets
+    """The module whose ``table`` serves ``engine`` and the index it takes.
+    The join search builds one level per set, so a network without sets
     goes to brute force, which is imported on its first use."""
     if engine is _JOIN and enc.n_sets:
         return kernels, enc.join_index
@@ -150,20 +150,20 @@ def _backend(enc: EncodedNetwork, engine: Engine) -> tuple[object, object]:
     return bruteforce, enc.bruteforce_index
 
 
-def _walk(network: Network, partial: Instance, limits: Limits,
-          engine: Engine) -> tuple[EncodedNetwork, Iterator[tuple[int, ...]]]:
-    """The encoding, and the engine's walk of the partial's completions."""
+def _table(network: Network, partial: Instance, limits: Limits,
+           engine: Engine) -> tuple[EncodedNetwork, Iterator[tuple[int, ...]]]:
+    """The encoding, and the engine's table of the partial's completions."""
     enc = encode(network)
     fixed = enc.fixed_from(partial)
     backend, data = _backend(enc, engine)
-    return enc, backend.walk(data, fixed, limits.max_enumerated)
+    return enc, backend.table(data, fixed, limits.max_enumerated)
 
 
 def completions(network: Network, partial: Instance,
                 limits: Limits = _DEFAULT_LIMITS,
                 engine: Engine = Engine.JOIN) -> list[Instance]:
     """All consistent full instances extending the partial, in order."""
-    enc, rows = _walk(network, partial, limits, engine)
+    enc, rows = _table(network, partial, limits, engine)
     return [enc.instance_from_row(row) for row in kernels.collect_completions(rows, None)]
 
 
@@ -172,7 +172,7 @@ def first_completions(network: Network, partial: Instance, k: int,
                       engine: Engine = Engine.JOIN) -> list[Instance]:
     """The first k consistent full instances extending the partial; all
     of them when k is past ``sys.maxsize``, none when k < 1."""
-    enc, rows = _walk(network, partial, limits, engine)
+    enc, rows = _table(network, partial, limits, engine)
     return [enc.instance_from_row(row) for row in kernels.collect_completions(rows, k)]
 
 
@@ -180,9 +180,8 @@ def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
                      engine: Engine = Engine.JOIN) -> list[tuple[int, ...]]:
     """T: every consistent full instance as value indices, in order.
 
-    The join builds T one level at a time (``kernels.table``), brute force
-    collects its whole walk; either way T is built once per encoding and
-    kept there. A T kept from a larger budget is built again under a
+    T is the engine's table of the empty partial, built once per encoding
+    and kept there. A T kept from a larger budget is built again under a
     smaller one, so whether a budget refuses T does not depend on the
     cache.
     """
@@ -191,8 +190,7 @@ def consistent_table(network: Network, limits: Limits = _DEFAULT_LIMITS,
     budget = limits.max_enumerated
     known = enc.tables.get(backend)
     if known is None or budget < known[0]:
-        rows = (kernels.table(data, budget) if backend is kernels
-                else backend.walk(data, [-1] * enc.n_sets, budget))
+        rows = backend.table(data, [-1] * enc.n_sets, budget)
         known = enc.tables[backend] = (budget, kernels.collect_completions(rows, None))
     return known[1]
 
@@ -202,9 +200,9 @@ def count_distinct(network: Network, partial: Instance, target: Iterable[str],
                    limits: Limits = _DEFAULT_LIMITS,
                    engine: Engine = Engine.JOIN) -> int:
     """Count completions (FULL) or their distinct target projections
-    (PROJECTED); with ``limits.cap`` set, stop early at the cap."""
+    (PROJECTED); with ``limits.cap`` set, at most the cap."""
     wanted = known_sets(network, target, "target")
-    enc, rows = _walk(network, partial, limits, engine)
+    enc, rows = _table(network, partial, limits, engine)
     if mode is CountMode.FULL:
         return kernels.count_completions(rows, limits.cap)
     positions = [enc.set_index[sid] for sid in network.set_order(wanted)]
@@ -217,7 +215,7 @@ def distinct_representatives(network: Network, partial: Instance,
                              engine: Engine = Engine.JOIN) -> list[Instance]:
     """First completion for each of the first k distinct target projections."""
     wanted = known_sets(network, target, "target")
-    enc, rows = _walk(network, partial, limits, engine)
+    enc, rows = _table(network, partial, limits, engine)
     positions = [enc.set_index[sid] for sid in network.set_order(wanted)]
     return [enc.instance_from_row(row) for row in
             kernels.collect_distinct_reps(rows, positions, k)]

@@ -12,7 +12,7 @@ class ScopeMismatchError(SemnetError):
 
 
 class KeyOverflowError(SemnetError):
-    """A relation scope's value space is too large for the engines'
+    """A relation scope's value space is too large for brute force's
     62-bit row keys."""
 
 

@@ -3,6 +3,7 @@ and equivalence of both engines with the naive oracle."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import re
@@ -43,6 +44,7 @@ from semnet import (
     project,
 )
 from semnet.corpus import all_networks, build_t1, build_t2, build_t3, build_t4
+from test_properties import _level_nodes
 
 ENGINES = (Engine.JOIN, Engine.BRUTEFORCE)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -367,18 +369,35 @@ def test_count_distinct_over_a_large_target():
     assert join.holds
 
 
-def test_key_overflow_is_its_own_error():
-    """Relation scopes past the 62-bit key space are refused, not as a
-    scope mismatch. A projection target is never refused for its size:
-    projections are tuples of value indices, not keys."""
+def _hub_net():
+    """A ten-valued hub D tied by bijections to S1..S6 of 600 values, and a
+    relation r over S1..S7, whose scope spans 600^7 > 2^62 keys: T has ten
+    rows."""
     values = tuple(f"v{i}" for i in range(600))
-    sets = tuple(ValueSet(f"S{k}", values) for k in range(1, 8))
-    ids = tuple(vs.id for vs in sets)
-    wide = Relation("r", ids[:-1], ids[-1:], (("v0",) * 7,))
-    with pytest.raises(KeyOverflowError, match=r"relation 'r' .*2\^62") as info:
-        encode(Network("wide-rel", sets, (wide,), frozenset(ids[-1:])))
+    hub = values[:10]
+    sets = (ValueSet("D", hub),) + tuple(ValueSet(f"S{k}", values) for k in range(1, 8))
+    relations = tuple(Relation(f"to-S{k}", ("D",), (f"S{k}",), tuple(zip(hub, hub)))
+                      for k in range(1, 7))
+    wide = Relation("r", tuple(f"S{k}" for k in range(1, 7)), ("S7",),
+                    tuple((v,) * 7 for v in hub))
+    return Network("hub", sets, relations + (wide,), frozenset({"D"}))
+
+
+def test_key_overflow_is_its_own_error():
+    """Only brute force, whose row keys are int64, refuses a relation
+    scope past the 62-bit key space, and not as a scope mismatch; encoding
+    refuses nothing, and the join decides the net. A projection target is
+    never refused for its size: projections are tuples of value indices,
+    not keys."""
+    hub = _hub_net()
+    assert len(encode(hub).relations) == 7
+    assert [v.holds for v in check_suite(hub)] == [True, True, True, False, True, False]
+    assert len(completions(hub, Instance({"S7": "v3"}))) == 1
+    with pytest.raises(KeyOverflowError, match=r"^relation 'r' .*2\^62 key limit$") as info:
+        check_suite(hub, engine=Engine.BRUTEFORCE)
     assert not isinstance(info.value, ScopeMismatchError)
-    net = Network("wide-target", sets, (), frozenset(ids))
+    net = _wide_target()
+    ids = tuple(vs.id for vs in net.sets)
     # Fixing every set makes the search space 1: the 600^7 target has one
     # projection, that of the one completion.
     everything = Instance({sid: "v0" for sid in ids})
@@ -399,7 +418,7 @@ def test_key_overflow_is_its_own_error():
         with pytest.raises(LimitExceededError):
             count_distinct(net, Instance(), ids[:1], engine=engine)
     # Twenty ten-valued sinks span 10^20 > 2^62 projections, but the join
-    # walks ten completions; brute force is refused its 10^21 candidates.
+    # builds ten completions; brute force is refused its 10^21 candidates.
     sinks = _wide_sinks(20)
     targets = tuple(vs.id for vs in sinks.sets[1:])
     assert count_distinct(sinks, Instance(), targets) == 10
@@ -414,17 +433,29 @@ def test_key_overflow_is_its_own_error():
         assert (refused.value.required, refused.value.allowed) == (10**21, 10**7)
 
 
+def _wide_target():
+    """Seven free 600-value sets."""
+    values = tuple(f"v{i}" for i in range(600))
+    sets = tuple(ValueSet(f"S{k}", values) for k in range(1, 8))
+    return Network("wide-target", sets, (), frozenset(vs.id for vs in sets))
+
+
 def test_a_refused_table_stops_at_the_level_that_passes_the_budget():
     """Seven free 600-value sets: T's build counts 600, then 600^2 nodes,
     and is refused at the third level, whose 600^3 nodes pass the default
-    budget, before it builds that level's rows."""
-    values = tuple(f"v{i}" for i in range(600))
-    sets = tuple(ValueSet(f"S{k}", values) for k in range(1, 8))
-    net = Network("wide-target", sets, (), frozenset(vs.id for vs in sets))
-    with pytest.raises(LimitExceededError, match="search nodes") as refused:
-        check_suite(net)
-    assert (refused.value.required, refused.value.allowed) == (
-        600 + 600**2 + 600**3, Limits().max_enumerated)
+    budget, before it builds that level's rows. The engine's calls on the
+    empty partial build the same table, and are refused alike, however
+    small their bound."""
+    net = _wide_target()
+    calls = (lambda: check_suite(net),
+             lambda: count_distinct(net, Instance(), ["S1"]),
+             lambda: count_distinct(net, Instance(), ["S1"], limits=Limits(cap=1)),
+             lambda: first_completions(net, Instance(), 1))
+    for call in calls:
+        with pytest.raises(LimitExceededError, match="search nodes") as refused:
+            call()
+        assert (refused.value.required, refused.value.allowed) == (
+            600 + 600**2 + 600**3, Limits().max_enumerated)
 
 
 def _wide_sinks(n_sinks):
@@ -458,22 +489,28 @@ def test_bounds_past_the_largest_slice_take_everything():
                             == count_distinct(net, partial, target, mode, engine=engine)), case
 
 
-def test_an_early_stop_refuses_where_the_walk_stops():
-    """The first k completions of fig1-mini walk only the nodes up to the
-    k-th: budgets from 19, 32 and 45 admit k = 1, 2 and 3, and a smaller
-    budget is refused at the node count where the walk passed it, the
-    same counts that the join's early return at a cap gave."""
+def test_a_bound_on_the_result_does_not_stop_the_search():
+    """``k`` bounds the completions a call returns, not its search: the
+    first k completions of fig1-mini build the whole table of its 87
+    search nodes. For k = 1, 2 and 3, every budget below 87 is refused
+    with the count that refuses all the completions, the nodes through
+    the first level that passes the budget, and budget 87 admits every
+    k."""
     fig = all_networks()["fig1-mini"]
-    admits = {1: 19, 2: 32, 3: 45}
-    for k, least in admits.items():
-        required = []
-        for budget in range(1, 88):
-            try:
-                assert len(first_completions(fig, Instance(), k, Limits(budget))) == k
-            except LimitExceededError as refused:
-                assert refused.allowed == budget
-                required.append(refused.required)
-        assert required == [3, 3, 6, 6, 6] + list(range(7, least + 1)), k
+    through = list(itertools.accumulate(_level_nodes(fig)))
+    assert through[-1] == 87
+    for budget in range(1, 87):
+        with pytest.raises(LimitExceededError) as whole:
+            completions(fig, Instance(), Limits(budget))
+        passed = next(nodes for nodes in through if nodes > budget)
+        assert (whole.value.required, whole.value.allowed) == (passed, budget)
+        for k in (1, 2, 3):
+            with pytest.raises(LimitExceededError) as first:
+                first_completions(fig, Instance(), k, Limits(budget))
+            assert (first.value.required, first.value.allowed) == (passed, budget), k
+    every = completions(fig, Instance(), Limits(87))
+    for k in (1, 2, 3):
+        assert first_completions(fig, Instance(), k, Limits(87)) == every[:k]
 
 
 def _loop_row_keys(network, rel):

@@ -1,6 +1,6 @@
-"""The join walk: it must yield brute force's completions, T built a level
-at a time must equal the walk of the empty partial, each consumer must be
-a slice of a walk, and the names the traced benchmark wraps must stay
+"""The join's table: built a level at a time, of any partial, it must
+equal brute force's table and the oracle's completions, each consumer must
+be a slice of a table, and the names the traced benchmark wraps must stay
 where it looks for them."""
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import platform
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from semnet import (
     kernels,
     properties,
 )
+from oracle import oracle_completions
 from semnet.corpus import all_networks
 from test_differential import _nets
 from test_properties import _level_nodes
@@ -47,31 +49,44 @@ BUDGET = Limits().max_enumerated
 BOUNDS = (0, 1, 2, 5, 7, 16, None)
 
 
-def _random_fixed(rng, enc):
-    return [rng.randrange(size) if rng.random() < 0.4 else -1 for size in enc.sizes]
+def _random_fixed(rng, enc, share=0.4):
+    return [rng.randrange(size) if rng.random() < share else -1 for size in enc.sizes]
 
 
 def _random_target(rng, enc):
     return [i for i in range(enc.n_sets) if rng.random() < 0.5]
 
 
-def _walks(enc, fixed):
-    """Both backends' walks of ``fixed`` under the default budget."""
-    return (kernels.walk(enc.join_index, fixed, BUDGET),
-            bruteforce.walk(enc.bruteforce_index, fixed, BUDGET))
+def _tables(enc, fixed):
+    """Both backends' tables of ``fixed`` under the default budget."""
+    return (kernels.table(enc.join_index, fixed, BUDGET),
+            bruteforce.table(enc.bruteforce_index, fixed, BUDGET))
+
+
+@lru_cache(maxsize=None)
+def _oracle_rows(net):
+    """The oracle's consistent full instances of ``net``, as value indices."""
+    enc = encode(net)
+    return [tuple(enc.value_index[i][full[sid]] for i, sid in enumerate(enc.set_ids))
+            for full in oracle_completions(net, {})]
+
+
+def _oracle_table(net, fixed):
+    """The oracle's completions of ``fixed``, as value indices."""
+    return [row for row in _oracle_rows(net)
+            if all(value < 0 or value == v for value, v in zip(fixed, row))]
 
 
 def test_both_engines_export_the_same_entry_points():
-    assert set(bruteforce.__all__) == {"build_index", "walk"}
-    assert set(kernels.__all__) & set(bruteforce.__all__) == {"build_index", "walk"}
+    assert set(bruteforce.__all__) == {"build_index", "table"}
+    assert set(kernels.__all__) & set(bruteforce.__all__) == {"build_index", "table"}
     assert set(kernels.__all__) - set(bruteforce.__all__) == CONSUMERS | {"JIT_ENABLED",
-                                                                          "JoinIndex",
-                                                                          "table"}
+                                                                          "JoinIndex"}
 
 
 def test_bruteforce_imports_nothing_from_kernels():
     """Brute force is the independent cross-check: it shares no code with
-    the join, not even the consumers that read both walks."""
+    the join, not even the consumers that read both tables."""
     tree = ast.parse((ROOT / "src" / "semnet" / "bruteforce.py").read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
@@ -83,17 +98,21 @@ def test_bruteforce_imports_nothing_from_kernels():
     assert "kernels" not in {part for name in names for part in name.split(".")}
 
 
-def _compare_walks(nets, rng):
-    for name, net in nets.items():
+def _compare_tables(nets, rng):
+    """On eight random partials of each net, about 30% of its sets fixed,
+    both backends' tables equal the oracle's completions."""
+    for net in nets:
         enc = encode(net)
         for _ in range(8):
-            fixed = _random_fixed(rng, enc)
-            join, brute = _walks(enc, fixed)
-            assert list(join) == list(brute), (name, fixed)
+            fixed = _random_fixed(rng, enc, 0.3)
+            join, brute = _tables(enc, fixed)
+            assert list(join) == list(brute) == _oracle_table(net, fixed), (net.name, fixed)
 
 
 def test_join_walk_matches_bruteforce():
-    _compare_walks(all_networks(), random.Random(7))
+    """On every corpus net, the drawn nets with a set and the hand-made
+    nets of every level shape."""
+    _compare_tables(_table_nets(), random.Random(7))
 
 
 def _levels_net(name, seed, nullary_row=True):
@@ -137,18 +156,20 @@ def _shape(level_checks):
     return 1, min(len(level_checks[0][1]), 4)
 
 
-def test_table_equals_the_walk_of_the_empty_partial():
-    """T built a level at a time equals the walk of the empty partial, on
-    nets that between them reach every branch of the build."""
+def test_table_of_the_empty_partial_equals_bruteforce():
+    """T built a level at a time equals brute force's T and the oracle's,
+    on nets that between them reach every branch of the build."""
     shapes = set()
     for net in _table_nets():
         enc = encode(net)
         index = enc.join_index
         shapes.update(_shape(level_checks) for level_checks in index[1])
-        want = list(kernels.walk(index, [-1] * enc.n_sets, BUDGET))
-        assert list(kernels.table(index, BUDGET)) == want, net.name
+        free = [-1] * enc.n_sets
+        join, brute = _tables(enc, free)
+        assert list(join) == list(brute) == _oracle_rows(net), net.name
     assert shapes == {(0, None), (2, None), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4)}
-    assert not list(kernels.table(encode(_levels_net("no-row", 0, False)).join_index, BUDGET))
+    assert not list(kernels.table(encode(_levels_net("no-row", 0, False)).join_index,
+                                  [-1] * 7, BUDGET))
 
 
 def test_table_is_refused_at_the_first_level_past_the_budget():
@@ -160,15 +181,15 @@ def test_table_is_refused_at_the_first_level_past_the_budget():
     budgets = 0
     for net in nets:
         index = encode(net).join_index
+        free = [-1] * len(net.sets)
         through = list(itertools.accumulate(_level_nodes(net)))
-        want = list(kernels.walk(index, [-1] * len(net.sets), BUDGET))
         for budget in range(1, through[-1] + 1):
             budgets += 1
             if budget == through[-1]:
-                assert list(kernels.table(index, budget)) == want, net.name
+                assert list(kernels.table(index, free, budget)) == _oracle_rows(net), net.name
                 continue
             with pytest.raises(LimitExceededError, match="search nodes") as info:
-                list(kernels.table(index, budget))
+                list(kernels.table(index, free, budget))
             passed = next(nodes for nodes in through if nodes > budget)
             assert (info.value.required, info.value.allowed) == (passed, budget), (
                 net.name, budget)
@@ -176,12 +197,12 @@ def test_table_is_refused_at_the_first_level_past_the_budget():
 
 
 def test_bruteforce_walk_carries_across_chunks(monkeypatch):
-    """With one candidate per chunk, the walk yields each chunk's
-    consistent row in turn, in rank order."""
+    """With one candidate per chunk, brute force's table yields each
+    chunk's consistent row in turn, in rank order."""
     monkeypatch.setattr(bruteforce, "_CHUNK", 1)
-    small = {name: net for name, net in all_networks().items() if full_space_size(net) <= 8}
+    small = [net for net in all_networks().values() if full_space_size(net) <= 8]
     assert len(small) == 5
-    _compare_walks(small, random.Random(8))
+    _compare_tables(small, random.Random(8))
 
 
 def _first_per_projection(rows, target):
@@ -196,14 +217,15 @@ def _first_per_projection(rows, target):
 
 
 def test_each_consumer_is_a_slice_of_the_walk():
-    """Each consumer equals a slice of the whole walk, or of its first row
-    per projection; a bound of 0 takes nothing and None takes all."""
+    """Each consumer of either backend's table equals a slice of the
+    oracle's completions, or of their first row per projection; a bound of
+    0 takes nothing and None takes all."""
     rng = random.Random(10)
     for name, net in all_networks().items():
         enc = encode(net)
         for _ in range(8):
             fixed, target = _random_fixed(rng, enc), _random_target(rng, enc)
-            rows = list(kernels.walk(enc.join_index, fixed, BUDGET))
+            rows = _oracle_table(net, fixed)
             reps = _first_per_projection(rows, target)
             for bound in BOUNDS:
                 for consumer, extra, want in (
@@ -211,27 +233,27 @@ def test_each_consumer_is_a_slice_of_the_walk():
                         ("count_completions", (), len(rows[:bound])),
                         ("collect_distinct_reps", (target,), reps[:bound]),
                         ("count_distinct_capped", (target,), len(reps[:bound]))):
-                    for walk in _walks(enc, fixed):
-                        assert getattr(kernels, consumer)(walk, *extra, bound) == want, (
+                    for table in _tables(enc, fixed):
+                        assert getattr(kernels, consumer)(table, *extra, bound) == want, (
                             name, fixed, target, consumer, bound)
 
 
 def test_search_leaves_no_reference_cycles():
-    """Each walk's state is freed when its consumer returns, or when a walk
-    dropped half-consumed goes, not by the cycle collector."""
+    """Each search's state is freed when its consumer returns, or when a
+    table dropped half-consumed goes, not by the cycle collector."""
     enc = encode(all_networks()["fig1-mini"])
     fixed = [-1] * enc.n_sets
     enc.join_index  # built and kept on the encoding before counting
     gc.collect()
     gc.disable()
     try:
-        kernels.count_completions(kernels.walk(enc.join_index, fixed, BUDGET), None)
-        kernels.collect_distinct_reps(kernels.walk(enc.join_index, fixed, BUDGET), [0], 2)
+        kernels.count_completions(kernels.table(enc.join_index, fixed, BUDGET), None)
+        kernels.collect_distinct_reps(kernels.table(enc.join_index, fixed, BUDGET), [0], 2)
         for backend, index in ((kernels, enc.join_index), (bruteforce, enc.bruteforce_index)):
-            walk = backend.walk(index, fixed, BUDGET)
-            half = next(walk)
-            assert next(walk) > half
-            del walk
+            rows = backend.table(index, fixed, BUDGET)
+            half = next(rows)
+            assert next(rows) > half
+            del rows
         assert gc.collect() == 0
     finally:
         gc.enable()

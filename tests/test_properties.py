@@ -361,7 +361,7 @@ def _chain(n_sets, n_values):
 
 
 def _level_nodes(network, partial=None):
-    """Reference for the search nodes of the join's full walk of the
+    """Reference for the search nodes of the join's table of the
     completions of ``partial`` (a dict, T when empty), per level: per set
     in declaration order, the prefixes that agree with ``partial`` and are
     consistent with every relation whose scope they cover, counted by
@@ -444,11 +444,11 @@ def test_minimal_budget_counts_the_join_walk_not_the_cartesian_space():
 
 
 def test_the_join_walk_is_budgeted_by_its_search_nodes():
-    """Consumed whole, the join walk visits exactly the reference's search
-    nodes for its partial: that budget admits it, one node less is refused
-    with the count of search nodes. On fig1-mini and 30 random partials,
-    and on a net without relations, whose free walk visits every prefix of
-    its cartesian space, the most any walk of it can visit."""
+    """The join's table of a partial visits exactly the reference's search
+    nodes for it: that budget admits it, with the oracle's completions,
+    and one node less is refused with the count of search nodes. On
+    fig1-mini and 30 random partials, and on a net without relations,
+    whose free table visits every prefix of its cartesian space."""
     rng = random.Random(15)
     free = Network("free", tuple(ValueSet(f"S{k}", tuple(f"v{i}" for i in range(size)))
                                  for k, size in enumerate((2, 1, 3, 4))), (), frozenset())
@@ -456,6 +456,7 @@ def test_the_join_walk_is_budgeted_by_its_search_nodes():
     walked = 0
     for name, net in nets.items():
         enc = encode(net)
+        consistent = oracle_completions(net, {})
         partials = [{}] + [{vs.id: rng.choice(vs.values) for vs in rng.sample(net.sets, 2)}
                            for _ in range(30 if name == "fig1-mini" else 0)]
         for partial in partials:
@@ -464,9 +465,11 @@ def test_the_join_walk_is_budgeted_by_its_search_nodes():
                 continue
             walked += 1
             fixed = enc.fixed_from(Instance(partial))
-            list(kernels.walk(enc.join_index, fixed, nodes))
+            rows = list(kernels.table(enc.join_index, fixed, nodes))
+            assert [enc.instance_from_row(row).as_dict() for row in rows] == [
+                full for full in consistent if partial.items() <= full.items()], (name, partial)
             with pytest.raises(LimitExceededError, match="search nodes") as info:
-                list(kernels.walk(enc.join_index, fixed, nodes - 1))
+                list(kernels.table(enc.join_index, fixed, nodes - 1))
             assert (info.value.required, info.value.allowed) == (nodes, nodes - 1), (
                 name, partial)
     assert _join_nodes(free) == 2 + 2 + 6 + 24
