@@ -2,8 +2,8 @@
 
 Each op runs once through ``engine="join"`` and once through
 ``engine="bruteforce"``; report columns are best-of-``--repeat`` wall
-times. The last line of output is one JSON object: ``python``, ``numpy``
-and ``best_ms``, the best time in milliseconds per network, op (``count``
+times. The last line of output is one JSON object: ``python`` and
+``best_ms``, the best time in milliseconds per network, op (``count``
 or ``suite``) and column (``join``, ``brute``).
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--net NAME ...]
@@ -15,8 +15,6 @@ import argparse
 import json
 import platform
 import time
-
-import numpy as np
 
 from semnet import CountMode, Direction, Engine, Instance, check_suite, count_distinct
 from semnet.corpus import all_networks
@@ -67,8 +65,8 @@ def main() -> None:
                      for column, engine in COLUMNS.items()}
             best_ms.setdefault(name, {})[op] = times
             print(f"{name:<14} {op:<7} " + " ".join(f"{t:>10.3f}" for t in times.values()))
-    print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
-                      "best_ms": best_ms}, sort_keys=True))
+    print(json.dumps({"python": platform.python_version(), "best_ms": best_ms},
+                     sort_keys=True))
 
 
 if __name__ == "__main__":

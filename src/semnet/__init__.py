@@ -28,7 +28,6 @@ from .engine import (
 )
 from .errors import (
     InvalidNetworkError,
-    KeyOverflowError,
     LimitExceededError,
     ScopeMismatchError,
     SemnetError,
@@ -72,7 +71,6 @@ __all__ = [
     "Engine",
     "Instance",
     "InvalidNetworkError",
-    "KeyOverflowError",
     "Limits",
     "LimitExceededError",
     "Network",

@@ -1,59 +1,59 @@
-"""Brute-force engine: chunked full-space enumeration.
+"""Brute-force engine: chunked full-space enumeration in plain Python.
 
 Independent of the join search by design, so the two routes can
 cross-check each other, and yet called the same way: ``build_index`` and
 ``table`` carry the join's names, take the same arguments (this module's
-index where the join takes its own, and the relation ids as well for
-``build_index``'s refusal below) and yield the same int tuples, which
+index where the join takes its own) and yield the same int tuples, which
 the engine reads through the same consumers (``kernels``); this module
-imports nothing from ``kernels``. Only this module of the package imports
-numpy. Candidates are ranked lexicographically by (set declaration order,
-value declaration order), the order the join search produces, and
-materialised chunk by chunk as value-index matrices; consistency is a
-vectorised membership test of each relation's sorted row keys, and
-:func:`table` yields each chunk's consistent rows in rank order. A network
+imports nothing from ``kernels``. :func:`build_index` decodes each
+relation's row keys into the set of value-index tuples its rows hold over
+its scope (plain value indices for a one-set scope). Candidates are ranked
+lexicographically by (set declaration order, value declaration order), the
+order the join search produces, and drawn from ``itertools.product`` chunk
+by chunk; each relation keeps the candidates whose projection onto its
+scope is one of its rows, and :func:`table` yields each chunk's survivors
+in rank order. Nothing is pruned before a candidate is whole. A network
 without sets has one candidate, the empty instance, which this search
 handles like any other.
 
-Row keys are int64, so :func:`build_index` refuses a relation whose scope
-space passes 2^62 (``KeyOverflowError``); the join keys rows with Python
-ints and has no such limit. ``budget``, ``Limits.max_enumerated``, bounds
-the work of each search, as the candidate space brute force enumerates; the
-build of the consistent table is one such search. A candidate space larger
-than the budget is refused before the first chunk.
+``budget``, ``Limits.max_enumerated``, bounds the work of each search, as
+the candidate space brute force enumerates; the build of the consistent
+table is one such search. A candidate space larger than the budget is
+refused before the first candidate.
 """
 
 from __future__ import annotations
 
+from itertools import compress, islice, product
+from math import prod
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .errors import KeyOverflowError, LimitExceededError
+from .errors import LimitExceededError
 
 __all__ = ["build_index", "table"]
 
 _CHUNK = 1 << 18
-# int64 row keys: a scope space up to this cannot wrap.
-_KEY_LIMIT = 2**62
 
-# Set sizes; per relation, scope positions, int64 strides and sorted row keys.
-BruteForceIndex = tuple[tuple[int, ...], tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]
+# Set sizes; per relation, its scope positions and the rows it holds there.
+BruteForceIndex = tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], frozenset], ...]]
 
 
-def build_index(sizes: Sequence[int], relations, names: Sequence[str]) -> BruteForceIndex:
-    """The encoding's ``(scope, strides, row keys)`` as arrays; ``names``
-    are the relation ids, for the refusal of a scope too wide for int64."""
-    for name, (scope, strides, _) in zip(names, relations):
-        space = strides[0] * sizes[scope[0]] if scope else 1
-        if space > _KEY_LIMIT:
-            raise KeyOverflowError(
-                f"relation {name!r} scope space of {space} value combinations "
-                "exceeds the engine's 2^62 key limit")
-    return tuple(sizes), tuple((np.array(scope, dtype=np.intp),
-                                np.array(strides, dtype=np.int64),
-                                np.array(keys, dtype=np.int64))
-                               for scope, strides, keys in relations)
+def build_index(sizes: Sequence[int], relations) -> BruteForceIndex:
+    """Each relation's rows as value indices over its scope, decoded column
+    by column from the encoding's ``(scope, strides, row keys)``."""
+    index = []
+    for scope, strides, keys in relations:
+        columns = [[key // stride % sizes[s] for key in keys]
+                   for s, stride in zip(scope, strides)]
+        if len(columns) == 1:
+            rows = frozenset(columns[0])
+        elif columns:
+            rows = frozenset(zip(*columns))
+        else:  # a nullary relation admits all or nothing
+            rows = frozenset([()] if keys else [])
+        index.append((scope, rows))
+    return tuple(sizes), tuple(index)
 
 
 def table(index: BruteForceIndex, fixed: list[int],
@@ -61,25 +61,16 @@ def table(index: BruteForceIndex, fixed: list[int],
     """The consistent completions of ``fixed`` as tuples of value indices,
     in rank order; the first declared free set varies slowest."""
     sizes, relations = index
-    free = [i for i, value in enumerate(fixed) if value < 0]
-    divs = {}
-    div = 1
-    for i in reversed(free):
-        divs[i] = div
-        div *= sizes[i]
-    if div > budget:
-        raise LimitExceededError(div, budget)
-    for lo in range(0, div, _CHUNK):
-        rank = np.arange(lo, min(lo + _CHUNK, div), dtype=np.int64)
-        vals = np.empty((rank.size, len(sizes)), dtype=np.int64)
-        for i, size in enumerate(sizes):
-            vals[:, i] = fixed[i] if i not in divs else rank // divs[i] % size
-        for scope, strides, keys in relations:
-            if not keys.size:
-                return  # an empty relation admits no candidate
-            key = vals[:, scope] @ strides
-            # A key past the last row key is clipped onto it and differs.
-            vals = vals[keys.take(keys.searchsorted(key), mode="clip") == key]
-            if not len(vals):
-                break
-        yield from map(tuple, vals.tolist())
+    ranges = [range(size) if value < 0 else (value,) for size, value in zip(sizes, fixed)]
+    space = prod(map(len, ranges))
+    if space > budget:
+        raise LimitExceededError(space, budget)
+    if not all(rows for _, rows in relations):
+        return  # a relation without rows admits no candidate
+    # A nullary relation that holds its row admits every candidate.
+    checks = [(itemgetter(*scope), rows.__contains__) for scope, rows in relations if scope]
+    candidates = product(*ranges)
+    while chunk := list(islice(candidates, _CHUNK)):
+        for project, holds in checks:
+            chunk = list(compress(chunk, map(holds, map(project, chunk))))
+        yield from chunk

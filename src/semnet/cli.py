@@ -2,8 +2,7 @@
 
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 all requested
 properties hold (or the file is valid), 1 some property fails, 2 usage or
-parse error, 3 validation error, 4 work budget exceeded or, under brute
-force only, a relation scope too large for its 62-bit row keys.
+parse error, 3 validation error, 4 work budget exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .engine import CountMode, Engine, Limits, full_space_size
-from .errors import KeyOverflowError, LimitExceededError, ScopeMismatchError
+from .errors import LimitExceededError, ScopeMismatchError
 from .model import Network, sinks, sources, validate
 from .netdef import ParseFailure, parse
 from .properties import Direction, PropertyKind, check_suite, check_surjective_in
@@ -176,7 +175,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ScopeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LimitExceededError, KeyOverflowError) as exc:
+    except LimitExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 

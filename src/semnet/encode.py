@@ -9,7 +9,7 @@ indices. The keys and strides are the ones the network memoises
 the rows), so encoding only sorts the keys. Each engine builds its own
 index from these tuples on its first search of a network and keeps it on
 the encoding: the join search's per-relation dicts
-(``kernels.build_index``) and brute force's key arrays
+(``kernels.build_index``) and brute force's row sets
 (``bruteforce.build_index``). The consistent table T that each engine
 builds for the property checkers is kept there too, and so is T's
 layout by each anchor scope a checker reads, with the decisions made
@@ -21,9 +21,7 @@ text, and all are freed with the cache entry. The engine's own
 completions build fresh instances and keep none. Row keys, and what the
 engine prepares per call (fixed value indices, target positions), are
 plain Python ints, and a projection onto a target is a tuple of value
-indices, so encoding refuses no scope for its size. Only brute force's
-index, whose keys are int64, refuses a relation scope whose value space
-passes 2^62 (``KeyOverflowError``).
+indices, so no engine refuses a scope for its size.
 """
 
 from __future__ import annotations
@@ -73,10 +71,9 @@ class EncodedNetwork:
 
     @cached_property
     def bruteforce_index(self):
-        """Brute force's key arrays, built (and its module imported) on first use."""
+        """Brute force's relation rows, built (and its module imported) on first use."""
         from . import bruteforce
-        return bruteforce.build_index(self.sizes, self.relations,
-                                      [rel.id for rel in self.network.relations])
+        return bruteforce.build_index(self.sizes, self.relations)
 
     def fixed_from(self, partial: Instance) -> list[int]:
         """Value index per set, -1 where the partial leaves the set free."""

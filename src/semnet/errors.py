@@ -11,11 +11,6 @@ class ScopeMismatchError(SemnetError):
     """An instance was used with a scope it does not cover exactly."""
 
 
-class KeyOverflowError(SemnetError):
-    """A relation scope's value space is too large for brute force's
-    62-bit row keys."""
-
-
 class LimitExceededError(SemnetError):
     """A search or enumeration would exceed the configured work budget;
     ``unit`` names what was counted. ``required`` and ``allowed`` stay

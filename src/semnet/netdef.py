@@ -489,8 +489,6 @@ class _Line(NamedTuple):
     def identifiers(self, start: int, stop: int) -> bool:
         """Whether words ``start`` to ``stop`` are unquoted identifiers;
         reports each that is not."""
-        if all(map(_IDENT_RE.match, self.words[start:stop])) and not self.quoted:
-            return True
         ok = True
         for i in range(start, stop):
             if i in self.quoted or not _IDENT_RE.match(self.words[i]):
@@ -503,8 +501,6 @@ class _Line(NamedTuple):
     def values(self, start: int) -> bool:
         """Whether the words from ``start`` on are values, quoted or bare;
         reports each that is neither."""
-        if all(map(_BARE_VALUE_RE.match, self.words[start:])):
-            return True
         ok = True
         for i in range(start, len(self.words)):
             if i not in self.quoted and not _BARE_VALUE_RE.match(self.words[i]):

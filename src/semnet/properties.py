@@ -27,19 +27,17 @@ built T. A public checker asks for the plan of its one verdict, and
 order: an unknown scope, an empty from scope for minimality, then T's
 budget. :func:`_layout` lays T out by the anchor scope, once per
 encoding, engine and scope, shared by every checker over that scope: the
-scope's value space and T grouped by anchor; ``check_suite`` resolves
-each (anchor scope, target) pair's layout and target columns once per
-suite, in a dict of its own. The layout also keeps, per target, each
-group's distinct target values, shared by PROJECTED functional,
-injective and minimality, and the decisions made from it, so every suite
-and checker of the encoding decides each question once per layout:
-coverage once (total from S, surjective to S, and surjective-in when S is
-the one param set all read it), distinctness and minimality once per
-target columns, or once in FULL mode, which reads no target (functional
-S→R and injective R→S read the same one). A decision holds the witness
-anchor, its evidence and instances_checked, or minimality's witnesses;
-each call builds its own verdict, with its kind's note, from it, and asks
-for T under its own budget before it reads a decision.
+scope's value space and T grouped by anchor. The layout also keeps, per
+target, each group's distinct target values, shared by PROJECTED
+functional, injective and minimality, and the decisions made from it, so
+every suite and checker of the encoding decides each question once per
+layout: coverage once (total from S, surjective to S, and surjective-in
+when S is the one param set all read it), distinctness and minimality
+once per target columns, or once in FULL mode, which reads no target
+(functional S→R and injective R→S read the same one). A decision holds
+the witness anchor, its evidence and instances_checked, or minimality's
+witnesses; each call builds its own verdict, with its kind's note, from
+it, and asks for T under its own budget before it reads a decision.
 
 Anchors are value-index tuples; only a witness anchor becomes an
 ``Instance``. Witness instances are built from T's rows with their pairs
@@ -250,26 +248,21 @@ def _outcomes(layout: _Layout, columns: tuple[int, ...]) -> dict:
     return known
 
 
-def _verdict(network: Network, plan: _Plan, query: PropertyQuery, slot: tuple,
-             known: dict) -> Verdict:
+def _verdict(network: Network, plan: _Plan, query: PropertyQuery, slot: tuple) -> Verdict:
     """``query``'s verdict through its kind's ``slot`` of :data:`_SLOTS`.
-    ``known`` keeps, per (anchor scope, target), the anchor's layout
-    (:func:`_layout`) and the target's columns of T, None in FULL mode,
-    whose outcomes are whole rows; a covered question reads no target.
-    The layout keeps the question's decision, made on first use; the
-    verdict and its witness are built from it."""
+    The anchor scope's layout (:func:`_layout`) keeps the question's
+    decision per target columns of T, None in FULL mode, whose outcomes
+    are whole rows, and for a covered question, which reads no target;
+    the decision is made on first use, and the verdict and its witness
+    are built from it."""
     question, decide, scopes, note = slot
     pair = scopes(query)
-    entry = known.get(pair)
-    if entry is None:
-        entry = known[pair] = (
-            _layout(network, plan, pair[0]), None if query.mode is _FULL
-            else tuple(map(plan.enc.set_index.__getitem__, pair[1])))
-    layout, columns = entry
-    key = question, None if question == "covered" else columns
-    decision = layout.decided.get(key)
+    layout = _layout(network, plan, pair[0])
+    columns = None if question == "covered" or query.mode is _FULL else tuple(
+        map(plan.enc.set_index.__getitem__, pair[1]))
+    decision = layout.decided.get((question, columns))
     if decision is None:
-        decision = layout.decided[key] = decide(plan.enc, layout, *pair, key[1])
+        decision = layout.decided[question, columns] = decide(plan.enc, layout, *pair, columns)
     anchor, evidence, checked = decision
     if note is None:  # minimality: the decision holds the redundant sets' witnesses
         witnesses = anchor
@@ -390,7 +383,7 @@ def check_functional(network: Network, from_scope: Iterable[str] | None = None,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every from-instance leads to at most one outcome."""
     query = _query(PropertyKind.FUNCTIONAL, network, from_scope, to_scope, mode)
-    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind])
 
 
 def check_total(network: Network, from_scope: Iterable[str] | None = None,
@@ -404,7 +397,7 @@ def check_total(network: Network, from_scope: Iterable[str] | None = None,
     does); the mode is recorded for symmetry with the other checkers.
     """
     query = _query(PropertyKind.TOTAL, network, from_scope, to_scope, mode)
-    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind])
 
 
 def check_injective(network: Network, from_scope: Iterable[str] | None = None,
@@ -414,7 +407,7 @@ def check_injective(network: Network, from_scope: Iterable[str] | None = None,
                     engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is produced by at most one from-instance."""
     query = _query(PropertyKind.INJECTIVE, network, from_scope, to_scope, mode)
-    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind])
 
 
 def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
@@ -424,7 +417,7 @@ def check_surjective(network: Network, from_scope: Iterable[str] | None = None,
                      engine: Engine = Engine.JOIN) -> Verdict:
     """Every to-instance is reachable from some consistent full instance."""
     query = _query(PropertyKind.SURJECTIVE, network, from_scope, to_scope, mode)
-    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind])
 
 
 def check_surjective_in(network: Network, param: str,
@@ -437,7 +430,7 @@ def check_surjective_in(network: Network, param: str,
     query = _query(PropertyKind.SURJECTIVE_IN, network, from_scope, to_scope, mode, param)
     if param not in query.to_scope:
         raise ScopeMismatchError(f"param {param!r} must belong to the to scope")
-    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind])
 
 
 def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
@@ -465,7 +458,7 @@ def check_minimal(network: Network, from_scope: Iterable[str] | None = None,
     query = _query(PropertyKind.MINIMAL, network, from_scope, to_scope, mode)
     if not query.from_scope:
         raise ScopeMismatchError(_EMPTY_FROM)
-    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind], {})
+    return _verdict(network, _plan(network, limits, engine), query, _SLOTS[query.kind])
 
 
 def _first_separating(groups: dict, qi: int, size: int,
@@ -541,7 +534,6 @@ def check_suite(network: Network, direction: Direction = Direction.FORWARD,
     # The from scope and the plan are resolved for the first verdict that
     # reads them, so they are refused where each checker alone would be.
     a_scope = plan = None
-    known: dict = {}
     verdicts: list[Verdict] = []
     for kind, slot in _SUITE_SLOTS if kinds is None else ((k, _SLOTS[k]) for k in kinds):
         if recover and kind is _INJECTIVE:
@@ -560,5 +552,5 @@ def check_suite(network: Network, direction: Direction = Direction.FORWARD,
                 raise ScopeMismatchError(_EMPTY_FROM)
             if plan is None:
                 plan = _plan(network, limits, engine)
-            verdicts.append(_verdict(network, plan, query, slot, known))
+            verdicts.append(_verdict(network, plan, query, slot))
     return tuple(verdicts)

@@ -127,23 +127,31 @@ def test_check_limit_exceeded_exit_4(capsys):
     assert "FAILS" in out
 
 
-def test_key_overflow_is_exit_4_not_usage(capsys, tmp_path):
-    # Seven sets of 600 values: the scope of r spans 600**7 > 2**62 keys,
-    # past brute force's int64 row keys.
+def test_a_wide_relation_scope_is_exit_4_only_by_the_budget(capsys, tmp_path):
+    # A ten-valued hub D tied by bijections to S1..S6 of 600 values, and r
+    # over S1..S7, whose scope spans 600**7 > 2**62 value combinations.
     values = " ".join(f"v{i}" for i in range(600))
-    lines = ["net big", *(f"set S{k} = {values}" for k in range(1, 8)),
-             "rel r in S1 S2 S3 S4 S5 S6 out S7", "row" + " v0" * 7, "end", "data S7"]
-    path = tmp_path / "big.semnet"
+    hub = [f"v{i}" for i in range(10)]
+    lines = ["net hub", f"set D = {' '.join(hub)}",
+             *(f"set S{k} = {values}" for k in range(1, 8))]
+    for k in range(1, 7):
+        lines += [f"rel to{k} in D out S{k}", *(f"row {v} {v}" for v in hub), "end"]
+    lines += ["rel r in S1 S2 S3 S4 S5 S6 out S7", *(f"row{f' {v}' * 7}" for v in hub),
+              "end", "data D"]
+    path = tmp_path / "hub.semnet"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = _run(capsys, "validate", str(path))
     assert code == 0
     assert "0 error(s)" in out
+    code, out, err = _run(capsys, "check", str(path))
+    assert code == 1
+    assert err == ""
     code, out, err = _run(capsys, "check", str(path), "--property", "functional",
                           "--engine", "bruteforce")
     assert code == 4
     assert out == ""
-    assert "relation 'r'" in err
-    assert "2^62 key limit" in err
+    assert err == ("error: walking at least 2^67 candidate instances exceeds "
+                   "the budget of 10000000\n")
 
 
 def test_checkers_decide_targets_past_the_key_space(capsys, tmp_path):

@@ -24,7 +24,6 @@ from semnet import (
     CountMode,
     Engine,
     Instance,
-    KeyOverflowError,
     Limits,
     LimitExceededError,
     Network,
@@ -383,19 +382,24 @@ def _hub_net():
     return Network("hub", sets, relations + (wide,), frozenset({"D"}))
 
 
-def test_key_overflow_is_its_own_error():
-    """Only brute force, whose row keys are int64, refuses a relation
-    scope past the 62-bit key space, and not as a scope mismatch; encoding
-    refuses nothing, and the join decides the net. A projection target is
-    never refused for its size: projections are tuples of value indices,
-    not keys."""
+def test_no_engine_refuses_a_relation_scope_for_its_size():
+    """A relation scope past 2^62 value combinations is refused by neither
+    engine: the join decides the hub net, and brute force refuses only its
+    10 * 600^7 candidates, by the budget, and decides a partial that fixes
+    every set. A projection target is never refused for its size either:
+    projections are tuples of value indices, not keys."""
     hub = _hub_net()
     assert len(encode(hub).relations) == 7
     assert [v.holds for v in check_suite(hub)] == [True, True, True, False, True, False]
     assert len(completions(hub, Instance({"S7": "v3"}))) == 1
-    with pytest.raises(KeyOverflowError, match=r"^relation 'r' .*2\^62 key limit$") as info:
+    with pytest.raises(LimitExceededError, match=r"^walking at least 2\^67 candidate "
+                       r"instances exceeds the budget of 10000000$") as info:
         check_suite(hub, engine=Engine.BRUTEFORCE)
-    assert not isinstance(info.value, ScopeMismatchError)
+    assert (info.value.required, info.value.allowed) == (10 * 600**7, 10**7)
+    everything = {"D": "v3", **{f"S{k}": "v3" for k in range(1, 8)}}
+    for engine in ENGINES:
+        assert completions(hub, Instance(everything), engine=engine) == [Instance(everything)]
+        assert completions(hub, Instance({**everything, "S7": "v4"}), engine=engine) == []
     net = _wide_target()
     ids = tuple(vs.id for vs in net.sets)
     # Fixing every set makes the search space 1: the 600^7 target has one
@@ -546,8 +550,8 @@ def test_row_keys_match_the_per_row_loop():
             assert keys == tuple(_loop_row_keys(network, rel)), (network.name, rel.id)
 
 
-def test_only_bruteforce_loads_numpy():
-    """A join-only process never imports numpy; brute force's first use does."""
+def test_no_engine_loads_numpy():
+    """A process that runs both engines never imports numpy."""
     script = """
 import sys
 import semnet
@@ -555,7 +559,6 @@ from semnet.corpus import all_networks
 net = all_networks()["fig1-mini"]
 args = (net, semnet.Direction.FORWARD, semnet.CountMode.PROJECTED)
 join = semnet.check_suite(*args)
-print("numpy" in sys.modules)
 brute = semnet.check_suite(*args, engine=semnet.Engine.BRUTEFORCE)
 print("numpy" in sys.modules, brute == join)
 """
@@ -564,4 +567,4 @@ print("numpy" in sys.modules, brute == join)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "True"]
+    assert proc.stdout.split() == ["False", "True"]

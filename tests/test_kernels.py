@@ -17,7 +17,6 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from semnet import (
@@ -94,7 +93,7 @@ def test_bruteforce_imports_nothing_from_kernels():
             names.add(node.module or "")
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
-    assert {"numpy", "errors"} <= names
+    assert "errors" in names
     assert "kernels" not in {part for name in names for part in name.split(".")}
 
 
@@ -313,8 +312,7 @@ def test_bench_kernels_ends_with_one_json_record():
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["python"] == platform.python_version()
-    assert record["numpy"] == np.__version__
-    assert record.keys() == {"python", "numpy", "best_ms"}
+    assert record.keys() == {"python", "best_ms"}
     assert record["best_ms"].keys() == {"t2", "t4"}
     for ops in record["best_ms"].values():
         assert ops.keys() == {"count", "suite"}
